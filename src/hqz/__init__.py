@@ -16,10 +16,10 @@ from .errors import (ConfigError, DegenerateDerivative, DomainError,
                      EmptyCorpus, HqzError, HypothesisViolation, KernelBlowup,
                      MonotonicityViolation, NoConvergence, NonpositiveRealPart,
                      TruncationOverflow, VanishingModulus)
-from .functionals import (MeanReport, calderon_ratio_estimate, calderon_square,
-                          circle_mean_p, entropy_u, hardy_norm_estimate,
-                          poisson_extend_circle, poisson_kernel, v_norm,
-                          zygmund_plus)
+from .functionals import (MeanReport, calderon_norms, calderon_ratio_estimate,
+                          calderon_square, circle_mean_p, entropy_u,
+                          hardy_norm_estimate, poisson_extend_circle,
+                          poisson_kernel, v_norm, zygmund_plus)
 from .gamma import gamma, log_gamma
 from .laplacian import (LaplacianAuditResult, LaplacianSample, PhiAnalysis,
                         audit_laplacians, disk_green_identity, fd_laplacian,
@@ -42,9 +42,10 @@ __all__ = [
     "PhiAnalysis", "PlanarHarmonicMap", "QuadratureSpec", "RatioRow",
     "TheoremReport", "TruncationOverflow", "VanishingModulus", "X_of", "Y_of",
     "audit_laplacians", "axial_mean", "ball_green_calibration",
-    "ball_green_identity_n3", "calderon_ratio_estimate", "calderon_square",
-    "circle_mean_p", "dilatation_sup", "disk_green_identity", "disk_grid",
-    "entropy_u", "eval_map", "fd_laplacian", "fuzz_search", "gamma",
+    "ball_green_identity_n3", "calderon_norms", "calderon_ratio_estimate",
+    "calderon_square", "circle_mean_p", "dilatation_sup",
+    "disk_green_identity", "disk_grid", "entropy_u", "eval_map",
+    "fd_laplacian", "fuzz_search", "gamma",
     "hardy_norm_estimate", "jacobian", "laplacian_abs_affine",
     "laplacian_abs_f", "laplacian_samples", "laplacian_ulogu",
     "laplacian_ratio_sup", "log_gamma", "make_qr_map", "map_from_json",

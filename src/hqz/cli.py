@@ -19,15 +19,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ball import (AffineBallMap, X_of, Y_of, ball_green_calibration,
                    ball_green_identity_n3, phi_of_m, ratio_limit_scan)
-from .errors import ConfigError, HqzError
-from .functionals import (_l1_norm_calderon, _l1_norm_series,
-                          calderon_ratio_estimate)
+from .errors import ConfigError, DomainError, HqzError
+from .functionals import calderon_norms, calderon_ratio_estimate
 from .laplacian import audit_laplacians, disk_green_identity, laplacian_ratio_sup
 from .planar import PlanarHarmonicMap, dilatation_sup, random_qr_map
 from .quadrature import QuadratureSpec
@@ -59,16 +58,14 @@ KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 class RunConfig:
     scenario: str
     quadrature: QuadratureSpec = QuadratureSpec()
-    seeds: int = -1          # -1 means "scenario default"
-    n: int = -1
-    k: float = -1.0
+    seeds: int | None = None     # None means "scenario default"
+    n: int | None = None
+    k: float | None = None
     r: float = 1.0
     degree: int = 16
-    c1c2: float = -1.0
+    c1c2: float | None = None
     output_path: str = ""
     format: str = "csv"
-
-    extras: dict = field(default_factory=dict)
 
 
 def _parse_value(key: str, raw: str):
@@ -149,21 +146,29 @@ def parse_args(argv: list[str]) -> RunConfig:
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
 
-    quad = QuadratureSpec(
-        circle_nodes=int(merged.get("circle_nodes", 512)),
-        radial_nodes=int(merged.get("radial_nodes", 32)),
-        refinement_limit=int(merged.get("refinement_limit", 12)),
-        abs_tol=float(merged.get("abs_tol", 1e-10)),
-    )
+    for key in ("seeds", "n", "k"):
+        if key in merged and not merged[key] >= 0:
+            raise ConfigError(f"{key} must be nonnegative, got {merged[key]!r}")
+    if "c1c2" in merged and not merged["c1c2"] > 0:
+        raise ConfigError(f"c1c2 must be positive, got {merged['c1c2']!r}")
+    try:
+        quad = QuadratureSpec(
+            circle_nodes=int(merged.get("circle_nodes", 512)),
+            radial_nodes=int(merged.get("radial_nodes", 32)),
+            refinement_limit=int(merged.get("refinement_limit", 12)),
+            abs_tol=float(merged.get("abs_tol", 1e-10)),
+        )
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     return RunConfig(
         scenario=scenario,
         quadrature=quad,
-        seeds=int(merged.get("seeds", -1)),
-        n=int(merged.get("n", -1)),
-        k=float(merged.get("k", -1.0)),
+        seeds=merged.get("seeds"),
+        n=merged.get("n"),
+        k=merged.get("k"),
         r=float(merged.get("r", 1.0)),
         degree=int(merged.get("degree", 16)),
-        c1c2=float(merged.get("c1c2", -1.0)),
+        c1c2=merged.get("c1c2"),
         output_path=str(merged.get("out", "")),
         format=fmt,
     )
@@ -205,7 +210,7 @@ def write_rows(rows: list[dict], path: str, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _default(value, fallback):
-    return fallback if value is None or value < 0 else value
+    return fallback if value is None else value
 
 
 def run_reproduce_sharpness_3d(cfg: RunConfig):
@@ -281,8 +286,7 @@ def run_calderon_estimate(cfg: RunConfig):
     rows = []
     c1_lb, c2_lb = 0.0, 0.0
     for label, H in _h_corpus(seeds, cfg.degree):
-        nh = _l1_norm_series(H, q)
-        ng = _l1_norm_calderon(H, q)
+        nh, ng = calderon_norms(H, q)
         rows.append({"member": label, "norm_H": nh, "norm_GH": ng,
                      "ratio_H_over_GH": nh / ng, "ratio_GH_over_H": ng / nh})
         c1_lb = max(c1_lb, nh / ng)
@@ -298,11 +302,11 @@ def run_calderon_estimate(cfg: RunConfig):
 
 def run_verify_t1(cfg: RunConfig):
     seeds = _default(cfg.seeds, 100)
-    k = cfg.k if cfg.k >= 0 else 0.3
+    k = _default(cfg.k, 0.3)
     q = cfg.quadrature
     corpus = [H for _, H in _h_corpus(seeds, cfg.degree)]
     c1_lb, c2_lb = calderon_ratio_estimate(corpus, q)
-    c1c2 = cfg.c1c2 if cfg.c1c2 > 0 else c1_lb * c2_lb
+    c1c2 = _default(cfg.c1c2, c1_lb * c2_lb)
     rows = []
     ok = math.isfinite(c1c2) and c1c2 > 0
     for seed in range(min(seeds, 20)):
@@ -367,7 +371,7 @@ def run_verify_t3(cfg: RunConfig):
 
 def run_fuzz(cfg: RunConfig):
     seeds = _default(cfg.seeds, 200)
-    k = cfg.k if cfg.k >= 0 else 0.5
+    k = _default(cfg.k, 0.5)
     summary = fuzz_search(seeds, k, cfg.degree, cfg.quadrature, r=cfg.r)
     rows = [{"seeds": summary.seeds, "k": k,
              "worst_margin": summary.worst_margin,
@@ -384,7 +388,7 @@ def run_fuzz(cfg: RunConfig):
 
 def run_laplacian_audit(cfg: RunConfig):
     seeds = _default(cfg.seeds, 40)
-    k = cfg.k if cfg.k >= 0 else 0.3
+    k = _default(cfg.k, 0.3)
     rows = []
     ok = True
     radii = (0.25, 0.55, 0.8)

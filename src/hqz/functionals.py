@@ -13,23 +13,25 @@ function
 
 whose L1 comparison constants against ||H||_1 are estimated empirically
 from a corpus.  Circle integrals use the periodic trapezoid rule with
-doubling refinement; |f| is merely piecewise smooth where f vanishes, so
-the refinement-based error control is not optional.
+doubling refinement (``quadrature.refined_circle_mean``) on values from
+the FFT circle engine (``series.circle_values``); |f| is merely piecewise
+smooth where f vanishes, so the refinement-based error control is not
+optional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (DomainError, EmptyCorpus, KernelBlowup,
-                     MonotonicityViolation, NoConvergence, NonpositiveRealPart)
+                     MonotonicityViolation, NonpositiveRealPart)
 from .planar import PlanarHarmonicMap
-from .quadrature import (QuadratureSpec, circle_angles, gauss_legendre,
+from .quadrature import (QuadratureSpec, Sampler, circle_angles, gauss_legendre,
                          refined_circle_mean)
-from .series import ComplexSeries
+from .series import ComplexSeries, circle_values
 
 #: evaluation points closer to the boundary than this are rejected by the
 #: Poisson quadrature
@@ -53,11 +55,9 @@ class MeanReport:
                 "nodes": self.nodes, "est_error": self.est_error}
 
 
-def _map_on_circle(m: PlanarHarmonicMap, r: float) -> Callable[[np.ndarray], np.ndarray]:
-    def values(theta: np.ndarray) -> np.ndarray:
-        z = r * np.exp(1j * theta)
-        return m.g(z) + np.conjugate(m.h(z))
-    return values
+def _map_sampler(m: PlanarHarmonicMap, r: float, part) -> Sampler:
+    """Sampler of part(f) on the circle of radius r, for refined_circle_mean."""
+    return lambda n, shift: part(circle_values(m.g, m.h, r, n, shift))
 
 
 def circle_mean_p(m: PlanarHarmonicMap, r: float, p: float,
@@ -67,23 +67,11 @@ def circle_mean_p(m: PlanarHarmonicMap, r: float, p: float,
         raise DomainError("radius must lie in (0, 1]")
     if p <= 0.0:
         raise DomainError("exponent p must be positive")
-    fvals = _map_on_circle(m, r)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return np.abs(fvals(theta)) ** p
-
     # refine on the transformed value so est_error lives on the M_p scale
-    n = q.circle_nodes
-    prev = float(np.mean(integrand(circle_angles(n)))) ** (1.0 / p)
-    for _ in range(q.refinement_limit):
-        n *= 2
-        cur = float(np.mean(integrand(circle_angles(n)))) ** (1.0 / p)
-        err = abs(cur - prev)
-        if err <= q.abs_tol:
-            return MeanReport(r=r, p=p, value=cur, nodes=n, est_error=err)
-        prev = cur
-    raise NoConvergence(f"M_p(r={r}, p={p}): {n} nodes, last change "
-                        f"{err:.3e} > abs_tol {q.abs_tol:.3e}")
+    value, err, nodes, _ = refined_circle_mean(
+        _map_sampler(m, r, lambda f: np.abs(f) ** p), q,
+        context=f"M_p(r={r}, p={p})", transform=lambda mean: mean ** (1.0 / p))
+    return MeanReport(r=r, p=p, value=value, nodes=nodes, est_error=err)
 
 
 def hardy_norm_estimate(m: PlanarHarmonicMap, p: float, q: QuadratureSpec) -> float:
@@ -131,12 +119,10 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
                         q: QuadratureSpec) -> tuple[float, float, int]:
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
-    fvals = _map_on_circle(m, r)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return _log_plus(np.abs(np.real(fvals(theta))))
-
-    return refined_circle_mean(integrand, q, context="zygmund_plus")
+    value, err, nodes, _ = refined_circle_mean(
+        _map_sampler(m, r, lambda f: _log_plus(np.abs(f.real))), q,
+        context="zygmund_plus")
+    return value, err, nodes
 
 
 def entropy_u(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> float:
@@ -149,16 +135,17 @@ def entropy_u_report(m: PlanarHarmonicMap, r: float,
                      q: QuadratureSpec) -> tuple[float, float, int]:
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
-    fvals = _map_on_circle(m, r)
 
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        u = np.real(fvals(theta))
+    def integrand(f: np.ndarray) -> np.ndarray:
+        u = f.real
         if u.min() <= 0.0:
             raise NonpositiveRealPart(
                 f"min u = {u.min():.3e} <= 0 on the circle of radius {r}")
         return u * np.log(u)
 
-    return refined_circle_mean(integrand, q, context="entropy_u")
+    value, err, nodes, _ = refined_circle_mean(_map_sampler(m, r, integrand), q,
+                                               context="entropy_u")
+    return value, err, nodes
 
 
 def poisson_kernel(x: complex, theta: np.ndarray) -> np.ndarray:
@@ -172,8 +159,9 @@ def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec,
     """Harmonic extension (1/2pi) int P(x, e^it) phi(t) dt of circle data.
 
     ``boundary`` is either a callable t -> phi(t) (sampled uniformly, with
-    refinement) or a 1-D array of uniform-in-angle samples (used as given,
-    with the half-rule comparison as the error estimate).
+    refinement) or a 1-D array of uniform-in-angle samples, starting at
+    angle 0 (one trapezoid sum over the given samples, with no error
+    estimate).
     """
     x = complex(x)
     if 1.0 - abs(x) < min_distance:
@@ -187,11 +175,11 @@ def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec,
         full = float(np.mean(poisson_kernel(x, theta) * phi))
         return full
 
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        phi = np.asarray(boundary(theta), dtype=float)
-        return poisson_kernel(x, theta) * phi
+    def integrand(n: int, shift: bool) -> np.ndarray:
+        theta = circle_angles(n, shift)
+        return poisson_kernel(x, theta) * np.asarray(boundary(theta), dtype=float)
 
-    value, _, _ = refined_circle_mean(integrand, q, context="poisson_extend_circle")
+    value, _, _, _ = refined_circle_mean(integrand, q, context="poisson_extend_circle")
     return value
 
 
@@ -206,38 +194,38 @@ def calderon_square(H: ComplexSeries, z: complex,
     """G[H](z) = sqrt( int_0^1 |H'(rho z)|^2 (1 - rho) d rho )."""
     if abs(z) > 1.0 + 1e-12:
         raise DomainError("|z| must be <= 1")
-    return float(calderon_square_on_circle(H, np.asarray([z], dtype=complex),
-                                           radial_nodes)[0])
-
-
-def calderon_square_on_circle(H: ComplexSeries, z: np.ndarray,
-                              radial_nodes: int | None = None) -> np.ndarray:
-    """Vectorized G[H] over an array of evaluation points."""
     n = radial_nodes if radial_nodes is not None else _calderon_nodes(H)
     rho, w = gauss_legendre(n, 0.0, 1.0)
+    vals = H.derivative()(rho * complex(z))
+    return float(np.sqrt(np.sum(w * (1.0 - rho) * (vals.real ** 2 + vals.imag ** 2))))
+
+
+def calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float]:
+    """(||H||_1, ||G[H]||_1) on the unit circle, each by refined_circle_mean.
+
+    G[H] is summed on Gauss-Legendre radii exact for |H'|^2 (1 - rho), one
+    circle of H' values per radius.  H must satisfy H(0) = 0 and be nonzero.
+    """
+    if H.coeffs[0] != 0:
+        raise DomainError("the series must satisfy H(0) = 0")
     Hp = H.derivative()
-    acc = np.zeros(z.shape, dtype=float)
-    for rho_i, w_i in zip(rho, w):
-        vals = Hp(rho_i * z)
-        acc += w_i * (1.0 - rho_i) * (vals.real ** 2 + vals.imag ** 2)
-    return np.sqrt(acc)
+    rho, w = gauss_legendre(_calderon_nodes(H), 0.0, 1.0)
+    weights = w * (1.0 - rho)
 
+    def square_function(n: int, shift: bool) -> np.ndarray:
+        acc = np.zeros(n)
+        for rho_i, w_i in zip(rho, weights):
+            vals = circle_values(Hp, None, rho_i, n, shift)
+            acc += w_i * (vals.real ** 2 + vals.imag ** 2)
+        return np.sqrt(acc)
 
-def _l1_norm_series(H: ComplexSeries, q: QuadratureSpec) -> float:
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return np.abs(H(np.exp(1j * theta)))
-    value, _, _ = refined_circle_mean(integrand, q, context="||H||_1")
-    return value
-
-
-def _l1_norm_calderon(H: ComplexSeries, q: QuadratureSpec) -> float:
-    nodes = _calderon_nodes(H)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return calderon_square_on_circle(H, np.exp(1j * theta), nodes)
-
-    value, _, _ = refined_circle_mean(integrand, q, context="||G[H]||_1")
-    return value
+    norm_H, _, _, _ = refined_circle_mean(
+        lambda n, shift: np.abs(circle_values(H, None, 1.0, n, shift)), q,
+        context="||H||_1")
+    norm_GH, _, _, _ = refined_circle_mean(square_function, q, context="||G[H]||_1")
+    if norm_H == 0.0 or norm_GH == 0.0:
+        raise DomainError("the zero series has no norm ratio")
+    return norm_H, norm_GH
 
 
 def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
@@ -252,12 +240,7 @@ def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
     c1_lb = 0.0
     c2_lb = 0.0
     for H in corpus:
-        if H.coeffs[0] != 0:
-            raise DomainError("every corpus series must satisfy H(0) = 0")
-        nh = _l1_norm_series(H, q)
-        ng = _l1_norm_calderon(H, q)
-        if nh == 0.0 or ng == 0.0:
-            raise DomainError("corpus contains the zero series")
+        nh, ng = calderon_norms(H, q)
         c1_lb = max(c1_lb, nh / ng)
         c2_lb = max(c2_lb, ng / nh)
     return c1_lb, c2_lb
@@ -265,10 +248,6 @@ def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
 
 def v_norm(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> float:
     """(1/2pi) int |Im f(r e^it)| dt, the conjugate-part L1 norm."""
-    fvals = _map_on_circle(m, r)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return np.abs(np.imag(fvals(theta)))
-
-    value, _, _ = refined_circle_mean(integrand, q, context="||v||_1")
+    value, _, _, _ = refined_circle_mean(_map_sampler(m, r, lambda f: np.abs(f.imag)),
+                                         q, context="||v||_1")
     return value

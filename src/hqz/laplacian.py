@@ -33,8 +33,9 @@ import numpy as np
 from .errors import (DomainError, NoConvergence, NonpositiveRealPart,
                      VanishingModulus)
 from .planar import PlanarHarmonicMap, disk_grid
-from .quadrature import (QuadratureSpec, circle_angles, dyadic_panels,
-                         panel_nodes, refined_circle_mean)
+from .quadrature import (QuadratureSpec, dyadic_panels, gauss_legendre,
+                         refined_circle_mean)
+from .series import circle_values
 
 #: modulus floor below which the 1/|f| closed form is refused
 TAU_F = 1e-8
@@ -42,6 +43,10 @@ TAU_F = 1e-8
 #: dyadic panel depth for the log(r/rho) radial weight; the mass of
 #: -s log s below 2^-18 is ~1e-10, far below the residual targets
 LOG_PANEL_DEPTH = 18
+
+#: radii per ``rows`` call in the area rule: enough to amortize the FFT
+#: set-up, few enough that the arrays stay at 8 x angles values
+AREA_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -128,25 +133,27 @@ def laplacian_samples(m: PlanarHarmonicMap, points: np.ndarray,
     return out
 
 
-def disk_area_log_mean(F: Callable[[np.ndarray], np.ndarray], r: float,
+def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
                        q: QuadratureSpec) -> tuple[float, float]:
     """(1/2pi) iint_{|z|<r} F(z) log(r/|z|) dx dy with refinement.
 
-    Polar form with rho = r s: the radial factor -s log s is handled on a
-    dyadic panel mesh (Gauss-Legendre per panel), the angle by the
-    periodic trapezoid rule.  Returns (value, est_error).
+    ``rows(rho, n)`` returns F at the n uniform angles 2 pi k / n on the
+    circles |z| = rho_i, one row per radius.  Polar form with rho = r s:
+    the radial factor -s log s is handled on a dyadic panel mesh
+    (Gauss-Legendre per panel, ``AREA_ROW_BLOCK`` radii per ``rows``
+    call), the angle by the periodic trapezoid rule.  Returns
+    (value, est_error).
     """
     panels = dyadic_panels(LOG_PANEL_DEPTH)
 
     def level(n_rad: int, n_ang: int) -> float:
-        s, w = panel_nodes(panels, n_rad)
-        theta = circle_angles(n_ang)
-        eith = np.exp(1j * theta)
         total = 0.0
-        weights = -w * s * np.log(s)
-        for s_i, w_i in zip(s, weights):
-            vals = np.asarray(F(r * s_i * eith), dtype=float)
-            total += w_i * float(np.mean(vals))
+        for a, b in panels:
+            s, w = gauss_legendre(n_rad, a, b)
+            weights = -w * s * np.log(s)
+            for i in range(0, n_rad, AREA_ROW_BLOCK):
+                block = slice(i, i + AREA_ROW_BLOCK)
+                total += float(np.dot(weights[block], rows(r * s[block], n_ang).mean(axis=1)))
         return r * r * total
 
     n_rad, n_ang = max(8, q.radial_nodes // 4), max(64, q.circle_nodes // 2)
@@ -167,22 +174,21 @@ def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
     """Residual |f(0)| - [circle mean of |f| - area term] for nonvanishing f."""
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
-    probe = disk_grid(48, 256, r_max=r)
-    af = np.abs(m.g(probe) + np.conjugate(m.h(probe)))
-    if float(af.min()) <= tau_f:
+    # probe |f| at 0 and on 48 circles of 256 angles out to radius r
+    probe = np.abs(circle_values(m.g, m.h, r * np.arange(1, 49) / 48, 256))
+    af_min = min(float(probe.min()), abs(m.f0()))
+    if af_min <= tau_f:
         raise VanishingModulus(
-            f"min |f| = {af.min():.3e} on the closed disk of radius {r}")
+            f"min |f| = {af_min:.3e} on the closed disk of radius {r}")
 
-    def mean_abs(theta: np.ndarray) -> np.ndarray:
-        z = r * np.exp(1j * theta)
-        return np.abs(m.g(z) + np.conjugate(m.h(z)))
+    boundary, _, _, _ = refined_circle_mean(
+        lambda n, shift: np.abs(circle_values(m.g, m.h, r, n, shift)), q,
+        context="circle mean of |f|")
 
-    boundary, _, _ = refined_circle_mean(mean_abs, q, context="circle mean of |f|")
-
-    def lap(z: np.ndarray) -> np.ndarray:
-        f = m.g(z) + np.conjugate(m.h(z))
-        gp = m.g_prime(z)
-        hp = m.h_prime(z)
+    def lap(rho: np.ndarray, n: int) -> np.ndarray:
+        f = circle_values(m.g, m.h, rho, n)
+        gp = circle_values(m.g_prime, None, rho, n)
+        hp = circle_values(m.h_prime, None, rho, n)
         return np.abs(gp - (f / np.conjugate(f)) * hp) ** 2 / np.abs(f)
 
     area, _ = disk_area_log_mean(lap, r, q)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (DegenerateDerivative, DomainError, HypothesisViolation,
                      TruncationOverflow)
 from .quadrature import QuadratureSpec
-from .series import DEGREE_CAP, ComplexSeries
+from .series import DEGREE_CAP, ComplexSeries, circle_values
 
 #: floor distinguishing genuine critical points of g from rounding
 TAU_G = 1e-9
@@ -110,28 +110,12 @@ def _ratio_values(m: PlanarHarmonicMap, z: np.ndarray, tau_g: float) -> np.ndarr
     return hp / gp
 
 
-def _polar_values(s, radii: np.ndarray, n_angles: int) -> np.ndarray:
-    """Series values on the polar tensor grid radii x uniform angles.
-
-    On uniform angles the Horner sum is a zero-padded inverse FFT of the
-    radius-scaled coefficients, one transform per radius row.
-    """
-    coeffs = s._arr
-    if n_angles < len(coeffs):
-        angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-        return s(np.outer(radii, np.exp(1j * angles)))
-    powers = radii[:, None] ** np.arange(len(coeffs))[None, :]
-    buf = np.zeros((len(radii), n_angles), dtype=complex)
-    buf[:, : len(coeffs)] = coeffs[None, :] * powers
-    return np.fft.ifft(buf, axis=1) * n_angles
-
-
 def _grid_dilatation(m: PlanarHarmonicMap, n_radii: int, n_angles: int,
                      tau_g: float) -> tuple[float, float, float]:
     """(max ratio, argmax radius, argmax angle) over the tensor grid."""
     radii = np.concatenate(([0.0], np.arange(1, n_radii + 1) / n_radii))
-    gp = np.abs(_polar_values(m.g_prime, radii, n_angles))
-    hp = np.abs(_polar_values(m.h_prime, radii, n_angles))
+    gp = np.abs(circle_values(m.g_prime, None, radii, n_angles))
+    hp = np.abs(circle_values(m.h_prime, None, radii, n_angles))
     gmin = float(gp.min())
     if gmin <= tau_g:
         raise DegenerateDerivative(

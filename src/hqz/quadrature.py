@@ -8,23 +8,27 @@ Two rules cover everything here:
 * Gauss-Legendre on intervals, optionally on a dyadically graded panel
   mesh so that endpoint log singularities stay cheap.
 
-Refinement always doubles node counts and stops when the change between
-consecutive levels drops below ``abs_tol``; the last change is reported
-as the error estimate.
+``refined_circle_mean`` is the doubling driver for circle means: it
+keeps the running trapezoid sum, so each level evaluates the integrand
+only on the new odd half of the nodes, and it stops when the change
+between consecutive levels drops below ``abs_tol``; the last change is
+reported as the error estimate.  Integrands are sampled through
+``series.circle_values`` (one inverse FFT per circle) wherever they come
+from a series.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import DomainError, NoConvergence
 
-Integrand = Callable[[np.ndarray], np.ndarray]
+#: sample(n, shift) -> integrand values at circle_angles(n, shift)
+Sampler = Callable[[int, bool], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -44,11 +48,11 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         if self.circle_nodes <= 0 or self.radial_nodes <= 0:
-            raise ValueError("node counts must be positive")
+            raise DomainError("node counts must be positive")
         if self.refinement_limit <= 0:
-            raise ValueError("refinement_limit must be positive")
+            raise DomainError("refinement_limit must be positive")
         if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
+            raise DomainError("abs_tol must be positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -69,52 +73,37 @@ def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> tuple[np.ndarray, 
     return a + half * (x + 1.0), half * w
 
 
-def gl_integrate(f: Integrand, a: float, b: float, n: int) -> float:
-    x, w = gauss_legendre(n, a, b)
-    vals = np.asarray(f(x), dtype=float)
-    return float(math.fsum((w * vals).tolist()))
+def circle_angles(n: int, shift: bool = False) -> np.ndarray:
+    """The n uniform angles 2 pi (k + shift/2) / n, k = 0..n-1."""
+    return 2.0 * np.pi * (np.arange(n) + 0.5 * shift) / n
 
 
-def circle_angles(n: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n) / n
+def refined_circle_mean(sample: Sampler, spec: QuadratureSpec,
+                        context: str = "circle mean",
+                        transform: Callable[[float], float] = float,
+                        ) -> tuple[float, float, int, int]:
+    """Refine the periodic trapezoid mean of an integrand until stable.
 
+    ``sample(n, shift)`` returns the integrand at ``circle_angles(n,
+    shift)``.  The first level samples ``spec.circle_nodes`` angles; each
+    doubling keeps the running mean and samples only the new odd half of
+    the nodes, which is the previous grid shifted by half a step.  The
+    stopping rule compares ``transform`` of the means of consecutive
+    levels, so the error estimate lives on the scale of the reported value.
 
-def circle_mean(f: Integrand, n: int) -> float:
-    """(1/2pi) * integral of f over [0, 2pi) by the periodic trapezoid rule."""
-    vals = np.asarray(f(circle_angles(n)), dtype=float)
-    return float(np.mean(vals))
-
-
-def refined_circle_mean(f: Integrand, spec: QuadratureSpec,
-                        context: str = "circle mean") -> tuple[float, float, int]:
-    """Refine the periodic trapezoid mean of ``f`` until stable.
-
-    Returns (value, est_error, nodes); raises NoConvergence past the limit.
+    Returns (value, est_error, nodes, levels), where levels counts the
+    doublings; raises NoConvergence past ``spec.refinement_limit``.
     """
     n = spec.circle_nodes
-    prev = circle_mean(f, n)
-    for _ in range(spec.refinement_limit):
+    mean = float(np.mean(sample(n, False)))
+    prev = transform(mean)
+    for level in range(1, spec.refinement_limit + 1):
+        mean = 0.5 * (mean + float(np.mean(sample(n, True))))
         n *= 2
-        cur = circle_mean(f, n)
+        cur = transform(mean)
         err = abs(cur - prev)
         if err <= spec.abs_tol:
-            return cur, err, n
-        prev = cur
-    raise NoConvergence(f"{context}: {n} nodes, last change {err:.3e} "
-                        f"> abs_tol {spec.abs_tol:.3e}")
-
-
-def refined_gl(f: Integrand, a: float, b: float, spec: QuadratureSpec,
-               n0: int | None = None, context: str = "integral") -> tuple[float, float, int]:
-    """Refine a Gauss-Legendre integral of ``f`` over [a, b] until stable."""
-    n = n0 if n0 is not None else spec.radial_nodes
-    prev = gl_integrate(f, a, b, n)
-    for _ in range(spec.refinement_limit):
-        n *= 2
-        cur = gl_integrate(f, a, b, n)
-        err = abs(cur - prev)
-        if err <= spec.abs_tol:
-            return cur, err, n
+            return cur, err, n, level
         prev = cur
     raise NoConvergence(f"{context}: {n} nodes, last change {err:.3e} "
                         f"> abs_tol {spec.abs_tol:.3e}")
@@ -129,13 +118,3 @@ def dyadic_panels(depth: int) -> list[tuple[float, float]]:
     """
     cuts = [0.0] + [2.0 ** -j for j in range(depth, 0, -1)] + [1.0]
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-def panel_nodes(panels: list[tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated Gauss-Legendre nodes/weights over a panel mesh."""
-    xs, ws = [], []
-    for a, b in panels:
-        x, w = gauss_legendre(n, a, b)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)

@@ -1,11 +1,15 @@
-"""Truncated complex power series.
+"""Truncated complex power series and their values on circles.
 
 A series is a finite coefficient tuple (index j holds the z^j
-coefficient); evaluation is the exact Horner sum, and all arithmetic
-(add, multiply, truncated reciprocal, termwise calculus) is exact in
-coefficient arithmetic up to the requested truncation degree.  This is
-the representation of every holomorphic piece in the package, so map
-construction carries no quadrature error at all.
+coefficient); all arithmetic (add, multiply, truncated reciprocal,
+termwise calculus) is exact in coefficient arithmetic up to the requested
+truncation degree.  This is the representation of every holomorphic piece
+in the package, so map construction carries no quadrature error at all.
+
+There are two ways to evaluate: ``ComplexSeries.__call__`` is the Horner
+sum at arbitrary points, and ``circle_values`` gives g + conj(h) at
+uniform angles on circles by one inverse FFT per circle.  Every circle
+functional goes through ``circle_values``.
 """
 
 from __future__ import annotations
@@ -130,6 +134,40 @@ class ComplexSeries:
     def coeff_abs_sum(self) -> float:
         """l1 norm of the coefficients; bounds sup over the closed disk."""
         return float(sum(abs(c) for c in self.coeffs))
+
+
+def circle_values(g: ComplexSeries, h: ComplexSeries | None, r, n: int,
+                  shift: bool = False) -> np.ndarray:
+    """g(z) + conj(h(z)) at z = r e^(i t_k), t_k = 2 pi (k + shift/2) / n.
+
+    In coefficients this is sum_j g_j (r e^(i t))^j + sum_j conj(h_j)
+    (r e^(-i t))^j: the g part fills the nonnegative frequencies and the
+    conj(h) part the nonpositive ones of a single inverse FFT.  A
+    coefficient whose index is at least n is added in at index j mod n,
+    which is exact on the grid, so any n >= 1 works.  With ``shift`` the
+    angles move by half a step, through the twist e^(+-i j pi / n) of the
+    coefficients.  ``r`` may be a scalar (result shape (n,)) or a 1-D
+    array of radii (one row of n values per radius).
+    """
+    r = np.asarray(r, dtype=float)
+    buf = np.zeros(r.shape + (n,), dtype=complex)
+    for s, sign in ((g, 1), (h, -1)):
+        if s is None:
+            continue
+        c = s._arr if sign > 0 else np.conjugate(s._arr)
+        j = np.arange(len(c))
+        c = c * r[..., None] ** j
+        if shift:
+            c = c * np.exp(sign * 1j * np.pi / n * j)
+        if len(j) > n:  # fold index j onto j mod n
+            pad = np.zeros(c.shape[:-1] + (-len(j) % n,), dtype=complex)
+            c = np.concatenate((c, pad), axis=-1).reshape(c.shape[:-1] + (-1, n)).sum(axis=-2)
+        if sign > 0:
+            buf[..., : c.shape[-1]] += c
+        else:  # index j of the conj(h) part goes to -j mod n
+            buf[..., 0] += c[..., 0]
+            buf[..., n - c.shape[-1] + 1:] += c[..., :0:-1]
+    return np.fft.ifft(buf, axis=-1, norm="forward")
 
 
 def random_series(seed: int, degree: int, zero_constant: bool = True) -> ComplexSeries:

@@ -54,6 +54,10 @@ class TestParsing:
         cfg = parse_args(["fuzz", "--config", str(path), "--seeds=3"])
         assert cfg.seeds == 3
 
+    def test_unset_keys_mean_scenario_default(self):
+        cfg = parse_args(["fuzz"])
+        assert (cfg.seeds, cfg.n, cfg.k, cfg.c1c2) == (None, None, None, None)
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"
         path.write_text("seeds = 9\n")
@@ -68,6 +72,15 @@ class TestParsing:
 class TestExitCodes:
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["nope"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--abs_tol=nan", "--circle_nodes=0",
+                                      "--seeds=-5", "--n=-1", "--k=-0.5",
+                                      "--c1c2=0"])
+    def test_bad_input_exits_2(self, flag, tmp_path, capsys):
+        code, out = run_cli(["fuzz", flag], tmp_path, "f.csv")
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_path_exits_3(self, capsys):
         assert main(["fuzz", "--seeds=0", "--out", "/no/such/dir/x.csv"]) == 3

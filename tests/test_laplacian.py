@@ -8,6 +8,7 @@ from hqz import (ComplexSeries, NonpositiveRealPart, PlanarHarmonicMap,
                  fd_laplacian, laplacian_abs_f, laplacian_samples,
                  laplacian_ulogu, laplacian_ratio_sup, make_qr_map, phi_analysis,
                  phi_scan_argmax, random_qr_map)
+from hqz.laplacian import disk_area_log_mean
 
 
 def analytic(*coeffs) -> PlanarHarmonicMap:
@@ -108,6 +109,18 @@ class TestDiskGreenIdentity:
         r_coarse = abs(disk_green_identity(m, 0.9, coarse))
         r_fine = abs(disk_green_identity(m, 0.9, fine))
         assert r_fine <= r_coarse + 1e-12
+
+
+class TestDiskAreaLogMean:
+    @pytest.mark.parametrize("power", [0, 2])
+    def test_radial_powers(self, q, power):
+        # (1/2pi) iint_{|z|<r} |z|^p log(r/|z|) dx dy = r^(p+2) / (p+2)^2
+        def rows(rho, n):
+            return np.repeat(rho[:, None] ** power, n, axis=1)
+
+        value, err = disk_area_log_mean(rows, 0.9, q)
+        assert value == pytest.approx(0.9 ** (power + 2) / (power + 2) ** 2, abs=1e-10)
+        assert err <= 1e-10
 
 
 class TestPhiAnalysis:

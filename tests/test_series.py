@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqz import ComplexSeries, DomainError, random_series
+from hqz.series import circle_values
 
 finite_complex = st.builds(
     complex,
@@ -118,3 +119,32 @@ def test_random_series_deterministic_and_zero_constant():
 def test_empty_series_rejected():
     with pytest.raises(DomainError):
         ComplexSeries(())
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 128, 129, 1024])
+@pytest.mark.parametrize("r", [0.3, 1.0])
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("shift", [False, True])
+def test_circle_values_match_horner(n, r, with_h, shift):
+    # degree 64: n = 1..128 folds coefficients, n >= 129 = 2 * 64 + 1 does not
+    g = random_series(11, 64, zero_constant=False)
+    h = random_series(12, 64) if with_h else None
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5 * shift) / n
+    z = r * np.exp(1j * theta)
+    horner = g(z) + (np.conjugate(h(z)) if with_h else 0.0)
+    l1 = g.coeff_abs_sum() + (h.coeff_abs_sum() if with_h else 0.0)
+    got = circle_values(g, h, r, n, shift)
+    assert got.shape == (n,)
+    assert np.abs(got - horner).max() <= 1e-13 * l1
+
+
+def test_circle_values_rows_per_radius():
+    g = random_series(3, 20, zero_constant=False)
+    h = random_series(4, 20)
+    radii = np.array([0.0, 0.25, 0.9])
+    rows = circle_values(g, h, radii, 16, shift=True)
+    assert rows.shape == (3, 16)
+    for rho, row in zip(radii, rows):
+        np.testing.assert_allclose(row, circle_values(g, h, rho, 16, shift=True),
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rows[0], g.coeffs[0], atol=1e-15)
