@@ -200,24 +200,37 @@ def calderon_square(H: ComplexSeries, z: complex,
     return float(np.sqrt(np.sum(w * (1.0 - rho) * (vals.real ** 2 + vals.imag ** 2))))
 
 
+def _square_function_series(H: ComplexSeries) -> ComplexSeries:
+    """Coefficients c_m, m >= 0, of G[H]^2 on the unit circle.
+
+    With H' = sum_j j a_j z^(j-1) and int_0^1 rho^(j+k-2) (1 - rho) d rho
+    = 1/((j+k-1)(j+k)), G[H](e^it)^2 = sum_m c_m e^(imt) with
+    c_m = sum_{j-k=m} j k a_j conj(a_k) / ((j+k-1)(j+k)), j, k >= 1.
+    This is a Hermitian trigonometric polynomial: c_-m = conj(c_m).
+    """
+    j = np.arange(1, len(H.coeffs))
+    b = j * np.asarray(H.coeffs[1:])
+    s = j[:, None] + j[None, :]
+    terms = np.outer(b, np.conjugate(b)) / ((s - 1) * s)  # row j, column k
+    return ComplexSeries(tuple(np.trace(terms, -m) for m in range(len(j))) or (0j,))
+
+
 def calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float]:
     """(||H||_1, ||G[H]||_1) on the unit circle, each by refined_circle_mean.
 
-    G[H] is summed on Gauss-Legendre radii exact for |H'|^2 (1 - rho), one
-    circle of H' values per radius.  H must satisfy H(0) = 0 and be nonzero.
+    G[H]^2 on the circle is the Hermitian trigonometric polynomial of
+    ``_square_function_series``, so each level takes one ``circle_values``
+    call: its c_m, m >= 0, fill the nonnegative frequencies and their
+    conjugates the negative ones.  The real part, clipped at 0 against
+    rounding, gives G[H]^2.  H must satisfy H(0) = 0 and be nonzero.
     """
     if H.coeffs[0] != 0:
         raise DomainError("the series must satisfy H(0) = 0")
-    Hp = H.derivative()
-    rho, w = gauss_legendre(_calderon_nodes(H), 0.0, 1.0)
-    weights = w * (1.0 - rho)
+    C = _square_function_series(H)
+    C_neg = ComplexSeries((0j,) + C.coeffs[1:])  # c_0 is in C already
 
     def square_function(n: int, shift: bool) -> np.ndarray:
-        acc = np.zeros(n)
-        for rho_i, w_i in zip(rho, weights):
-            vals = circle_values(Hp, None, rho_i, n, shift)
-            acc += w_i * (vals.real ** 2 + vals.imag ** 2)
-        return np.sqrt(acc)
+        return np.sqrt(np.maximum(circle_values(C, C_neg, 1.0, n, shift).real, 0.0))
 
     norm_H, _, _, _ = refined_circle_mean(
         lambda n, shift: np.abs(circle_values(H, None, 1.0, n, shift)), q,

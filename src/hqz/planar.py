@@ -4,12 +4,14 @@ A sense-preserving harmonic map of the unit disk splits as f = g + conj(h)
 with g, h holomorphic and h(0) = 0; it is k-quasiregular exactly when
 |h'| <= k |g'| with k = (K-1)/(K+1).  Everything here works on truncated
 power series, so construction and differentiation are exact and the only
-numerics live in grid suprema.
+numerics live in ``dilatation_sup``: it locates the largest |h'/g'| on a
+tensor grid of FFT circle values and polishes it by a local search that
+evaluates g' and h' as one power table times their coefficient matrix.
 
-``make_qr_map`` engineers a map with prescribed analytic ratio
-omega = h'/g' and prescribed g + h = F (hence Re f = Re F and
-Im f(0) = Im F(0)), which is how the fuzz corpus realizes positive real
-part and an exact dilatation envelope by construction.
+``make_qr_map`` engineers a map with prescribed g + h = F (hence
+Re f = Re F and Im f(0) = Im F(0)) and h' the truncation of omega g',
+which is how the fuzz corpus realizes positive real part and a dilatation
+near |omega| wherever g' is not small.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .series import DEGREE_CAP, ComplexSeries, circle_values
 
 #: floor distinguishing genuine critical points of g from rounding
 TAU_G = 1e-9
+
+#: node offsets of the 9 x 9 polish patch, in units of its half-widths
+_PATCH = np.linspace(-1.0, 1.0, 9)
 
 #: default grid/refinement policy for sup-norm scans over the disk; the
 #: polish step carries the accuracy, so levels converge after one doubling
@@ -100,9 +105,36 @@ def disk_grid(n_radii: int, n_angles: int, r_max: float = 1.0,
     return pts
 
 
-def _ratio_values(m: PlanarHarmonicMap, z: np.ndarray, tau_g: float) -> np.ndarray:
-    gp = np.abs(m.g_prime(z))
-    hp = np.abs(m.h_prime(z))
+def _derivative_coeffs(m: PlanarHarmonicMap) -> np.ndarray:
+    """(2 x n) matrix whose rows hold the coefficients of g' and h'."""
+    d = max(m.g_prime.degree, m.h_prime.degree)
+    return np.array([m.g_prime.truncated(d).coeffs, m.h_prime.truncated(d).coeffs])
+
+
+def _power_table(z: np.ndarray, n: int) -> np.ndarray:
+    """(n x len(z)) table of z^j, j < n, by doubling.
+
+    Rows [k, 2k) are rows [0, k) times z^k, with z^k from repeated
+    squaring, so z^j is the product of the powers z^(2^p) in the binary
+    expansion of j, and the table times a coefficient matrix stays within
+    Horner's gamma_2n * sum |c_j| |z|^j error bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, section 5.1).
+    """
+    table = np.empty((n, z.size), dtype=complex)
+    table[0] = 1.0
+    zk = z
+    k = 1
+    while k < n:
+        w = min(k, n - k)
+        np.multiply(table[:w], zk, out=table[k: k + w])
+        zk = zk * zk
+        k *= 2
+    return table
+
+
+def _ratio_values(coeffs: np.ndarray, z: np.ndarray, tau_g: float) -> np.ndarray:
+    """|h'/g'| at the points z, from the derivative coefficient matrix."""
+    gp, hp = np.abs(coeffs @ _power_table(z, coeffs.shape[1]))
     gmin = float(gp.min())
     if gmin <= tau_g:
         raise DegenerateDerivative(
@@ -111,8 +143,8 @@ def _ratio_values(m: PlanarHarmonicMap, z: np.ndarray, tau_g: float) -> np.ndarr
 
 
 def _grid_dilatation(m: PlanarHarmonicMap, n_radii: int, n_angles: int,
-                     tau_g: float) -> tuple[float, float, float]:
-    """(max ratio, argmax radius, argmax angle) over the tensor grid."""
+                     tau_g: float) -> tuple[float, float]:
+    """(radius, angle) of the largest |h'/g'| on the tensor grid."""
     radii = np.concatenate(([0.0], np.arange(1, n_radii + 1) / n_radii))
     gp = np.abs(circle_values(m.g_prime, None, radii, n_angles))
     hp = np.abs(circle_values(m.h_prime, None, radii, n_angles))
@@ -120,28 +152,30 @@ def _grid_dilatation(m: PlanarHarmonicMap, n_radii: int, n_angles: int,
     if gmin <= tau_g:
         raise DegenerateDerivative(
             f"min |g'| = {gmin:.3e} <= {tau_g:.1e} on the sample grid")
-    ratio = hp / gp
-    i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    return float(ratio[i, j]), float(radii[i]), float(2.0 * np.pi * j / n_angles)
+    i, j = np.unravel_index(int(np.argmax(hp / gp)), gp.shape)
+    return float(radii[i]), float(2.0 * np.pi * j / n_angles)
 
 
-def _polish_max(m: PlanarHarmonicMap, r0: float, t0: float, dr: float,
+def _polish_max(coeffs: np.ndarray, r0: float, t0: float, dr: float,
                 dt: float, tau_g: float, rounds: int = 12) -> float:
     """Shrinking local grid search around a coarse argmax.
 
-    The ratio is smooth where g' does not vanish, so each round reduces
-    the bracket by 4x and the final value is exact to well below 1e-12.
+    Each round evaluates the ratio on a 9 x 9 patch of radii in
+    [r0 - dr, r0 + dr] (clipped to [0, 1]) and angles in [t0 - dt, t0 + dt]
+    by one ``_ratio_values`` call, recentres on the patch maximum if it
+    beats the best value so far, and shrinks the half-widths by 4x.  The
+    ratio is smooth where g' does not vanish, so the final value is exact
+    to well below 1e-12.
     """
-    best = float(_ratio_values(m, np.asarray([r0 * np.exp(1j * t0)]), tau_g)[0])
+    best = float(_ratio_values(coeffs, np.asarray([r0 * np.exp(1j * t0)]), tau_g)[0])
     for _ in range(rounds):
-        rs = np.clip(np.linspace(r0 - dr, r0 + dr, 9), 0.0, 1.0)
-        ts = np.linspace(t0 - dt, t0 + dt, 9)
-        z = np.outer(rs, np.exp(1j * ts))
-        ratio = _ratio_values(m, z.ravel(), tau_g).reshape(z.shape)
-        i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-        if ratio[i, j] > best:
-            best = float(ratio[i, j])
-            r0, t0 = float(rs[i]), float(ts[j])
+        rs = np.clip(r0 + dr * _PATCH, 0.0, 1.0)
+        ts = t0 + dt * _PATCH
+        ratio = _ratio_values(coeffs, (rs[:, None] * np.exp(1j * ts)).ravel(), tau_g)
+        top = int(np.argmax(ratio))
+        if ratio[top] > best:
+            best = float(ratio[top])
+            r0, t0 = float(rs[top // 9]), float(ts[top % 9])
         dr /= 4.0
         dt /= 4.0
     return best
@@ -151,17 +185,22 @@ def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None,
                    tau_g: float = TAU_G) -> DilatationReport:
     """Grid supremum of |h'/g'|, refined until stable.
 
-    Each level combines the tensor grid (localization) with a shrinking
-    local search around the argmax (polish); levels double the grid and
-    stop once the polished supremum moves by less than ``grid.abs_tol``.
-    The result is always a lower bound for the true dilatation.
+    Each level locates the argmax on a tensor grid of radii and uniform
+    angles (FFT values from ``circle_values``), then polishes it by a
+    shrinking local search (``_polish_max``) that evaluates g' and h' as
+    one power table times their coefficient matrix, built once per call.
+    Levels double the grid and stop once the polished supremum moves by
+    less than ``grid.abs_tol``.  The result is always a lower bound for
+    the true dilatation; every evaluated point must have |g'| > tau_g,
+    else DegenerateDerivative.
     """
     spec = grid if grid is not None else SUP_GRID_SPEC
     n_r, n_t = spec.radial_nodes, spec.circle_nodes
+    coeffs = _derivative_coeffs(m)
 
     def level(nr: int, nt: int) -> float:
-        raw, r0, t0 = _grid_dilatation(m, nr, nt, tau_g)
-        return _polish_max(m, r0, t0, 1.0 / nr, 2.0 * np.pi / nt, tau_g)
+        r0, t0 = _grid_dilatation(m, nr, nt, tau_g)
+        return _polish_max(coeffs, r0, t0, 1.0 / nr, 2.0 * np.pi / nt, tau_g)
 
     k_hat = level(n_r, n_t)
     levels = 0
@@ -184,12 +223,17 @@ def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None,
 
 def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
                 truncation_degree: int = DEGREE_CAP) -> PlanarHarmonicMap:
-    """Map with g + h = F and h'/g' = omega, as truncated series.
+    """Map with g + h = F and h'/g' close to omega, as truncated series.
 
-    g' = F'/(1 + omega) and h' = omega F'/(1 + omega) are expanded by the
-    reciprocal recursion and integrated termwise, so Re f = Re F exactly in
-    coefficient arithmetic and the dilatation equals |omega| pointwise (up
-    to the geometrically small truncation tail).
+    g' = F'/(1 + omega) and h' = omega g' are expanded by the reciprocal
+    recursion, truncated at degree ``truncation_degree - 1`` and integrated
+    termwise, so Re f = Re F exactly in coefficient arithmetic.  h' is the
+    truncation of omega g', not omega g' itself: |h'/g'| stays near |omega|
+    only where |g'| is large against the truncation tail.  At a zero of g'
+    inside the disk h' is in general not zero, so |h'/g'| is unbounded
+    and the Jacobian negative near it.  Fuzz-corpus maps with k > 0 all
+    have zeros of g' in the disk, most with h' != 0 there, and
+    ``dilatation_sup`` reports only what its grid and polish see.
 
     Requires F(0) real and sup |omega| < 1 (certified via the coefficient
     l1 norm when possible).

@@ -5,9 +5,12 @@ import pytest
 
 from hqz import (ComplexSeries, DomainError, EmptyCorpus, KernelBlowup,
                  NonpositiveRealPart, PlanarHarmonicMap,
-                 calderon_ratio_estimate, calderon_square, circle_mean_p,
-                 entropy_u, hardy_norm_estimate, poisson_extend_circle,
-                 random_qr_map, strip_example, v_norm, zygmund_plus)
+                 QuadratureSpec, calderon_norms, calderon_ratio_estimate,
+                 calderon_square, circle_mean_p, entropy_u,
+                 hardy_norm_estimate, poisson_extend_circle, random_qr_map,
+                 random_series, strip_example, v_norm, zygmund_plus)
+from hqz.quadrature import gauss_legendre, refined_circle_mean
+from hqz.series import circle_values
 
 # frozen oracle values (dense midpoint Riemann sums, 2^22 nodes, plus the
 # matching closed forms where one exists)
@@ -193,6 +196,52 @@ class TestCalderonSquare:
         oracle = math.sqrt(float(np.mean(4.0 * rho ** 2 * (1.0 - rho))))
         got = calderon_square(ComplexSeries((0.0, 0.0, 1.0)), 1.0)
         assert got == pytest.approx(oracle, abs=1e-11)
+
+
+def per_radius_square_norm(H: ComplexSeries, q: QuadratureSpec) -> float:
+    """||G[H]||_1 with G[H]^2 summed over max(16, d + 1) Gauss-Legendre radii,
+    one circle of H' values each (the rule is exact for the integrand)."""
+    Hp = H.derivative()
+    rho, w = gauss_legendre(max(16, Hp.trimmed().degree + 1), 0.0, 1.0)
+
+    def square_function(n, shift):
+        acc = np.zeros(n)
+        for rho_i, w_i in zip(rho, w * (1.0 - rho)):
+            vals = circle_values(Hp, None, rho_i, n, shift)
+            acc += w_i * (vals.real ** 2 + vals.imag ** 2)
+        return np.sqrt(acc)
+
+    value, _, _, _ = refined_circle_mean(square_function, q, context="reference")
+    return value
+
+
+class TestCalderonNorms:
+    @pytest.mark.parametrize("coeffs, exact", [((0.0, 1.0), math.sqrt(0.5)),
+                                               ((0.0, 0.0, 1.0), math.sqrt(1.0 / 3.0)),
+                                               ((0.0, 0.0, 0.0, 2j), math.sqrt(1.2))])
+    def test_monomials(self, q, coeffs, exact):
+        # G[a z^d]^2 = d^2 |a|^2 / ((2d - 1) 2d) on the whole circle
+        H = ComplexSeries(coeffs)
+        _, norm_GH = calderon_norms(H, q)
+        assert norm_GH == pytest.approx(exact, rel=1e-14)
+        assert norm_GH == pytest.approx(per_radius_square_norm(H, q), rel=1e-14)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 8, 16, 40])
+    def test_closed_form_matches_per_radius_sum(self, q, degree):
+        for seed in range(30):
+            H = random_series(seed, degree)
+            _, norm_GH = calderon_norms(H, q)
+            assert norm_GH == pytest.approx(per_radius_square_norm(H, q), rel=1e-14)
+
+    def test_trailing_zero_coefficients(self, q):
+        H = random_series(7, 5)
+        padded = ComplexSeries(H.coeffs + (0j,) * 6)
+        assert calderon_norms(padded, q) == pytest.approx(calderon_norms(H, q), rel=1e-15)
+
+    def test_zero_series_rejected(self, q):
+        for coeffs in ((0.0,), (0.0, 0.0, 0.0)):
+            with pytest.raises(DomainError):
+                calderon_norms(ComplexSeries(coeffs), q)
 
 
 class TestCalderonRatio:

@@ -7,6 +7,10 @@ from hqz import (ComplexSeries, DegenerateDerivative, DomainError,
                  PlanarHarmonicMap, TruncationOverflow,
                  dilatation_sup, disk_grid, eval_map, jacobian, make_qr_map,
                  map_from_json, map_to_json, random_qr_map, strip_example)
+from hqz.planar import (SUP_GRID_SPEC, TAU_G, _derivative_coeffs, _power_table,
+                        _ratio_values)
+from hqz.series import circle_values
+from hqz.theorems import CORPUS_DILATATION_GRID
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -59,6 +63,110 @@ class TestDilatation:
     def test_degenerate_derivative(self):
         with pytest.raises(DegenerateDerivative):
             dilatation_sup(analytic((1.0,)))
+
+
+def random_disk_points(seed: int, n: int = 200) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.uniform(0.0, 1.0, n))
+    r[:4] = (0.0, 1.0, 1.0, 0.5)
+    return r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+
+def horner_dilatation_sup(m: PlanarHarmonicMap, spec) -> tuple[float, str]:
+    """The tensor grid and 12-round polish of dilatation_sup, with the
+    polish evaluated by Horner at linspace patches; returns (k_hat, grid)."""
+    def ratio(z):
+        gp, hp = np.abs(m.g_prime(z)), np.abs(m.h_prime(z))
+        assert gp.min() > TAU_G
+        return hp / gp
+
+    def level(nr, nt):
+        radii = np.concatenate(([0.0], np.arange(1, nr + 1) / nr))
+        gp = np.abs(circle_values(m.g_prime, None, radii, nt))
+        hp = np.abs(circle_values(m.h_prime, None, radii, nt))
+        i, j = np.unravel_index(int(np.argmax(hp / gp)), gp.shape)
+        r0, t0, dr, dt = float(radii[i]), 2.0 * np.pi * j / nt, 1.0 / nr, 2.0 * np.pi / nt
+        best = float(ratio(np.asarray([r0 * np.exp(1j * t0)]))[0])
+        for _ in range(12):
+            rs = np.clip(np.linspace(r0 - dr, r0 + dr, 9), 0.0, 1.0)
+            ts = np.linspace(t0 - dt, t0 + dt, 9)
+            vals = ratio(np.outer(rs, np.exp(1j * ts)))
+            a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if vals[a, b] > best:
+                best, r0, t0 = float(vals[a, b]), float(rs[a]), float(ts[b])
+            dr /= 4.0
+            dt /= 4.0
+        return best
+
+    n_r, n_t = spec.radial_nodes, spec.circle_nodes
+    k_hat = level(n_r, n_t)
+    levels = 0
+    for _ in range(spec.refinement_limit):
+        n_r *= 2
+        n_t *= 2
+        nxt = level(n_r, n_t)
+        levels += 1
+        moved = abs(nxt - k_hat)
+        k_hat = max(k_hat, nxt)
+        if moved <= spec.abs_tol:
+            break
+    return k_hat, f"radii={n_r},angles={n_t},levels={levels}"
+
+
+def kernel_values(m: PlanarHarmonicMap, z: np.ndarray) -> np.ndarray:
+    """g' and h' at z as dilatation_sup's polish evaluates them."""
+    coeffs = _derivative_coeffs(m)
+    return coeffs @ _power_table(z, coeffs.shape[1])
+
+
+class TestPowerTableKernel:
+    def check(self, m: PlanarHarmonicMap, seed: int) -> None:
+        z = random_disk_points(seed)
+        vals = kernel_values(m, z)
+        assert vals.shape == (2, z.size)
+        for got, s in zip(vals, (m.g_prime, m.h_prime)):
+            assert np.max(np.abs(got - s(z))) <= 1e-14 * s.coeff_abs_sum()
+
+    @pytest.mark.parametrize("k", [0.1, 0.3, 0.5])
+    def test_corpus_maps_match_horner(self, k):
+        for seed in range(10):
+            m = random_qr_map(seed, k, 16)
+            assert m.g_prime.degree == 63
+            self.check(m, seed)
+
+    def test_h_zero(self):
+        corpus = random_qr_map(4, 0.0, 16)  # h is 64 zero coefficients
+        short = PlanarHarmonicMap(g=corpus.g, h=ComplexSeries.zero())
+        for m in (corpus, short):
+            assert m.h_prime.is_zero()
+            self.check(m, 4)
+            assert np.all(kernel_values(m, random_disk_points(4))[1] == 0)
+
+    @pytest.mark.parametrize("g, h", [((1.0, 2.0 - 1j), (0.0,)),
+                                      ((1.0, 2.0), (0.0, 0.5j)),
+                                      ((3.0,), (0.0,))])
+    def test_degree_zero_derivatives(self, g, h):
+        self.check(PlanarHarmonicMap(g=ComplexSeries(g), h=ComplexSeries(h)), 9)
+
+    def test_ratio_values_reject_critical_point(self):
+        # g' = z vanishes at the origin
+        m = PlanarHarmonicMap(g=ComplexSeries((0.0, 0.0, 0.5)), h=ComplexSeries.zero())
+        coeffs = _derivative_coeffs(m)
+        assert _ratio_values(coeffs, np.asarray([0.5, 0.5j]), TAU_G).tolist() == [0.0, 0.0]
+        with pytest.raises(DegenerateDerivative):
+            _ratio_values(coeffs, np.asarray([0.5, 0.0]), TAU_G)
+
+
+@pytest.mark.parametrize("spec", [SUP_GRID_SPEC, CORPUS_DILATATION_GRID],
+                         ids=["sup-grid", "corpus-grid"])
+@pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5])
+def test_dilatation_sup_matches_horner_search(spec, k):
+    for seed in range(20):
+        m = random_qr_map(seed, k, 16)
+        rep = dilatation_sup(m, spec)
+        ref, grid = horner_dilatation_sup(m, spec)
+        assert rep.grid == grid
+        assert abs(rep.k_hat - ref) <= 1e-15
 
 
 class TestMakeQrMap:
