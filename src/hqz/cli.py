@@ -406,8 +406,8 @@ def run_laplacian_audit(cfg: RunConfig):
                      "max_rel_abs_f": audit.max_rel_abs_f,
                      "max_rel_ulogu": audit.max_rel_ulogu,
                      "max_ratio": ratio, "K2_bound": bound})
-        if audit.max_rel_abs_f > 1e-5 or audit.max_rel_ulogu > 1e-5 or ratio > bound:
-            ok = False
+        if not (audit.max_rel_abs_f <= 1e-5 and audit.max_rel_ulogu <= 1e-5 and ratio <= bound):
+            ok = False  # written so that a NaN fails
     worst = max(max(r["max_rel_abs_f"], r["max_rel_ulogu"]) for r in rows)
     detail = f"worst FD relative deviation {worst:.2e} over {seeds} maps"
     return rows, ok, detail

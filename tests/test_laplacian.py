@@ -1,14 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hqz
 from hqz import (ComplexSeries, NonpositiveRealPart, PlanarHarmonicMap,
-                 VanishingModulus, audit_laplacians, disk_green_identity,
-                 fd_laplacian, laplacian_abs_f, laplacian_samples,
-                 laplacian_ulogu, laplacian_ratio_sup, make_qr_map, phi_analysis,
-                 phi_scan_argmax, random_qr_map)
+                 QuadratureSpec, VanishingModulus, audit_laplacians,
+                 disk_green_identity, disk_grid, fd_laplacian, laplacian_abs_f,
+                 laplacian_samples, laplacian_ulogu, laplacian_ratio_sup,
+                 make_qr_map, phi_analysis, phi_scan_argmax, random_qr_map)
+from hqz import laplacian
 from hqz.laplacian import disk_area_log_mean
+
+#: the 15 audit points of acceptance criterion 6 and ``hqz laplacian-audit``
+AUDIT_POINTS = np.concatenate([r * np.exp(2j * np.pi * np.arange(5) / 5)
+                               for r in (0.25, 0.55, 0.8)])
 
 
 def analytic(*coeffs) -> PlanarHarmonicMap:
@@ -58,6 +68,119 @@ class TestClosedForms:
             res = audit_laplacians(m, pts)
             assert res.max_rel_abs_f < 1e-5
             assert res.max_rel_ulogu < 1e-5
+
+
+class TestAuditDeviations:
+    def test_constant_map_reads_zero_not_nan(self):
+        # both lap|f| values are exactly 0 here; 0/0 is read as 0
+        const = analytic(2.0)
+        res = audit_laplacians(const, np.array([0.3 + 0.1j]))
+        assert res.rows[0].closed_abs_f == 0.0
+        assert res.rows[0].fd_abs_f == 0.0
+        assert res.rows[0].rel_abs_f == 0.0
+        assert res.max_rel_abs_f == 0.0
+
+    def test_other_nan_is_kept(self):
+        with np.errstate(invalid="ignore"):  # inf / inf
+            rel = laplacian._relative_deviation(np.array([0.0, 1.0, math.nan, 2.0]),
+                                                np.array([0.0, 1.5, 1.0, math.inf]))
+        assert rel[0] == 0.0
+        assert rel[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert math.isnan(rel[2]) and math.isnan(rel[3])
+        assert math.isnan(rel.max())
+
+
+def uncertified_points(m: PlanarHarmonicMap) -> np.ndarray:
+    """Kept audit points where the 80-bit stencil misses 1e-6 relative."""
+    f = m(AUDIT_POINTS)
+    pts = AUDIT_POINTS[(np.abs(f) > 0.1) & (f.real > 0.1)]
+    closed_a = np.array([laplacian_abs_f(m, z) for z in pts])
+    closed_u = np.array([laplacian_ulogu(m, z) for z in pts])
+    fd_a, fd_u = laplacian._stencil_laplacians(m, pts, 1e-4)
+    rel = np.maximum(np.abs(fd_a - closed_a) / np.abs(closed_a),
+                     np.abs(fd_u - closed_u) / np.abs(closed_u))
+    return pts[rel > 1e-6]
+
+
+class TestDecimalFallback:
+    """The maps the benchmark uses for its high-precision audit cases."""
+
+    @pytest.fixture(params=[29, 7], scope="class")
+    def fallback_map(self, request):
+        m = random_qr_map(request.param, 0.3, 16)
+        pts = uncertified_points(m)
+        assert pts.size > 0
+        return m, pts
+
+    def test_matches_closed_forms(self, fallback_map):
+        m, pts = fallback_map
+        res = audit_laplacians(m, pts)
+        assert len(res.rows) == pts.size
+        for row in res.rows:
+            assert row.fd_abs_f == pytest.approx(laplacian_abs_f(m, row.z), rel=1e-9)
+            assert row.fd_ulogu == pytest.approx(laplacian_ulogu(m, row.z), rel=1e-9)
+        assert max(res.max_rel_abs_f, res.max_rel_ulogu) <= 1e-9
+
+    def test_rounding_is_not_the_limit(self, fallback_map, monkeypatch):
+        m, pts = fallback_map
+        at_40 = audit_laplacians(m, pts)
+        monkeypatch.setattr(laplacian, "STENCIL_DIGITS", 60)
+        at_60 = audit_laplacians(m, pts)
+        for a, b in zip(at_40.rows, at_60.rows):
+            assert abs(a.fd_abs_f - b.fd_abs_f) <= 1e-12 * abs(b.fd_abs_f)
+            assert abs(a.fd_ulogu - b.fd_ulogu) <= 1e-12 * abs(b.fd_ulogu)
+
+    def test_does_not_import_mpmath(self):
+        code = ("import sys, numpy as np, hqz\n"
+                "pts = np.concatenate([r * np.exp(2j * np.pi * np.arange(5) / 5)\n"
+                "                      for r in (0.25, 0.55, 0.8)])\n"
+                "hqz.audit_laplacians(hqz.random_qr_map(29, 0.3, 16), pts)\n"
+                "assert 'decimal' in sys.modules\n"
+                "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+        src = str(Path(hqz.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+
+def ratio_sup_reference(m: PlanarHarmonicMap, spec: QuadratureSpec) -> float:
+    """The ratio sup by Horner at the points of disk_grid."""
+    z = disk_grid(spec.radial_nodes, spec.circle_nodes)
+    f = m.g(z) + np.conjugate(m.h(z))
+    gp, hp = m.g_prime(z), m.h_prime(z)
+    num = np.abs(gp - (f / np.conjugate(f)) * hp) ** 2 / np.abs(f)
+    den = np.abs(gp + hp) ** 2 / f.real
+    ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                     np.where(num > 0.0, np.inf, 0.0))
+    return float(ratio.max())
+
+
+class TestRatioGrid:
+    # the default grid, and one whose 40 angles are fewer than the 65
+    # coefficients of a corpus map, so that circle_values folds them
+    @pytest.mark.parametrize("spec", [QuadratureSpec(circle_nodes=256, radial_nodes=32),
+                                      QuadratureSpec(circle_nodes=40, radial_nodes=7)])
+    @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5])
+    def test_matches_horner_on_disk_grid(self, spec, k):
+        for seed in range(20):
+            m = random_qr_map(seed, k)
+            assert len(m.g.coeffs) > 40
+            assert k > 0.0 or m.h.is_zero()
+            want = ratio_sup_reference(m, spec)
+            got = laplacian_ratio_sup(m, spec if spec.circle_nodes == 40 else None)
+            assert abs(got - want) <= 1e-13 * want, f"seed={seed}, k={k}"
+
+    def test_nonpositive_real_part_raises(self):
+        # u = 0.5 + 1.3 x is negative on the left of the disk; |v| >= 1.3
+        m = PlanarHarmonicMap(g=ComplexSeries((0.5 + 2j, 1.0)), h=ComplexSeries((0.0, 0.3)))
+        with pytest.raises(NonpositiveRealPart):
+            laplacian_ratio_sup(m)
+
+    def test_vanishing_modulus_at_the_centre_raises(self):
+        with pytest.raises(VanishingModulus):
+            laplacian_ratio_sup(analytic(0.0, 1.0))
 
 
 class TestLaplacianRatioSup:
