@@ -145,6 +145,18 @@ class TestScenarioRuns:
             assert float(r["max_rel_abs_f"]) < 1e-5
             assert float(r["max_rel_ulogu"]) < 1e-5
 
+    def test_laplacian_audit_nan_deviation_fails(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import hqz.cli
+
+        real = hqz.cli.audit_laplacians
+        monkeypatch.setattr(hqz.cli, "audit_laplacians", lambda m, pts: dataclasses.replace(
+            real(m, pts), max_rel_abs_f=float("nan")))
+        code, _ = run_cli(["laplacian-audit", "--seeds=1"], tmp_path, "l.csv")
+        assert code != 0
+        assert "[FAIL]" in capsys.readouterr().out
+
     def test_calderon_small(self, tmp_path, capsys):
         code, out = run_cli(["calderon-estimate", "--seeds=5"], tmp_path, "c.csv")
         assert code == 0
