@@ -31,10 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, NoConvergence, NonpositiveRealPart,
-                     VanishingModulus)
+from .errors import DomainError, NonpositiveRealPart, VanishingModulus
 from .gamma import log_gamma
-from .quadrature import QuadratureSpec, gauss_legendre
+from .quadrature import QuadratureSpec, gauss_legendre, refine
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -52,14 +51,6 @@ class AffineBallMap:
             raise DomainError("dimension must be >= 2")
         if self.c < 0.0 or self.a < 0.0:
             raise DomainError("need c >= 0 and a >= 0 (a = 0 is the constant map)")
-
-    def modulus_profile(self, t: np.ndarray) -> np.ndarray:
-        """|f| on the unit sphere as a function of the angle to e1."""
-        return np.sqrt(self.c ** 2 + self.a ** 2 + 2.0 * self.a * self.c * np.cos(t))
-
-    def u_profile(self, t: np.ndarray) -> np.ndarray:
-        """First coordinate on the unit sphere."""
-        return self.c + self.a * np.cos(t)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -109,19 +100,12 @@ def axial_mean(n: int, profile, q: QuadratureSpec,
     """Mean over the unit sphere of a profile of the angle to e1.
 
     Gauss-Legendre on [0, pi] (optionally split at interior kinks of the
-    profile) with doubling refinement and compensated summation.
+    profile) with compensated summation, doubled by ``refine``.
     """
     pieces = tuple(sorted({0.0, math.pi, *split_at}))
-    nodes = max(32, q.radial_nodes)
-    prev = _axial_level(n, profile, nodes, pieces)
-    for _ in range(q.refinement_limit):
-        nodes *= 2
-        cur = _axial_level(n, profile, nodes, pieces)
-        err = abs(cur - prev)
-        if err <= q.abs_tol:
-            return cur
-        prev = cur
-    raise NoConvergence(f"axial mean: {nodes} nodes, last change {err:.3e}")
+    value, _, _, _ = refine(lambda nodes: _axial_level(n, profile, nodes, pieces),
+                            max(32, q.radial_nodes), q, "axial mean")
+    return value
 
 
 def X_of(m: AffineBallMap, q: QuadratureSpec) -> float:
@@ -239,8 +223,8 @@ def _ball3_volume_weighted(lap: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     In spherical coordinates the weight times the Jacobian is
     (1/rho - 1) rho^2 = rho - rho^2, so the integrand is smooth and a
-    tensor Gauss-Legendre rule converges spectrally.  c_3 = 1/(4 pi)
-    combines with the 2 pi azimuthal factor to an overall 1/2.
+    tensor Gauss-Legendre rule converges spectrally under ``refine``.
+    c_3 = 1/(4 pi) combines with the 2 pi azimuthal factor to an overall 1/2.
     """
     def level(nodes: int) -> float:
         rho, wr = gauss_legendre(nodes, 0.0, 1.0)
@@ -250,16 +234,8 @@ def _ball3_volume_weighted(lap: Callable[[np.ndarray, np.ndarray], np.ndarray],
         vals = lap(rr, tt) * (rr - rr ** 2) * np.sin(tt)
         return 0.5 * float(math.fsum((ww * vals).ravel().tolist()))
 
-    nodes = max(24, q.radial_nodes)
-    prev = level(nodes)
-    for _ in range(q.refinement_limit):
-        nodes *= 2
-        cur = level(nodes)
-        err = abs(cur - prev)
-        if err <= q.abs_tol:
-            return cur
-        prev = cur
-    raise NoConvergence(f"3-ball volume integral: last change {err:.3e}")
+    value, _, _, _ = refine(level, max(24, q.radial_nodes), q, "3-ball volume integral")
+    return value
 
 
 def ball_green_calibration(q: QuadratureSpec) -> float:

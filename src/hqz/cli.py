@@ -30,7 +30,7 @@ from .functionals import calderon_norms, calderon_ratio_estimate
 from .laplacian import audit_laplacians, disk_green_identity, laplacian_ratio_sup
 from .planar import PlanarHarmonicMap, dilatation_sup, random_qr_map
 from .quadrature import QuadratureSpec
-from .series import ComplexSeries, random_series
+from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (fuzz_search, verify_T1, verify_T2, verify_T2_strip,
                        verify_T3_affine)
 
@@ -146,11 +146,14 @@ def parse_args(argv: list[str]) -> RunConfig:
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
 
-    for key in ("seeds", "n", "k"):
-        if key in merged and not merged[key] >= 0:
-            raise ConfigError(f"{key} must be nonnegative, got {merged[key]!r}")
-    if "c1c2" in merged and not merged["c1c2"] > 0:
-        raise ConfigError(f"c1c2 must be positive, got {merged['c1c2']!r}")
+    for key, valid, want in (("seeds", lambda v: v >= 0, "nonnegative"),
+                             ("n", lambda v: v >= 1, "at least 1"),
+                             ("k", lambda v: 0 <= v < 1, "in [0, 1)"),
+                             ("r", lambda v: 0 < v <= 1, "in (0, 1]"),
+                             ("degree", lambda v: 1 <= v <= DEGREE_CAP, f"in [1, {DEGREE_CAP}]"),
+                             ("c1c2", lambda v: v > 0, "positive")):
+        if key in merged and not valid(merged[key]):
+            raise ConfigError(f"{key} must be {want}, got {merged[key]!r}")
     try:
         quad = QuadratureSpec(
             circle_nodes=int(merged.get("circle_nodes", 512)),

@@ -81,24 +81,16 @@ def hardy_norm_estimate(m: PlanarHarmonicMap, p: float, q: QuadratureSpec) -> fl
     subharmonic, so the means must be nondecreasing in r up to quadrature
     error, and a decrease beyond tolerance raises MonotonicityViolation.
     """
-    value, _ = _hardy_report(m, p, q)
-    return value
-
-
-def _hardy_report(m: PlanarHarmonicMap, p: float,
-                  q: QuadratureSpec) -> tuple[float, float]:
     if p < 1.0:
         raise DomainError("hardy_norm_estimate requires p >= 1")
-    reports = [circle_mean_p(m, r, p, q) for r in HARDY_RADII]
-    top = circle_mean_p(m, 1.0, p, q)
-    reports.append(top)
+    reports = [circle_mean_p(m, r, p, q) for r in HARDY_RADII + (1.0,)]
     for lo, hi in zip(reports[:-1], reports[1:]):
         slack = lo.est_error + hi.est_error + 1e-12
         if hi.value < lo.value - slack:
             raise MonotonicityViolation(
                 f"M_p decreased from {lo.value!r} (r={lo.r}) to {hi.value!r} "
                 f"(r={hi.r}) beyond tolerance {slack:.3e}")
-    return top.value, top.est_error
+    return reports[-1].value
 
 
 def _log_plus(x: np.ndarray) -> np.ndarray:
@@ -154,18 +146,17 @@ def poisson_kernel(x: complex, theta: np.ndarray) -> np.ndarray:
     return (1.0 - abs(x) ** 2) / np.abs(x - eta) ** 2
 
 
-def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec,
-                          min_distance: float = POISSON_FLOOR) -> float:
+def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec) -> float:
     """Harmonic extension (1/2pi) int P(x, e^it) phi(t) dt of circle data.
 
     ``boundary`` is either a callable t -> phi(t) (sampled uniformly, with
     refinement) or a 1-D array of uniform-in-angle samples, starting at
     angle 0 (one trapezoid sum over the given samples, with no error
-    estimate).
+    estimate).  Points with 1 - |x| < POISSON_FLOOR raise KernelBlowup.
     """
     x = complex(x)
-    if 1.0 - abs(x) < min_distance:
-        raise KernelBlowup(f"1 - |x| = {1.0 - abs(x):.3e} below floor {min_distance:.1e}")
+    if 1.0 - abs(x) < POISSON_FLOOR:
+        raise KernelBlowup(f"1 - |x| = {1.0 - abs(x):.3e} below floor {POISSON_FLOOR:.1e}")
     if isinstance(boundary, np.ndarray) or isinstance(boundary, (list, tuple)):
         phi = np.asarray(boundary, dtype=float)
         n = phi.size
@@ -189,13 +180,11 @@ def _calderon_nodes(H: ComplexSeries) -> int:
     return max(16, d + 1)
 
 
-def calderon_square(H: ComplexSeries, z: complex,
-                    radial_nodes: int | None = None) -> float:
+def calderon_square(H: ComplexSeries, z: complex) -> float:
     """G[H](z) = sqrt( int_0^1 |H'(rho z)|^2 (1 - rho) d rho )."""
     if abs(z) > 1.0 + 1e-12:
         raise DomainError("|z| must be <= 1")
-    n = radial_nodes if radial_nodes is not None else _calderon_nodes(H)
-    rho, w = gauss_legendre(n, 0.0, 1.0)
+    rho, w = gauss_legendre(_calderon_nodes(H), 0.0, 1.0)
     vals = H.derivative()(rho * complex(z))
     return float(np.sqrt(np.sum(w * (1.0 - rho) * (vals.real ** 2 + vals.imag ** 2))))
 

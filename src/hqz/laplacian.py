@@ -31,15 +31,14 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, NoConvergence, NonpositiveRealPart,
-                     VanishingModulus)
+from .errors import DomainError, NonpositiveRealPart, VanishingModulus
 from .planar import PlanarHarmonicMap
-from .quadrature import (QuadratureSpec, dyadic_panels, gauss_legendre,
+from .quadrature import (QuadratureSpec, dyadic_panels, gauss_legendre, refine,
                          refined_circle_mean)
 from .series import circle_values
 
@@ -57,6 +56,10 @@ AREA_ROW_BLOCK = 8
 #: significant digits of the decimal fallback stencil; its rounding,
 #: about 1e-40 / (12 h^2), stays far below the stencil's truncation error
 STENCIL_DIGITS = 40
+
+#: relative deviation up to which the 80-bit stencil certifies a point;
+#: points above it are re-differenced in ``decimal``
+CERTIFY_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,21 +98,21 @@ def _lap_ulogu(f, gp, hp):
     return np.abs(gp + hp) ** 2 / np.real(f)
 
 
-def _check_domain(f: np.ndarray, tau_f: float, where: str) -> None:
-    """Refuse |f| <= tau_f or u <= 0 anywhere in f."""
+def _check_domain(f: np.ndarray, where: str) -> None:
+    """Refuse |f| <= TAU_F or u <= 0 anywhere in f."""
     af_min, u_min = float(np.abs(f).min()), float(f.real.min())
-    if af_min <= tau_f:
+    if af_min <= TAU_F:
         raise VanishingModulus(f"min |f| = {af_min:.3e} {where}")
     if u_min <= 0.0:
         raise NonpositiveRealPart(f"min u = {u_min:.3e} {where}")
 
 
-def laplacian_abs_f(m: PlanarHarmonicMap, z: complex, tau_f: float = TAU_F) -> float:
-    """lap |f| at z from the closed form; needs |f(z)| above the floor."""
+def laplacian_abs_f(m: PlanarHarmonicMap, z: complex) -> float:
+    """lap |f| at z from the closed form; needs |f(z)| above TAU_F."""
     f, gp, hp = _pieces(m, complex(z))
     af = abs(f)
-    if af <= tau_f:
-        raise VanishingModulus(f"|f(z)| = {af:.3e} <= {tau_f:.1e}")
+    if af <= TAU_F:
+        raise VanishingModulus(f"|f(z)| = {af:.3e} <= {TAU_F:.1e}")
     return float(_lap_abs_f(f, gp, hp))
 
 
@@ -122,8 +125,7 @@ def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
     return float(_lap_ulogu(f, gp, hp))
 
 
-def laplacian_ratio_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None,
-                      tau_f: float = TAU_F) -> float:
+def laplacian_ratio_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> float:
     """max over the disk grid of lap|f| / lap(u log u).
 
     The grid is that of ``disk_grid(radial_nodes, circle_nodes)``: z = 0
@@ -131,7 +133,7 @@ def laplacian_ratio_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None
     angles, where f, g' and h' come from one ``circle_values`` call each.
     Both Laplacians vanish together only where g' = h' = 0; those 0/0
     points (e.g. constant maps) contribute 0 by convention.  Requires
-    u > 0 and |f| > tau_f on the whole grid.
+    u > 0 and |f| > TAU_F on the whole grid.
     """
     spec = grid if grid is not None else QuadratureSpec(circle_nodes=256,
                                                         radial_nodes=32)
@@ -142,19 +144,18 @@ def laplacian_ratio_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None
 
     f = on_grid(m.g, m.h)
     gp, hp = on_grid(m.g_prime), on_grid(m.h_prime)
-    _check_domain(f, tau_f, "on the grid")
+    _check_domain(f, "on the grid")
     num, den = _lap_abs_f(f, gp, hp), _lap_ulogu(f, gp, hp)
     ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
                      np.where(num > 0.0, np.inf, 0.0))
     return float(ratio.max())
 
 
-def laplacian_samples(m: PlanarHarmonicMap, points: np.ndarray,
-                      tau_f: float = TAU_F) -> list[LaplacianSample]:
+def laplacian_samples(m: PlanarHarmonicMap, points: np.ndarray) -> list[LaplacianSample]:
     """Closed-form samples for export (x, y, lap_abs_f, lap_ulogu, ratio)."""
     out = []
     for z in points:
-        la = laplacian_abs_f(m, z, tau_f)
+        la = laplacian_abs_f(m, z)
         lu = laplacian_ulogu(m, z)
         ratio = la / lu if lu > 0.0 else (0.0 if la == 0.0 else math.inf)
         out.append(LaplacianSample(z=complex(z), lap_abs_f=la, lap_ulogu=lu,
@@ -170,12 +171,14 @@ def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
     circles |z| = rho_i, one row per radius.  Polar form with rho = r s:
     the radial factor -s log s is handled on a dyadic panel mesh
     (Gauss-Legendre per panel, ``AREA_ROW_BLOCK`` radii per ``rows``
-    call), the angle by the periodic trapezoid rule.  Returns
-    (value, est_error).
+    call), the angle by the periodic trapezoid rule; ``refine`` doubles
+    both, to an abs_tol of at least 1e-12.  Returns (value, est_error).
     """
     panels = dyadic_panels(LOG_PANEL_DEPTH)
+    n_rad0, n_ang0 = max(8, q.radial_nodes // 4), max(64, q.circle_nodes // 2)
 
-    def level(n_rad: int, n_ang: int) -> float:
+    def level(n_rad: int) -> float:
+        n_ang = n_ang0 * (n_rad // n_rad0)
         total = 0.0
         for a, b in panels:
             s, w = gauss_legendre(n_rad, a, b)
@@ -185,28 +188,19 @@ def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
                 total += float(np.dot(weights[block], rows(r * s[block], n_ang).mean(axis=1)))
         return r * r * total
 
-    n_rad, n_ang = max(8, q.radial_nodes // 4), max(64, q.circle_nodes // 2)
-    prev = level(n_rad, n_ang)
-    for _ in range(q.refinement_limit):
-        n_rad *= 2
-        n_ang *= 2
-        cur = level(n_rad, n_ang)
-        err = abs(cur - prev)
-        if err <= max(q.abs_tol, 1e-12):
-            return cur, err
-        prev = cur
-    raise NoConvergence(f"disk area integral: last change {err:.3e}")
+    floored = replace(q, abs_tol=max(q.abs_tol, 1e-12))
+    value, err, _, _ = refine(level, n_rad0, floored, "disk area integral")
+    return value, err
 
 
-def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
-                        tau_f: float = TAU_F) -> float:
+def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> float:
     """Residual |f(0)| - [circle mean of |f| - area term] for nonvanishing f."""
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
     # probe |f| at 0 and on 48 circles of 256 angles out to radius r
     probe = np.abs(circle_values(m.g, m.h, r * np.arange(1, 49) / 48, 256))
     af_min = min(float(probe.min()), abs(m.f0()))
-    if af_min <= tau_f:
+    if af_min <= TAU_F:
         raise VanishingModulus(
             f"min |f| = {af_min:.3e} on the closed disk of radius {r}")
 
@@ -230,12 +224,12 @@ def phi(xi, lam: float):
     return xi - lam * xi * np.log(xi)
 
 
-def phi_scan_argmax(lam: float, grid_points: int = 4097, zooms: int = 3) -> float:
-    """Grid-scan maximizer of Phi over (0, 3], iteratively zoomed."""
+def phi_scan_argmax(lam: float) -> float:
+    """Grid-scan maximizer of Phi over (0, 3] at 4097 points, zoomed three times."""
     lo, hi = 1e-12, 3.0
     best = None
-    for _ in range(zooms + 1):
-        xs = np.linspace(lo, hi, grid_points)
+    for _ in range(4):
+        xs = np.linspace(lo, hi, 4097)
         vals = phi(xs, lam)
         i = int(np.argmax(vals))
         best = float(xs[i])
@@ -261,9 +255,10 @@ def phi_analysis(lam: float) -> PhiAnalysis:
     return PhiAnalysis(lam=lam, xi_star=xi_star, phi_max=phi_max)
 
 
-def fd_laplacian(fn: Callable[[float, float], float], x: float, y: float,
-                 h: float = 1e-4) -> float:
-    """Fourth-order 5-point-per-coordinate Laplacian stencil in float64."""
+def fd_laplacian(fn: Callable[[float, float], float], x: float, y: float) -> float:
+    """Fourth-order 5-point-per-coordinate Laplacian stencil in float64, step 1e-4."""
+    h = 1e-4
+
     def d2(g: Callable[[float], float], t: float) -> float:
         return (-g(t + 2 * h) + 16 * g(t + h) - 30 * g(t)
                 + 16 * g(t - h) - g(t - 2 * h)) / (12 * h * h)
@@ -357,13 +352,12 @@ def _relative_deviation(closed: np.ndarray, fd: np.ndarray) -> np.ndarray:
 
 
 def audit_laplacians(m: PlanarHarmonicMap, points: np.ndarray,
-                     h: float = 1e-4, floor: float = 0.1,
-                     certify_rel: float = 1e-6) -> LaplacianAuditResult:
+                     h: float = 1e-4, floor: float = 0.1) -> LaplacianAuditResult:
     """Compare closed-form Laplacians against stencil finite differences.
 
     Points where |f| <= floor or u <= floor are skipped (the closed forms
     divide by them).  A vectorized 80-bit stencil runs first; any point it
-    cannot certify to ``certify_rel`` is re-differenced in ``decimal``,
+    cannot certify to ``CERTIFY_REL`` is re-differenced in ``decimal``,
     where the stencil is truncation-limited instead of rounding-limited.
     Relative differences are taken against max(|closed|, |fd|), 0/0 read
     as 0; any other NaN reaches ``max_rel_*``.
@@ -377,11 +371,11 @@ def audit_laplacians(m: PlanarHarmonicMap, points: np.ndarray,
     if pts.size == 0:
         return LaplacianAuditResult(rows=(), max_rel_abs_f=0.0,
                                     max_rel_ulogu=0.0, skipped=skipped)
-    _check_domain(f, TAU_F, "at the audit points")
+    _check_domain(f, "at the audit points")
     closed = np.array([_lap_abs_f(f, gp, hp), _lap_ulogu(f, gp, hp)])
     fd = np.array(_stencil_laplacians(m, pts, h))
     rel = _relative_deviation(closed, fd)
-    redo = np.flatnonzero(~(rel <= certify_rel).all(axis=0))
+    redo = np.flatnonzero(~(rel <= CERTIFY_REL).all(axis=0))
     if redo.size:
         fd[:, redo] = _decimal_stencil(m, pts[redo], h)
         rel = _relative_deviation(closed, fd)

@@ -75,10 +75,6 @@ class PlanarHarmonicMap:
     def f0(self) -> complex:
         return complex(self.g.coeffs[0])
 
-    @property
-    def K_declared(self) -> float:
-        return (1.0 + self.k_declared) / (1.0 - self.k_declared)
-
 
 @dataclass(frozen=True)
 class DilatationReport:
@@ -94,15 +90,11 @@ def eval_map(m: PlanarHarmonicMap, z: complex) -> complex:
     return complex(m.g(complex(z)) + m.h(complex(z)).conjugate())
 
 
-def disk_grid(n_radii: int, n_angles: int, r_max: float = 1.0,
-              include_zero: bool = True) -> np.ndarray:
-    """Tensor grid of radii {j/n_radii} * r_max and uniform angles."""
-    radii = r_max * np.arange(1, n_radii + 1) / n_radii
+def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
+    """z = 0, then the tensor grid of radii j/n_radii and uniform angles."""
+    radii = np.arange(1, n_radii + 1) / n_radii
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    pts = np.outer(radii, np.exp(1j * angles)).ravel()
-    if include_zero:
-        pts = np.concatenate(([0j], pts))
-    return pts
+    return np.concatenate(([0j], np.outer(radii, np.exp(1j * angles)).ravel()))
 
 
 def _derivative_coeffs(m: PlanarHarmonicMap) -> np.ndarray:
@@ -142,36 +134,34 @@ def _ratio_values(coeffs: np.ndarray, z: np.ndarray, tau_g: float) -> np.ndarray
     return hp / gp
 
 
-def _grid_dilatation(m: PlanarHarmonicMap, n_radii: int, n_angles: int,
-                     tau_g: float) -> tuple[float, float]:
+def _grid_dilatation(m: PlanarHarmonicMap, n_radii: int, n_angles: int) -> tuple[float, float]:
     """(radius, angle) of the largest |h'/g'| on the tensor grid."""
     radii = np.concatenate(([0.0], np.arange(1, n_radii + 1) / n_radii))
     gp = np.abs(circle_values(m.g_prime, None, radii, n_angles))
     hp = np.abs(circle_values(m.h_prime, None, radii, n_angles))
     gmin = float(gp.min())
-    if gmin <= tau_g:
+    if gmin <= TAU_G:
         raise DegenerateDerivative(
-            f"min |g'| = {gmin:.3e} <= {tau_g:.1e} on the sample grid")
+            f"min |g'| = {gmin:.3e} <= {TAU_G:.1e} on the sample grid")
     i, j = np.unravel_index(int(np.argmax(hp / gp)), gp.shape)
     return float(radii[i]), float(2.0 * np.pi * j / n_angles)
 
 
-def _polish_max(coeffs: np.ndarray, r0: float, t0: float, dr: float,
-                dt: float, tau_g: float, rounds: int = 12) -> float:
+def _polish_max(coeffs: np.ndarray, r0: float, t0: float, dr: float, dt: float) -> float:
     """Shrinking local grid search around a coarse argmax.
 
-    Each round evaluates the ratio on a 9 x 9 patch of radii in
+    Each of 12 rounds evaluates the ratio on a 9 x 9 patch of radii in
     [r0 - dr, r0 + dr] (clipped to [0, 1]) and angles in [t0 - dt, t0 + dt]
     by one ``_ratio_values`` call, recentres on the patch maximum if it
     beats the best value so far, and shrinks the half-widths by 4x.  The
     ratio is smooth where g' does not vanish, so the final value is exact
     to well below 1e-12.
     """
-    best = float(_ratio_values(coeffs, np.asarray([r0 * np.exp(1j * t0)]), tau_g)[0])
-    for _ in range(rounds):
+    best = float(_ratio_values(coeffs, np.asarray([r0 * np.exp(1j * t0)]), TAU_G)[0])
+    for _ in range(12):
         rs = np.clip(r0 + dr * _PATCH, 0.0, 1.0)
         ts = t0 + dt * _PATCH
-        ratio = _ratio_values(coeffs, (rs[:, None] * np.exp(1j * ts)).ravel(), tau_g)
+        ratio = _ratio_values(coeffs, (rs[:, None] * np.exp(1j * ts)).ravel(), TAU_G)
         top = int(np.argmax(ratio))
         if ratio[top] > best:
             best = float(ratio[top])
@@ -181,8 +171,7 @@ def _polish_max(coeffs: np.ndarray, r0: float, t0: float, dr: float,
     return best
 
 
-def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None,
-                   tau_g: float = TAU_G) -> DilatationReport:
+def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> DilatationReport:
     """Grid supremum of |h'/g'|, refined until stable.
 
     Each level locates the argmax on a tensor grid of radii and uniform
@@ -191,7 +180,7 @@ def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None,
     one power table times their coefficient matrix, built once per call.
     Levels double the grid and stop once the polished supremum moves by
     less than ``grid.abs_tol``.  The result is always a lower bound for
-    the true dilatation; every evaluated point must have |g'| > tau_g,
+    the true dilatation; every evaluated point must have |g'| > TAU_G,
     else DegenerateDerivative.
     """
     spec = grid if grid is not None else SUP_GRID_SPEC
@@ -199,8 +188,8 @@ def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None,
     coeffs = _derivative_coeffs(m)
 
     def level(nr: int, nt: int) -> float:
-        r0, t0 = _grid_dilatation(m, nr, nt, tau_g)
-        return _polish_max(coeffs, r0, t0, 1.0 / nr, 2.0 * np.pi / nt, tau_g)
+        r0, t0 = _grid_dilatation(m, nr, nt)
+        return _polish_max(coeffs, r0, t0, 1.0 / nr, 2.0 * np.pi / nt)
 
     k_hat = level(n_r, n_t)
     levels = 0

@@ -8,11 +8,11 @@ Two rules cover everything here:
 * Gauss-Legendre on intervals, optionally on a dyadically graded panel
   mesh so that endpoint log singularities stay cheap.
 
-``refined_circle_mean`` is the doubling driver for circle means: it
-keeps the running trapezoid sum, so each level evaluates the integrand
-only on the new odd half of the nodes, and it stops when the change
-between consecutive levels drops below ``abs_tol``; the last change is
-reported as the error estimate.  Integrands are sampled through
+``refine`` is the one doubling driver of every refined integral: it
+stops when the change between consecutive levels drops below ``abs_tol``
+and reports the last change as the error estimate.  Circle means run it
+through ``refined_circle_mean``, whose levels evaluate the integrand only
+on the new odd half of the nodes.  Integrands are sampled through
 ``series.circle_values`` (one inverse FFT per circle) wherever they come
 from a series.
 """
@@ -78,6 +78,27 @@ def circle_angles(n: int, shift: bool = False) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(n) + 0.5 * shift) / n
 
 
+def refine(level: Callable[[int], float], n0: int, spec: QuadratureSpec,
+           context: str) -> tuple[float, float, int, int]:
+    """Evaluate ``level(n)`` at n = n0, 2 n0, 4 n0, ... until the change
+    between consecutive levels is <= ``spec.abs_tol``.
+
+    Returns (value, est_error = that change, nodes, levels = doublings);
+    raises NoConvergence past ``spec.refinement_limit`` doublings.
+    """
+    n = n0
+    prev = level(n)
+    for levels in range(1, spec.refinement_limit + 1):
+        n *= 2
+        cur = level(n)
+        err = abs(cur - prev)
+        if err <= spec.abs_tol:
+            return cur, err, n, levels
+        prev = cur
+    raise NoConvergence(f"{context}: {n} nodes, last change {err:.3e} "
+                        f"> abs_tol {spec.abs_tol:.3e}")
+
+
 def refined_circle_mean(sample: Sampler, spec: QuadratureSpec,
                         context: str = "circle mean",
                         transform: Callable[[float], float] = float,
@@ -88,25 +109,22 @@ def refined_circle_mean(sample: Sampler, spec: QuadratureSpec,
     shift)``.  The first level samples ``spec.circle_nodes`` angles; each
     doubling keeps the running mean and samples only the new odd half of
     the nodes, which is the previous grid shifted by half a step.  The
-    stopping rule compares ``transform`` of the means of consecutive
-    levels, so the error estimate lives on the scale of the reported value.
+    stopping rule of ``refine`` compares ``transform`` of the means of
+    consecutive levels, so the error estimate lives on the scale of the
+    reported value.
 
-    Returns (value, est_error, nodes, levels), where levels counts the
-    doublings; raises NoConvergence past ``spec.refinement_limit``.
+    Returns (value, est_error, nodes, levels) as ``refine`` does.
     """
-    n = spec.circle_nodes
-    mean = float(np.mean(sample(n, False)))
-    prev = transform(mean)
-    for level in range(1, spec.refinement_limit + 1):
-        mean = 0.5 * (mean + float(np.mean(sample(n, True))))
-        n *= 2
-        cur = transform(mean)
-        err = abs(cur - prev)
-        if err <= spec.abs_tol:
-            return cur, err, n, level
-        prev = cur
-    raise NoConvergence(f"{context}: {n} nodes, last change {err:.3e} "
-                        f"> abs_tol {spec.abs_tol:.3e}")
+    n0 = spec.circle_nodes
+    mean = float(np.mean(sample(n0, False)))
+
+    def level(n: int) -> float:
+        nonlocal mean
+        if n > n0:
+            mean = 0.5 * (mean + float(np.mean(sample(n // 2, True))))
+        return transform(mean)
+
+    return refine(level, n0, spec, context)
 
 
 def dyadic_panels(depth: int) -> list[tuple[float, float]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -34,10 +33,6 @@ class ComplexSeries:
         if len(self.coeffs) == 0:
             raise DomainError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[complex]) -> "ComplexSeries":
-        return cls(tuple(complex(c) for c in coeffs))
 
     @classmethod
     def constant(cls, c: complex) -> "ComplexSeries":

@@ -130,8 +130,7 @@ def verify_T2_strip(n: int, q: QuadratureSpec) -> TheoremReport:
 
 
 def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec,
-              K: float | None = None,
-              dilatation_grid: QuadratureSpec | None = None) -> TheoremReport:
+              K: float | None = None) -> TheoremReport:
     """Non-sharp planar bound M_1 <= 2(6 pi e + 1) c1c2 K (1 + zygmund_plus).
 
     The square-function constants enter as the caller-supplied product
@@ -140,7 +139,7 @@ def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec,
     """
     if c1c2 <= 0.0:
         raise HypothesisViolation("c1c2 must be positive")
-    K_val = _resolve_K(m, K, dilatation_grid)
+    K_val = _resolve_K(m, K, None)
     zp, zp_err, _ = zygmund_plus_report(m, r, q)
     lhs_rep = circle_mean_p(m, r, 1.0, q)
     rhs = T1_ENVELOPE * c1c2 * K_val * (1.0 + zp)

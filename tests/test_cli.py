@@ -74,7 +74,9 @@ class TestExitCodes:
         assert main(["nope"]) == 2
 
     @pytest.mark.parametrize("flag", ["--abs_tol=nan", "--circle_nodes=0",
-                                      "--seeds=-5", "--n=-1", "--k=-0.5",
+                                      "--seeds=-5", "--n=-1", "--n=0", "--k=-0.5",
+                                      "--k=1", "--r=2", "--r=0", "--r=nan",
+                                      "--degree=-1", "--degree=0", "--degree=80",
                                       "--c1c2=0"])
     def test_bad_input_exits_2(self, flag, tmp_path, capsys):
         code, out = run_cli(["fuzz", flag], tmp_path, "f.csv")

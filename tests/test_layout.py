@@ -1,4 +1,6 @@
-"""Module boundaries: no hqz module imports another module's private names."""
+"""Module boundaries and dead code: no hqz module imports another module's
+private names, every definition in hqz is referenced by name, and every
+optional parameter is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import hqz
 
 PACKAGE = Path(hqz.__file__).parent
+REPO = PACKAGE.parent.parent
 
 
 def private_imports(path: Path) -> list[str]:
@@ -37,3 +40,169 @@ def test_detects_a_private_import(tmp_path):
                     "from numpy import _private_ok\n")
     assert private_imports(path) == ["probe.py:1: functionals._hidden",
                                      "probe.py:2: hqz.series._arr"]
+
+
+def definitions(path: Path):
+    """(qualified name, node) of every module-level function and class in
+    ``path`` and of every non-dunder method of those classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield (node.name,), node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.endswith("__"):
+                    yield (node.name, item.name), item
+
+
+class _Uses(ast.NodeVisitor):
+    """Every name and attribute read, with the definitions enclosing it, and
+    every call, keyed by the called name."""
+
+    def __init__(self, path: Path, refs: list, calls: dict):
+        self.path, self.scope, self.refs, self.calls = path, (), refs, calls
+
+    def _enter(self, node):
+        outer, self.scope = self.scope, self.scope + (node.name,)
+        self.generic_visit(node)
+        self.scope = outer
+
+    visit_FunctionDef = visit_ClassDef = _enter
+
+    def visit_Name(self, node):
+        self.refs.append((self.path, self.scope, node.id))
+
+    def visit_Attribute(self, node):
+        self.refs.append((self.path, self.scope, node.attr))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        self.calls.setdefault(name, []).append(node)
+        self.generic_visit(node)
+
+
+def uses(paths: list[Path]) -> tuple[list, dict]:
+    refs, calls = [], {}
+    for path in paths:
+        _Uses(path, refs, calls).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return refs, calls
+
+
+def unreferenced(defining: list[Path], using: list[Path]) -> list[str]:
+    """Definitions in ``defining`` whose name no code in ``using`` reads
+    outside the definition itself."""
+    refs, _ = uses(using)
+    found = []
+    for path in defining:
+        for qual, node in definitions(path):
+            if not any(name == qual[-1] and not (where == path and scope[:len(qual)] == qual)
+                       for where, scope, name in refs):
+                found.append(f"{path.name}:{node.lineno}: {'.'.join(qual)}")
+    return found
+
+
+def passed(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter at positional ``index`` (None
+    for keyword-only) or named ``name``."""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(defining: list[Path], using: list[Path]) -> list[str]:
+    """Optional parameters of the functions and methods in ``defining`` that
+    no call in ``using`` passes, positionally or by keyword."""
+    _, calls = uses(using)
+    found = []
+    for path in defining:
+        for qual, node in definitions(path):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if len(qual) == 2 and not any(getattr(d, "id", "") == "staticmethod"
+                                          for d in node.decorator_list):
+                positional = positional[1:]  # self or cls is bound, not passed
+            first = len(positional) - len(args.defaults)
+            optional = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            optional += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]
+            for index, name in optional:
+                if not any(passed(c, index, name) for c in calls.get(qual[-1], ())):
+                    found.append(f"{path.name}:{node.lineno}: {'.'.join(qual)}({name})")
+    return found
+
+
+def trees() -> tuple[list[Path], list[Path]]:
+    """(hqz modules, every Python file of hqz, tests/ and bench/)."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    return modules, modules + sorted((REPO / "tests").rglob("*.py")) + sorted(
+        (REPO / "bench").rglob("*.py"))
+
+
+def test_every_definition_is_referenced():
+    modules, everything = trees()
+    assert len(modules) > 5 and (REPO / "bench" / "run.py") in everything
+    assert unreferenced(modules, everything) == []
+
+
+def test_every_optional_parameter_is_passed():
+    modules, everything = trees()
+    assert unset_parameters(modules, everything) == []
+
+
+PLANTED = """\
+def used(a, b=1, *, c=2):
+    return a + b + c
+
+
+def only_recursive(x):
+    return only_recursive(x - 1) if x else "only_recursive"
+
+
+class Box:
+    def put(self, item, label=None):
+        return item
+
+    def unused_method(self):
+        return "unused_method"
+
+    def __repr__(self):
+        return "Box"
+
+
+def recurse(n, depth=0):
+    return recurse(n - 1, depth + 1) if n else depth
+
+
+used(1, 2)
+Box().put(1)
+recurse(3)
+"""
+
+
+def test_detects_an_unreferenced_definition(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(PLANTED)
+    # a string or a call from inside its own body does not count
+    assert unreferenced([path], [path]) == ["probe.py:5: only_recursive",
+                                            "probe.py:13: Box.unused_method"]
+    caller = tmp_path / "caller.py"
+    caller.write_text("from probe import Box, only_recursive\n"
+                      "Box().unused_method()\nonly_recursive(2)\n")
+    assert unreferenced([path], [path, caller]) == []
+
+
+def test_detects_an_unset_optional_parameter(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(PLANTED)
+    # b is passed positionally; keyword-only c and Box.put's label (after
+    # the bound self) are not; recurse passes its own depth, which counts
+    assert unset_parameters([path], [path]) == ["probe.py:1: used(c)",
+                                                "probe.py:10: Box.put(label)"]
+    caller = tmp_path / "caller.py"
+    caller.write_text("used(0, c=3)\nBox().put(1, 'x')\n")
+    assert unset_parameters([path], [path, caller]) == []

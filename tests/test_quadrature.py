@@ -1,13 +1,22 @@
-"""The doubling driver against a from-scratch doubling rule on Horner values."""
+"""The doubling driver against from-scratch doubling rules: the circle
+rule on Horner values, and the hand-written Gauss-Legendre loops that the
+sphere, 3-ball volume and disk area rules ran before they shared the driver."""
+
+import math
 
 import numpy as np
 import pytest
 
-from hqz import (ComplexSeries, NoConvergence, NonpositiveRealPart,
-                 PlanarHarmonicMap, QuadratureSpec, calderon_norms,
-                 circle_mean_p, entropy_u, random_qr_map, random_series)
+from hqz import (AffineBallMap, C_n, ComplexSeries, NoConvergence,
+                 NonpositiveRealPart, PlanarHarmonicMap, QuadratureSpec,
+                 axial_mean, ball_green_calibration, ball_green_identity_n3,
+                 calderon_norms, circle_mean_p, entropy_u, random_qr_map,
+                 random_series, ulogplus_mean)
+from hqz.ball import _ball3_volume_weighted
 from hqz.functionals import entropy_u_report, zygmund_plus_report
-from hqz.quadrature import circle_angles, refined_circle_mean
+from hqz.laplacian import disk_area_log_mean
+from hqz.quadrature import (circle_angles, dyadic_panels, gauss_legendre, refine,
+                            refined_circle_mean)
 
 
 def scratch_rule(integrand, q, transform=float):
@@ -105,3 +114,147 @@ def test_entropy_rejects_nonpositive_u_at_odd_node_only():
     q = QuadratureSpec(circle_nodes=8, refinement_limit=4)
     with pytest.raises(NonpositiveRealPart):
         entropy_u(m, 1.0, q)
+
+
+def test_refine_doubles_from_n0_and_reports_the_last_change():
+    seen = []
+
+    def level(n):
+        seen.append(n)
+        return 1.0 / n
+
+    # changes 1/6, 1/12, 1/24, then 1/48 <= 0.03
+    got = refine(level, 3, QuadratureSpec(refinement_limit=5, abs_tol=0.03), "probe")
+    assert got == (1.0 / 48, 1.0 / 48, 48, 4)
+    assert seen == [3, 6, 12, 24, 48]
+
+
+def test_refine_no_convergence_message():
+    with pytest.raises(NoConvergence) as exc:
+        refine(lambda n: 1.0 / n, 4, QuadratureSpec(refinement_limit=2, abs_tol=1e-30), "probe")
+    assert str(exc.value) == "probe: 16 nodes, last change 6.250e-02 > abs_tol 1.000e-30"
+
+
+# -- the Gauss-Legendre doubling loops as they were before ``refine`` --------
+
+def loop_axial_mean(n, profile, q, split_at=()):
+    pieces = tuple(sorted({0.0, math.pi, *split_at}))
+
+    def level(nodes):
+        total = []
+        for a, b in zip(pieces[:-1], pieces[1:]):
+            t, w = gauss_legendre(nodes, a, b)
+            total.extend((w * np.sin(t) ** (n - 2) * profile(t)).tolist())
+        return C_n(n) * math.fsum(total)
+
+    nodes = max(32, q.radial_nodes)
+    prev = level(nodes)
+    for _ in range(q.refinement_limit):
+        nodes *= 2
+        cur = level(nodes)
+        if abs(cur - prev) <= q.abs_tol:
+            return cur
+        prev = cur
+    raise AssertionError("reference loop did not converge")
+
+
+def loop_ball3_volume(lap, q):
+    def level(nodes):
+        rho, wr = gauss_legendre(nodes, 0.0, 1.0)
+        t, wt = gauss_legendre(nodes, 0.0, math.pi)
+        rr, tt = np.meshgrid(rho, t, indexing="ij")
+        ww = np.outer(wr, wt)
+        vals = lap(rr, tt) * (rr - rr ** 2) * np.sin(tt)
+        return 0.5 * float(math.fsum((ww * vals).ravel().tolist()))
+
+    nodes = max(24, q.radial_nodes)
+    prev = level(nodes)
+    for _ in range(q.refinement_limit):
+        nodes *= 2
+        cur = level(nodes)
+        if abs(cur - prev) <= q.abs_tol:
+            return cur
+        prev = cur
+    raise AssertionError("reference loop did not converge")
+
+
+def loop_disk_area(rows, r, q):
+    def level(n_rad, n_ang):
+        total = 0.0
+        for a, b in dyadic_panels(18):
+            s, w = gauss_legendre(n_rad, a, b)
+            weights = -w * s * np.log(s)
+            for i in range(0, n_rad, 8):
+                block = slice(i, i + 8)
+                total += float(np.dot(weights[block], rows(r * s[block], n_ang).mean(axis=1)))
+        return r * r * total
+
+    n_rad, n_ang = max(8, q.radial_nodes // 4), max(64, q.circle_nodes // 2)
+    prev = level(n_rad, n_ang)
+    for _ in range(q.refinement_limit):
+        n_rad *= 2
+        n_ang *= 2
+        cur = level(n_rad, n_ang)
+        err = abs(cur - prev)
+        if err <= max(q.abs_tol, 1e-12):
+            return cur, err
+        prev = cur
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_axial_mean_equals_the_loop(q, n):
+    profile = lambda t: np.cos(t) ** 2
+    assert axial_mean(n, profile, q) == loop_axial_mean(n, profile, q)
+
+
+def test_split_axial_mean_equals_the_loop(q):
+    # u = 1 + 0.5 cos t crosses 1 at t = pi/2, where ulogplus_mean splits
+    def profile(t):
+        u = 1.0 + 0.5 * np.cos(t)
+        return np.where(u > 1.0, u * np.log(u), 0.0)
+
+    got = ulogplus_mean(AffineBallMap(n=3, c=1.0, a=0.5), q)
+    assert got == loop_axial_mean(3, profile, q, split_at=(math.pi / 2,))
+
+
+def test_ball_identities_equal_the_loops(q):
+    ones = lambda t: np.ones_like(t)
+    want = loop_axial_mean(3, ones, q) - loop_ball3_volume(lambda rr, tt: 6.0 * np.ones_like(rr), q)
+    assert ball_green_calibration(q) == want
+
+    c, a = 4.0, 2.0
+
+    def x_profile(t):
+        s = a * a + 2.0 * a * c * np.cos(t)
+        return s / (np.sqrt(c * c + s) + c)
+
+    def lap(rr, tt):
+        return 2.0 * a * a / np.sqrt(c * c + a * a * rr ** 2 + 2.0 * a * c * rr * np.cos(tt))
+
+    want = (loop_axial_mean(3, x_profile, q) + c) - (c + loop_ball3_volume(lap, q))
+    assert ball_green_identity_n3(AffineBallMap(n=3, c=c, a=a), q) == want
+
+
+@pytest.mark.parametrize("power", [0, 2])
+def test_disk_area_equals_the_loop(q, power):
+    def rows(rho, n):
+        return np.repeat(rho[:, None] ** power, n, axis=1)
+
+    assert disk_area_log_mean(rows, 0.9, q) == loop_disk_area(rows, 0.9, q)
+
+
+STARVED = QuadratureSpec(refinement_limit=1, abs_tol=1e-30)
+
+
+@pytest.mark.parametrize("context, run", [
+    ("axial mean", lambda: axial_mean(3, lambda t: np.abs(np.cos(t)), STARVED)),
+    ("3-ball volume integral",
+     lambda: _ball3_volume_weighted(lambda rr, tt: np.abs(np.cos(tt)), STARVED)),
+    # |cos| of the angle has corners, so even the 1e-12 floor is not met
+    ("disk area integral", lambda: disk_area_log_mean(
+        lambda rho, n: np.tile(np.abs(np.cos(circle_angles(n))), (rho.size, 1)), 0.9, STARVED)),
+])
+def test_gauss_legendre_rules_report_no_convergence(context, run):
+    with pytest.raises(NoConvergence, match=rf"^{context}: \d+ nodes, last change .* > abs_tol"):
+        run()
