@@ -243,6 +243,8 @@ def run_reproduce_sharpness_3d(cfg: RunConfig):
 
 def run_reproduce_ratio_limit(cfg: RunConfig):
     n = _default(cfg.n, 3)
+    if n < 2:
+        raise ConfigError(f"n must be at least 2 for reproduce-ratio-limit, got {n}")
     q = cfg.quadrature
     scan = ratio_limit_scan(n, (0.2, 0.1, 0.05, 0.01), q)
     rows = [{"n": r.n, "a": r.a, "X": r.X, "Y": r.Y, "ratio": r.ratio,
@@ -320,7 +322,8 @@ def run_verify_t1(cfg: RunConfig):
                      "empirical_constant": rep.params["empirical_constant"]})
         if rep.margin < -rep.quad_error:
             ok = False
-    detail = f"c1c2 = {c1c2:.6f}; min margin = {min(r['margin'] for r in rows):.6f}"
+    detail = (f"c1c2 = {c1c2:.6f}; min margin = {min(r['margin'] for r in rows):.6f}"
+              if rows else "empty corpus, vacuous PASS")
     return rows, ok, detail
 
 
@@ -411,8 +414,9 @@ def run_laplacian_audit(cfg: RunConfig):
                      "max_ratio": ratio, "K2_bound": bound})
         if not (audit.max_rel_abs_f <= 1e-5 and audit.max_rel_ulogu <= 1e-5 and ratio <= bound):
             ok = False  # written so that a NaN fails
-    worst = max(max(r["max_rel_abs_f"], r["max_rel_ulogu"]) for r in rows)
-    detail = f"worst FD relative deviation {worst:.2e} over {seeds} maps"
+    worst = max((max(r["max_rel_abs_f"], r["max_rel_ulogu"]) for r in rows), default=0.0)
+    detail = (f"worst FD relative deviation {worst:.2e} over {seeds} maps"
+              if rows else "empty corpus, vacuous PASS")
     return rows, ok, detail
 
 

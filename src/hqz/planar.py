@@ -4,9 +4,9 @@ A sense-preserving harmonic map of the unit disk splits as f = g + conj(h)
 with g, h holomorphic and h(0) = 0; it is k-quasiregular exactly when
 |h'| <= k |g'| with k = (K-1)/(K+1).  Everything here works on truncated
 power series, so construction and differentiation are exact and the only
-numerics live in ``dilatation_sup``: it locates the largest |h'/g'| on a
-tensor grid of FFT circle values and polishes it by a local search that
-evaluates g' and h' as one power table times their coefficient matrix.
+numerics live in ``dilatation_sups``: for a batch of maps it locates each
+largest |h'/g'| on a tensor grid of FFT circle values and polishes all of
+them together by a local search on separable r^j e^(ijt) power tables.
 
 ``make_qr_map`` engineers a map with prescribed g + h = F (hence
 Re f = Re F and Im f(0) = Im F(0)) and h' the truncation of omega g',
@@ -97,10 +97,11 @@ def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
     return np.concatenate(([0j], np.outer(radii, np.exp(1j * angles)).ravel()))
 
 
-def _derivative_coeffs(m: PlanarHarmonicMap) -> np.ndarray:
-    """(2 x n) matrix whose rows hold the coefficients of g' and h'."""
-    d = max(m.g_prime.degree, m.h_prime.degree)
-    return np.array([m.g_prime.truncated(d).coeffs, m.h_prime.truncated(d).coeffs])
+def _derivative_coeffs(maps: list[PlanarHarmonicMap]) -> np.ndarray:
+    """(maps x 2 x n) coefficients of each map's g' and h', zero-padded to one n."""
+    d = max((max(m.g_prime.degree, m.h_prime.degree) for m in maps), default=0)
+    return np.array([[m.g_prime.truncated(d).coeffs, m.h_prime.truncated(d).coeffs]
+                     for m in maps]).reshape(len(maps), 2, d + 1)
 
 
 def _power_table(z: np.ndarray, n: int) -> np.ndarray:
@@ -124,90 +125,128 @@ def _power_table(z: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _ratio_values(coeffs: np.ndarray, z: np.ndarray, tau_g: float) -> np.ndarray:
-    """|h'/g'| at the points z, from the derivative coefficient matrix."""
-    gp, hp = np.abs(coeffs @ _power_table(z, coeffs.shape[1]))
-    gmin = float(gp.min())
-    if gmin <= tau_g:
-        raise DegenerateDerivative(
-            f"min |g'| = {gmin:.3e} <= {tau_g:.1e} on the sample grid")
-    return hp / gp
+def _patch_values(coeffs: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """|g'| and |h'| of map i on its patch radii[i] x angles[i], shape
+    (maps, 2, radii, angles).  z^j = r^j e^(ijt) is separable, so one
+    ``_power_table`` of every map's radii and e^(it) serves the batch."""
+    (count, n_r), n = radii.shape, coeffs.shape[-1]
+    table = _power_table(np.concatenate((radii, np.exp(1j * angles)), axis=1).ravel(), n)
+    table = table.reshape(n, count, n_r + angles.shape[1])
+    rows = table[:, :, :n_r].transpose(1, 2, 0)
+    cols = table[:, :, n_r:].transpose(1, 0, 2)
+    return np.abs((coeffs[:, :, None, :] * rows[:, None]) @ cols[:, None])
 
 
-def _grid_dilatation(m: PlanarHarmonicMap, n_radii: int, n_angles: int) -> tuple[float, float]:
-    """(radius, angle) of the largest |h'/g'| on the tensor grid."""
+def _grid_starts(m: PlanarHarmonicMap, n_radii: int, n_angles: int, search: bool,
+                 strides: tuple[int, ...]) -> list[tuple[float, float, float]]:
+    """(min |g'|, radius, angle of the largest |h'/g'|) on every s-th radius and
+    angle (s in ``strides``) of the grid of radii j/n_radii and n_angles angles,
+    one FFT per derivative; the argmax is 0 without ``search`` or past TAU_G."""
     radii = np.concatenate(([0.0], np.arange(1, n_radii + 1) / n_radii))
     gp = np.abs(circle_values(m.g_prime, None, radii, n_angles))
-    hp = np.abs(circle_values(m.h_prime, None, radii, n_angles))
-    gmin = float(gp.min())
-    if gmin <= TAU_G:
-        raise DegenerateDerivative(
-            f"min |g'| = {gmin:.3e} <= {TAU_G:.1e} on the sample grid")
-    i, j = np.unravel_index(int(np.argmax(hp / gp)), gp.shape)
-    return float(radii[i]), float(2.0 * np.pi * j / n_angles)
+    hp = np.abs(circle_values(m.h_prime, None, radii, n_angles)) if search else None
+    starts = []
+    for s in strides:
+        g = gp[::s, ::s]
+        gmin, i, j = float(g.min()), 0, 0
+        if search and gmin > TAU_G:
+            i, j = np.unravel_index(int(np.argmax(hp[::s, ::s] / g)), g.shape)
+        starts.append((gmin, float(radii[s * i]), float(2.0 * np.pi * (s * j) / n_angles)))
+    return starts
 
 
-def _polish_max(coeffs: np.ndarray, r0: float, t0: float, dr: float, dt: float) -> float:
-    """Shrinking local grid search around a coarse argmax.
+def _polish(coeffs: np.ndarray, r0: np.ndarray, t0: np.ndarray, dr: float,
+            dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shrinking local grid search around each map's coarse argmax.
 
-    Each of 12 rounds evaluates the ratio on a 9 x 9 patch of radii in
+    For 12 rounds each map takes |h'/g'| on a 9 x 9 patch of radii in
     [r0 - dr, r0 + dr] (clipped to [0, 1]) and angles in [t0 - dt, t0 + dt]
-    by one ``_ratio_values`` call, recentres on the patch maximum if it
-    beats the best value so far, and shrinks the half-widths by 4x.  The
-    ratio is smooth where g' does not vanish, so the final value is exact
-    to well below 1e-12.
+    around its own centre and moves there if the patch maximum beats its
+    best so far (at first the centre's); the shared half-widths shrink 4x.
+    A map whose patch has min |g'| <= TAU_G leaves the batch.  Returns each
+    map's best ratio and the min |g'| that stopped it (inf if none did).
     """
-    best = float(_ratio_values(coeffs, np.asarray([r0 * np.exp(1j * t0)]), TAU_G)[0])
-    for _ in range(12):
-        rs = np.clip(r0 + dr * _PATCH, 0.0, 1.0)
-        ts = t0 + dt * _PATCH
-        ratio = _ratio_values(coeffs, (rs[:, None] * np.exp(1j * ts)).ravel(), TAU_G)
-        top = int(np.argmax(ratio))
-        if ratio[top] > best:
-            best = float(ratio[top])
-            r0, t0 = float(rs[top // 9]), float(ts[top % 9])
-        dr /= 4.0
-        dt /= 4.0
-    return best
+    best, stop = np.zeros(len(r0)), np.full(len(r0), np.inf)
+    on = idx = np.arange(len(r0))
+    for rnd in range(12):
+        rs = (r0[:, None] + dr * _PATCH).clip(0.0, 1.0)
+        ts = t0[:, None] + dt * _PATCH
+        gp, hp = _patch_values(coeffs, rs, ts).transpose(1, 0, 2, 3)
+        gmin = gp.min(axis=(1, 2))
+        if gmin.min(initial=np.inf) <= TAU_G:
+            ok = gmin > TAU_G
+            stop[on[~ok]] = gmin[~ok]
+            on, coeffs, best, r0, t0, rs, ts, gp, hp = (
+                a[ok] for a in (on, coeffs, best, r0, t0, rs, ts, gp, hp))
+            idx = np.arange(len(on))
+        ratio = (hp / gp).reshape(len(on), 81)
+        if rnd == 0:
+            best = ratio[:, 40]
+        top = ratio.argmax(axis=1)
+        val = ratio[idx, top]
+        up = val > best
+        best = np.where(up, val, best)
+        r0 = np.where(up, rs[idx, top // 9], r0)
+        t0 = np.where(up, ts[idx, top % 9], t0)
+        dr, dt = dr / 4.0, dt / 4.0
+    return np.bincount(on, best, len(stop)), stop  # best scattered back, 0 if stopped
+
+
+def dilatation_sups(maps: list[PlanarHarmonicMap],
+                    grid: QuadratureSpec | None = None) -> list[DilatationReport]:
+    """Grid supremum of |h'/g'| for each map, refined until stable.
+
+    Level l takes each map's argmax on the tensor grid of radial_nodes 2^l
+    radii and circle_nodes 2^l angles, and ``_polish`` refines all maps'
+    argmaxes together.  Levels 0 and 1 read one grid, level 1's, whose
+    every other radius and angle is a node of level 0.  A map stops at the
+    first level >= 1 that moves its supremum by at most abs_tol; with h' = 0
+    the ratio is 0 everywhere and it stops there unsearched.  Each k_hat is
+    a lower bound; every evaluated |g'| must exceed TAU_G, else
+    DegenerateDerivative.  If maps fail, the first failing map's error is
+    raised, the one it raises alone.
+    """
+    spec = grid if grid is not None else SUP_GRID_SPEC
+    coeffs = _derivative_coeffs(maps)
+    search = [not m.h_prime.is_zero() for m in maps]
+    k_hat, levels = [0.0] * len(maps), [0] * len(maps)
+    degenerate: dict[int, float] = {}  # map index -> the min |g'| that stopped it
+    live = list(range(len(maps)))
+    for level in range(spec.refinement_limit + 1):
+        if not live:
+            break
+        n_r, n_t = spec.radial_nodes << level, spec.circle_nodes << level
+        if level == 0:
+            pairs = {i: _grid_starts(maps[i], 2 * n_r, 2 * n_t, search[i], (2, 1)) for i in live}
+        starts = {i: pairs[i][level] if level < 2 else
+                  _grid_starts(maps[i], n_r, n_t, search[i], (1,))[0] for i in live}
+        degenerate.update({i: s[0] for i, s in starts.items() if s[0] <= TAU_G})
+        run = [i for i in live if search[i] and i not in degenerate]
+        best, stop = _polish(coeffs[run], np.array([starts[i][1] for i in run]),
+                             np.array([starts[i][2] for i in run]), 1.0 / n_r, 2.0 * np.pi / n_t)
+        degenerate.update({i: g for i, g in zip(run, stop.tolist()) if g <= TAU_G})
+        value = dict.fromkeys(live, 0.0) | dict(zip(run, best.tolist()))
+        first = min(degenerate, default=len(maps))  # later maps no longer matter
+        moved = {i: abs(value[i] - k_hat[i]) for i in live if i < first}
+        for i in moved:
+            k_hat[i], levels[i] = max(k_hat[i], value[i]), level
+        live = [i for i, d in moved.items() if level == 0 or d > spec.abs_tol]
+    for i, k in enumerate(k_hat):
+        if i in degenerate:
+            raise DegenerateDerivative(
+                f"min |g'| = {degenerate[i]:.3e} <= {TAU_G:.1e} on the sample grid")
+        if k >= 1.0:
+            raise HypothesisViolation(
+                f"grid dilatation {k:.6f} >= 1: map is not sense-preserving QR")
+    return [DilatationReport(k_hat=k, K_hat=(1.0 + k) / (1.0 - k),
+                             grid=f"radii={spec.radial_nodes << n},"
+                                  f"angles={spec.circle_nodes << n},levels={n}")
+            for k, n in zip(k_hat, levels)]
 
 
 def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> DilatationReport:
-    """Grid supremum of |h'/g'|, refined until stable.
-
-    Each level locates the argmax on a tensor grid of radii and uniform
-    angles (FFT values from ``circle_values``), then polishes it by a
-    shrinking local search (``_polish_max``) that evaluates g' and h' as
-    one power table times their coefficient matrix, built once per call.
-    Levels double the grid and stop once the polished supremum moves by
-    less than ``grid.abs_tol``.  The result is always a lower bound for
-    the true dilatation; every evaluated point must have |g'| > TAU_G,
-    else DegenerateDerivative.
-    """
-    spec = grid if grid is not None else SUP_GRID_SPEC
-    n_r, n_t = spec.radial_nodes, spec.circle_nodes
-    coeffs = _derivative_coeffs(m)
-
-    def level(nr: int, nt: int) -> float:
-        r0, t0 = _grid_dilatation(m, nr, nt)
-        return _polish_max(coeffs, r0, t0, 1.0 / nr, 2.0 * np.pi / nt)
-
-    k_hat = level(n_r, n_t)
-    levels = 0
-    for _ in range(spec.refinement_limit):
-        n_r *= 2
-        n_t *= 2
-        nxt = level(n_r, n_t)
-        levels += 1
-        moved = abs(nxt - k_hat)
-        k_hat = max(k_hat, nxt)
-        if moved <= spec.abs_tol:
-            break
-    if k_hat >= 1.0:
-        raise HypothesisViolation(
-            f"grid dilatation {k_hat:.6f} >= 1: map is not sense-preserving QR")
-    K_hat = (1.0 + k_hat) / (1.0 - k_hat)
-    return DilatationReport(k_hat=k_hat, K_hat=K_hat,
-                            grid=f"radii={n_r},angles={n_t},levels={levels}")
+    """``dilatation_sups`` of the one map ``m``."""
+    return dilatation_sups([m], grid)[0]
 
 
 def make_qr_map(F: ComplexSeries, omega: ComplexSeries,

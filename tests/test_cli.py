@@ -93,6 +93,20 @@ class TestExitCodes:
         assert "[PASS]" in capsys.readouterr().out
         assert out.exists()
 
+    @pytest.mark.parametrize("scenario", ["verify-t1", "laplacian-audit"])
+    def test_empty_corpus_is_a_vacuous_pass(self, scenario, tmp_path, capsys):
+        code, out = run_cli([scenario, "--seeds=0"], tmp_path, "e.csv")
+        assert code == 0
+        assert f"[PASS] {scenario}: empty corpus, vacuous PASS" in capsys.readouterr().out
+        assert out.exists()
+
+    def test_ratio_limit_needs_dimension_two(self, tmp_path, capsys):
+        # reproduce-strip accepts n = 1, the ball scenario needs n >= 2
+        code, out = run_cli(["reproduce-ratio-limit", "--n=1"], tmp_path, "r.csv")
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScenarioRuns:
     def test_sharpness(self, tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Module boundaries and dead code: no hqz module imports another module's
-private names, every definition in hqz is referenced by name, and every
-optional parameter is passed by some call."""
+private names, every definition in hqz is referenced by name, every
+optional parameter is passed by some call, and every hqz name and keyword
+the benchmark under bench/ uses exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import hqz
@@ -206,3 +209,73 @@ def test_detects_an_unset_optional_parameter(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("used(0, c=3)\nBox().put(1, 'x')\n")
     assert unset_parameters([path], [path, caller]) == []
+
+
+def bench_contract(paths: list[Path]) -> list[str]:
+    """Attributes of hqz modules, classes and functions that ``paths`` read
+    and hqz lacks, and keywords they pass to hqz callables whose
+    signatures lack them."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> the hqz object it was imported as
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update({a.asname or a.name.split(".")[0]: importlib.import_module("hqz")
+                              for a in node.names if a.name.split(".")[0] == "hqz"})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hqz":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if hasattr(module, alias.name):
+                        bound[alias.asname or alias.name] = getattr(module, alias.name)
+                    else:
+                        found.append((path.name, node.lineno, f"{path.name}:{node.lineno}: "
+                                                   f"{node.module}.{alias.name}"))
+
+        def resolve(expr):
+            if isinstance(expr, ast.Name):
+                return bound.get(expr.id)
+            owner = resolve(expr.value) if isinstance(expr, ast.Attribute) else None
+            return None if owner is None else getattr(owner, expr.attr, None)
+
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}: "
+            if isinstance(node, ast.Attribute):
+                owner = resolve(node.value)
+                if owner is not None and not hasattr(owner, node.attr):
+                    found.append((path.name, node.lineno, where + ast.unparse(node)))
+            elif isinstance(node, ast.Call) and callable(fn := resolve(node.func)):
+                try:
+                    params = inspect.signature(fn).parameters
+                except ValueError:  # exception classes take *args
+                    continue
+                if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                    continue
+                found.extend((path.name, node.lineno, where + f"{ast.unparse(node.func)}({kw.arg}=)")
+                             for kw in node.keywords if kw.arg and kw.arg not in params)
+    return [text for _, _, text in sorted(found)]
+
+
+def test_bench_uses_only_what_hqz_has():
+    paths = sorted((REPO / "bench").glob("*.py"))
+    assert (REPO / "bench" / "workloads.py") in paths
+    assert bench_contract(paths) == []
+
+
+def test_detects_a_broken_bench_contract(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from hqz import planar, theorems\n"
+                    "from hqz.planar import gone_helper, map_to_json\n"
+                    "import hqz\n"
+                    "planar.dilatation_sup(None)\n"
+                    "planar.no_such_function(1).also_missing\n"
+                    "theorems.verify_T2(None, 1.0, None, K=1.0, bogus=2)\n"
+                    "theorems.CORPUS_DILATATION_GRID.circle_nodes\n"
+                    "hqz.series.ComplexSeries.missing\n"
+                    "theorems.fuzz_search(3, 0.5, 16, r=1.0, positivity_margin=0.05)\n"
+                    "planar.PlanarHarmonicMap(g=None, h=None, k=0.1)\n")
+    assert bench_contract([path]) == ["probe.py:2: hqz.planar.gone_helper",
+                                      "probe.py:5: planar.no_such_function",
+                                      "probe.py:6: theorems.verify_T2(bogus=)",
+                                      "probe.py:8: hqz.series.ComplexSeries.missing",
+                                      "probe.py:10: planar.PlanarHarmonicMap(k=)"]

@@ -1,14 +1,16 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqz import (ComplexSeries, DegenerateDerivative, DomainError,
-                 PlanarHarmonicMap, TruncationOverflow,
+                 HypothesisViolation, PlanarHarmonicMap, TruncationOverflow,
                  dilatation_sup, disk_grid, eval_map, jacobian, make_qr_map,
                  map_from_json, map_to_json, random_qr_map, strip_example)
-from hqz.planar import (SUP_GRID_SPEC, TAU_G, _derivative_coeffs, _power_table,
-                        _ratio_values)
+from hqz.planar import (SUP_GRID_SPEC, TAU_G, _derivative_coeffs, _patch_values,
+                        _power_table, dilatation_sups)
 from hqz.series import circle_values
 from hqz.theorems import CORPUS_DILATATION_GRID
 
@@ -64,6 +66,44 @@ class TestDilatation:
         with pytest.raises(DegenerateDerivative):
             dilatation_sup(analytic((1.0,)))
 
+    @pytest.mark.parametrize("spec", [SUP_GRID_SPEC, CORPUS_DILATATION_GRID],
+                             ids=["sup-grid", "corpus-grid"])
+    def test_analytic_map_skips_the_search(self, spec):
+        # h' = 0: k_hat = 0 at level 1 without a polish, as the search found
+        m = analytic((1.0, 0.5))
+        rep = dilatation_sup(m, spec)
+        assert (rep.k_hat, rep.K_hat) == (0.0, 1.0)
+        assert rep.grid == horner_dilatation_sup(m, spec)[1]
+        assert rep.grid == (f"radii={2 * spec.radial_nodes},"
+                            f"angles={2 * spec.circle_nodes},levels=1")
+
+    @pytest.mark.parametrize("h", [(0.0,), (0.0, 0.0, 0.1)], ids=["h=0", "h'=0.2z"])
+    def test_critical_point_at_grid_node(self, h):
+        # g' = z vanishes at the grid node z = 0, with or without a search
+        m = PlanarHarmonicMap(g=ComplexSeries((1.0, 0.0, 0.5)), h=ComplexSeries(h))
+        for spec in (SUP_GRID_SPEC, CORPUS_DILATATION_GRID):
+            with pytest.raises(DegenerateDerivative, match="min .g'. = 0.000e"):
+                dilatation_sup(m, spec)
+
+    def test_batch_raises_the_first_failing_map(self):
+        good = random_qr_map(3, 0.3, 16)
+        critical = PlanarHarmonicMap(g=ComplexSeries((1.0, 0.0, 0.5)), h=ComplexSeries.zero())
+        # g' = 1, h' = 2z: |h'/g'| reaches 2 on the circle
+        expanding = PlanarHarmonicMap(g=ComplexSeries((1.0, 1.0)),
+                                      h=ComplexSeries((0.0, 0.0, 1.0)))
+        for batch in ([good, expanding, critical], [good, critical, expanding, good]):
+            with pytest.raises(Exception) as alone:
+                dilatation_sup(batch[1])
+            with pytest.raises(type(alone.value)) as batched:
+                dilatation_sups(batch)
+            assert str(batched.value) == str(alone.value)
+        assert isinstance(alone.value, DegenerateDerivative)
+        with pytest.raises(HypothesisViolation, match="grid dilatation 2.000000 >= 1"):
+            dilatation_sup(expanding)
+
+    def test_empty_batch(self):
+        assert dilatation_sups([]) == []
+
 
 def random_disk_points(seed: int, n: int = 200) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -114,8 +154,8 @@ def horner_dilatation_sup(m: PlanarHarmonicMap, spec) -> tuple[float, str]:
 
 
 def kernel_values(m: PlanarHarmonicMap, z: np.ndarray) -> np.ndarray:
-    """g' and h' at z as dilatation_sup's polish evaluates them."""
-    coeffs = _derivative_coeffs(m)
+    """g' and h' at z as one power table times the coefficient matrix."""
+    coeffs = _derivative_coeffs([m])[0]
     return coeffs @ _power_table(z, coeffs.shape[1])
 
 
@@ -148,13 +188,32 @@ class TestPowerTableKernel:
     def test_degree_zero_derivatives(self, g, h):
         self.check(PlanarHarmonicMap(g=ComplexSeries(g), h=ComplexSeries(h)), 9)
 
-    def test_ratio_values_reject_critical_point(self):
-        # g' = z vanishes at the origin
+    def test_patch_values_see_critical_point(self):
+        # g' = z vanishes at the origin; dilatation_sups rejects it there
         m = PlanarHarmonicMap(g=ComplexSeries((0.0, 0.0, 0.5)), h=ComplexSeries.zero())
-        coeffs = _derivative_coeffs(m)
-        assert _ratio_values(coeffs, np.asarray([0.5, 0.5j]), TAU_G).tolist() == [0.0, 0.0]
+        vals = _patch_values(_derivative_coeffs([m]), np.asarray([[0.0, 0.5]]),
+                             np.asarray([[0.0, np.pi / 2]]))
+        assert vals.tolist() == [[[[0.0, 0.0], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]]]
         with pytest.raises(DegenerateDerivative):
-            _ratio_values(coeffs, np.asarray([0.5, 0.0]), TAU_G)
+            dilatation_sup(m)
+
+    def test_patch_values_match_horner(self):
+        # one batch of maps of different degrees, each on its own patch
+        maps = [random_qr_map(s, k, 16) for s, k in ((0, 0.1), (1, 0.0), (2, 0.5))]
+        maps += [PlanarHarmonicMap(g=ComplexSeries((1.0, 2.0)), h=ComplexSeries((0.0, 0.5j)))]
+        coeffs = _derivative_coeffs(maps)
+        assert coeffs.shape == (4, 2, 64)
+        assert np.all(coeffs[3, :, 1:] == 0)
+        rng = np.random.default_rng(5)
+        radii = np.sort(rng.uniform(0.0, 1.0, (4, 9)), axis=1)
+        radii[:, 0], radii[:, -1] = 0.0, 1.0
+        angles = rng.uniform(-1.0, 7.0, (4, 7))
+        vals = _patch_values(coeffs, radii, angles)
+        assert vals.shape == (4, 2, 9, 7)
+        for m, v, r, t in zip(maps, vals, radii, angles):
+            z = np.outer(r, np.exp(1j * t))
+            for got, s in zip(v, (m.g_prime, m.h_prime)):
+                assert np.max(np.abs(got - np.abs(s(z)))) <= 1e-14 * s.coeff_abs_sum()
 
 
 @pytest.mark.parametrize("spec", [SUP_GRID_SPEC, CORPUS_DILATATION_GRID],
@@ -164,9 +223,34 @@ def test_dilatation_sup_matches_horner_search(spec, k):
     for seed in range(20):
         m = random_qr_map(seed, k, 16)
         rep = dilatation_sup(m, spec)
-        ref, grid = horner_dilatation_sup(m, spec)
+        ref, grid = horner_reference(spec, seed, k)
         assert rep.grid == grid
         assert abs(rep.k_hat - ref) <= 1e-15
+
+
+@lru_cache(maxsize=None)
+def horner_reference(spec, seed: int, k: float) -> tuple[float, str]:
+    """horner_dilatation_sup of random_qr_map(seed, k, 16), computed once."""
+    return horner_dilatation_sup(random_qr_map(seed, k, 16), spec)
+
+
+BATCH_CORPUS = [(seed, k) for seed in range(50) for k in (0.0, 0.1, 0.3, 0.5)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+@pytest.mark.parametrize("spec", [SUP_GRID_SPEC, CORPUS_DILATATION_GRID],
+                         ids=["sup-grid", "corpus-grid"])
+def test_dilatation_sups_match_horner_search(spec, chunk):
+    # chunks mix k, so k = 0 maps (no search) sit between searched ones
+    for start in range(0, len(BATCH_CORPUS), chunk):
+        part = BATCH_CORPUS[start: start + chunk]
+        reports = dilatation_sups([random_qr_map(s, k, 16) for s, k in part], spec)
+        assert len(reports) == len(part)
+        for (seed, k), rep in zip(part, reports):
+            ref, grid = horner_reference(spec, seed, k)
+            assert rep.grid == grid, (seed, k)
+            assert abs(rep.k_hat - ref) <= 1e-15, (seed, k)
+            assert rep.K_hat == (1.0 + rep.k_hat) / (1.0 - rep.k_hat)
 
 
 class TestMakeQrMap:

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from hqz import (AffineBallMap, ComplexSeries, HypothesisViolation,
-                 PlanarHarmonicMap, fuzz_search, map_from_json,
-                 phi_of_m, random_qr_map, v_norm, verify_T1, verify_T2,
-                 verify_T2_strip, verify_T3_affine)
+from hqz import (AffineBallMap, ComplexSeries, FuzzSummary, HqzError,
+                 HypothesisViolation, PlanarHarmonicMap, fuzz_search,
+                 map_from_json, map_to_json, phi_of_m, random_qr_map, v_norm,
+                 verify_T1, verify_T2, verify_T2_strip, verify_T3_affine)
+from hqz.theorems import CORPUS_DILATATION_GRID
 
 # frozen oracle values (midpoint Riemann sums at 2^22 nodes, closed forms
 # where available): the sharp-bound margin of f = 1 + z/2 at r = 1, K = 1
@@ -133,7 +134,37 @@ class TestVerifyT3:
             verify_T3_affine(AffineBallMap(n=3, c=1.0, a=1.5), q)
 
 
+def per_seed_fuzz(seeds: int, k: float, degree: int, q) -> FuzzSummary:
+    """fuzz_search as one verify_T2 per seed, each measuring its own K."""
+    worst, best, witness = math.inf, 0.0, ""
+    for seed in range(seeds):
+        m = random_qr_map(seed, k, degree)
+        rep = verify_T2(m, 1.0, q, dilatation_grid=CORPUS_DILATATION_GRID)
+        worst = min(worst, rep.margin)
+        if rep.lhs / rep.rhs > best:
+            best, witness = rep.lhs / rep.rhs, map_to_json(m)
+    return FuzzSummary(seeds=seeds, worst_margin=worst, best_ratio=best, witness=witness)
+
+
 class TestFuzzSearch:
+    @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5])
+    def test_batches_match_per_seed_verification(self, k, q_fast):
+        # 35 seeds: two full batches and a partial one
+        got = fuzz_search(35, k, 16, q_fast)
+        want = per_seed_fuzz(35, k, 16, q_fast)
+        assert got.seeds == want.seeds
+        assert abs(got.worst_margin - want.worst_margin) <= 1e-15
+        assert abs(got.best_ratio - want.best_ratio) <= 1e-15
+        assert got.witness == want.witness
+
+    def test_failing_batch_raises_the_per_seed_error(self, q_fast):
+        # at degree 40 the truncated corpus maps are not quasiregular
+        with pytest.raises(HqzError) as want:
+            per_seed_fuzz(5, 0.5, 40, q_fast)
+        with pytest.raises(type(want.value)) as got:
+            fuzz_search(5, 0.5, 40, q_fast)
+        assert str(got.value) == str(want.value)
+
     def test_empty_corpus_vacuous(self, q_fast):
         s = fuzz_search(0, 0.3, 16, q_fast)
         assert s.seeds == 0
