@@ -34,24 +34,13 @@ from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (fuzz_search, verify_T1, verify_T2, verify_T2_strip,
                        verify_T3_affine)
 
-SCENARIOS = (
-    "reproduce-sharpness-3d",
-    "reproduce-ratio-limit",
-    "reproduce-strip",
-    "verify-t1",
-    "verify-t2",
-    "verify-t3",
-    "fuzz",
-    "laplacian-audit",
-    "green-audit",
-    "calderon-estimate",
-)
-
 _INT_KEYS = {"seeds", "n", "degree", "circle_nodes", "radial_nodes",
              "refinement_limit"}
 _FLOAT_KEYS = {"k", "r", "abs_tol", "c1c2"}
 _STR_KEYS = {"out", "format", "config"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_QUADRATURE_KEYS = ("circle_nodes", "radial_nodes", "refinement_limit", "abs_tol")
+_RUN_KEYS = ("seeds", "n", "k", "r", "degree", "c1c2")
 
 
 @dataclass
@@ -154,27 +143,13 @@ def parse_args(argv: list[str]) -> RunConfig:
                              ("c1c2", lambda v: v > 0, "positive")):
         if key in merged and not valid(merged[key]):
             raise ConfigError(f"{key} must be {want}, got {merged[key]!r}")
-    try:
-        quad = QuadratureSpec(
-            circle_nodes=int(merged.get("circle_nodes", 512)),
-            radial_nodes=int(merged.get("radial_nodes", 32)),
-            refinement_limit=int(merged.get("refinement_limit", 12)),
-            abs_tol=float(merged.get("abs_tol", 1e-10)),
-        )
+    try:  # keys not given keep the defaults of QuadratureSpec and RunConfig
+        quad = QuadratureSpec(**{key: merged[key] for key in _QUADRATURE_KEYS if key in merged})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        scenario=scenario,
-        quadrature=quad,
-        seeds=merged.get("seeds"),
-        n=merged.get("n"),
-        k=merged.get("k"),
-        r=float(merged.get("r", 1.0)),
-        degree=int(merged.get("degree", 16)),
-        c1c2=merged.get("c1c2"),
-        output_path=str(merged.get("out", "")),
-        format=fmt,
-    )
+    return RunConfig(scenario=scenario, quadrature=quad,
+                     output_path=str(merged.get("out", "")), format=fmt,
+                     **{key: merged[key] for key in _RUN_KEYS if key in merged})
 
 
 def _fmt(v) -> str:
@@ -450,6 +425,8 @@ RUNNERS = {
     "green-audit": run_green_audit,
     "calderon-estimate": run_calderon_estimate,
 }
+
+SCENARIOS = tuple(RUNNERS)
 
 
 def run(cfg: RunConfig) -> int:

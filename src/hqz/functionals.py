@@ -74,8 +74,9 @@ def circle_mean_p(m: PlanarHarmonicMap, r: float, p: float,
     return MeanReport(r=r, p=p, value=value, nodes=nodes, est_error=err)
 
 
-def hardy_norm_estimate(m: PlanarHarmonicMap, p: float, q: QuadratureSpec) -> float:
-    """sup over radii of M_p(r, f); equals M_p(1, f) for polynomial data.
+def hardy_norm_estimate(m: PlanarHarmonicMap, p: float, q: QuadratureSpec) -> MeanReport:
+    """sup over radii of M_p(r, f), reported as M_p(1, f), which it equals
+    for polynomial data.
 
     The dyadic radius grid is evaluated as a cross-check: |f|^p is
     subharmonic, so the means must be nondecreasing in r up to quadrature
@@ -90,7 +91,7 @@ def hardy_norm_estimate(m: PlanarHarmonicMap, p: float, q: QuadratureSpec) -> fl
             raise MonotonicityViolation(
                 f"M_p decreased from {lo.value!r} (r={lo.r}) to {hi.value!r} "
                 f"(r={hi.r}) beyond tolerance {slack:.3e}")
-    return reports[-1].value
+    return reports[-1]
 
 
 def _log_plus(x: np.ndarray) -> np.ndarray:
@@ -198,10 +199,10 @@ def _square_function_series(H: ComplexSeries) -> ComplexSeries:
     This is a Hermitian trigonometric polynomial: c_-m = conj(c_m).
     """
     j = np.arange(1, len(H.coeffs))
-    b = j * np.asarray(H.coeffs[1:])
+    b = j * H.coeffs[1:]
     s = j[:, None] + j[None, :]
     terms = np.outer(b, np.conjugate(b)) / ((s - 1) * s)  # row j, column k
-    return ComplexSeries(tuple(np.trace(terms, -m) for m in range(len(j))) or (0j,))
+    return ComplexSeries([np.trace(terms, -m) for m in range(len(j))] or [0j])
 
 
 def calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float]:
@@ -216,7 +217,7 @@ def calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float]:
     if H.coeffs[0] != 0:
         raise DomainError("the series must satisfy H(0) = 0")
     C = _square_function_series(H)
-    C_neg = ComplexSeries((0j,) + C.coeffs[1:])  # c_0 is in C already
+    C_neg = ComplexSeries(np.concatenate(([0j], C.coeffs[1:])))  # c_0 is in C already
 
     def square_function(n: int, shift: bool) -> np.ndarray:
         return np.sqrt(np.maximum(circle_values(C, C_neg, 1.0, n, shift).real, 0.0))

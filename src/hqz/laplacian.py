@@ -29,7 +29,6 @@ at the few points where float rounding divided by h^2 hides the answer.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -40,7 +39,7 @@ from .errors import DomainError, NonpositiveRealPart, VanishingModulus
 from .planar import PlanarHarmonicMap
 from .quadrature import (QuadratureSpec, dyadic_panels, gauss_legendre, refine,
                          refined_circle_mean)
-from .series import circle_values
+from .series import circle_values, horner, stacked
 
 #: modulus floor below which the 1/|f| closed form is refused
 TAU_F = 1e-8
@@ -289,22 +288,12 @@ _STENCIL_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 
 
-def _horner_batch(*series, z: np.ndarray) -> np.ndarray:
-    """Every series at every z by one Horner loop; one row of values per series."""
-    n = max(len(s.coeffs) for s in series)
-    coeffs = np.array([s.coeffs + (0j,) * (n - len(s.coeffs)) for s in series])
-    acc = np.zeros((len(series),) + z.shape, dtype=z.dtype)
-    for c in coeffs.T[::-1].reshape((n, len(series)) + (1,) * z.ndim):
-        acc = acc * z + c
-    return acc
-
-
 def _stencil_laplacians(m: PlanarHarmonicMap, pts: np.ndarray,
                         h: float) -> tuple[np.ndarray, np.ndarray]:
     """Both Laplacians at every point by the 80-bit stencil (~1e-10 absolute)."""
     steps = _STENCIL_OFFSETS * h
     z = np.concatenate([pts[:, None] + steps, pts[:, None] + 1j * steps], axis=1)
-    f = _horner_batch(*((m.g,) if m.h.is_zero() else (m.g, m.h)), z=z.astype(np.clongdouble))
+    f = horner(stacked([m.g] if m.h.is_zero() else [m.g, m.h]), z.astype(np.clongdouble))
     f = f[0] + np.conjugate(f[1:].sum(axis=0))
     w = _STENCIL_WEIGHTS.astype(np.longdouble)
     return tuple(((v[:, :5] @ w + v[:, 5:] @ w) / (12.0 * h * h)).astype(float)
@@ -319,8 +308,8 @@ def _decimal_stencil(m: PlanarHarmonicMap, pts: np.ndarray, h: float) -> list[li
     """
     D = decimal.Decimal
     with decimal.localcontext(decimal.Context(prec=STENCIL_DIGITS)):
-        coeffs = [[D(x) for c in pair for x in (c.real, c.imag)] for pair in
-                  reversed(list(itertools.zip_longest(m.g.coeffs, m.h.coeffs, fillvalue=0j)))]
+        coeffs = [[D(x) for c in pair for x in (c.real, c.imag)]
+                  for pair in stacked([m.g, m.h]).T[::-1].tolist()]
         offsets = [int(k) * D(h) for k in _STENCIL_OFFSETS]
         weights = [int(w) for w in _STENCIL_WEIGHTS] * 2
 
@@ -363,7 +352,7 @@ def audit_laplacians(m: PlanarHarmonicMap, points: np.ndarray,
     as 0; any other NaN reaches ``max_rel_*``.
     """
     pts = np.asarray(points, dtype=complex)
-    g, hz, gp, hp = _horner_batch(m.g, m.h, m.g_prime, m.h_prime, z=pts)
+    g, hz, gp, hp = horner(stacked([m.g, m.h, m.g_prime, m.h_prime]), pts)
     f = g + np.conjugate(hz)
     keep = (np.abs(f) > floor) & (f.real > floor)
     pts, f, gp, hp = pts[keep], f[keep], gp[keep], hp[keep]

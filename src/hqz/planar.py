@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DegenerateDerivative, DomainError, HypothesisViolation,
                      TruncationOverflow)
 from .quadrature import QuadratureSpec
-from .series import DEGREE_CAP, ComplexSeries, circle_values
+from .series import DEGREE_CAP, ComplexSeries, circle_values, stacked
 
 #: floor distinguishing genuine critical points of g from rounding
 TAU_G = 1e-9
@@ -99,9 +99,8 @@ def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
 
 def _derivative_coeffs(maps: list[PlanarHarmonicMap]) -> np.ndarray:
     """(maps x 2 x n) coefficients of each map's g' and h', zero-padded to one n."""
-    d = max((max(m.g_prime.degree, m.h_prime.degree) for m in maps), default=0)
-    return np.array([[m.g_prime.truncated(d).coeffs, m.h_prime.truncated(d).coeffs]
-                     for m in maps]).reshape(len(maps), 2, d + 1)
+    rows = stacked([s for m in maps for s in (m.g_prime, m.h_prime)])
+    return rows.reshape(len(maps), 2, rows.shape[-1])
 
 
 def _power_table(z: np.ndarray, n: int) -> np.ndarray:
@@ -284,7 +283,7 @@ def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
     recip = one_plus.reciprocal(truncation_degree - 1)
     gp = (Fp * recip).truncated(truncation_degree - 1)
     hp = (omega * gp).truncated(truncation_degree - 1)
-    g = ComplexSeries((F.coeffs[0],)) + gp.antiderivative()
+    g = ComplexSeries.constant(F.coeffs[0]) + gp.antiderivative()
     h = hp.antiderivative()
     k_decl = min(omega.coeff_abs_sum(), 1.0 - 1e-15)
     return PlanarHarmonicMap(g=g, h=h, k_declared=k_decl)
@@ -311,14 +310,14 @@ def random_qr_map(seed: int, k: float, degree: int = 16,
     raw = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
     mass = float(rng.uniform(0.05, 0.9)) * budget
     tail = raw * (mass / np.abs(raw).sum())
-    F = ComplexSeries((complex(c0),) + tuple(complex(c) for c in tail))
+    F = ComplexSeries(np.concatenate(([c0], tail)))
     if k == 0.0:
         omega = ComplexSeries.zero()
     else:
         raw2 = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         target = float(rng.uniform(0.5, 1.0)) * k
         raw2 = raw2 * (target / np.abs(raw2).sum())
-        omega = ComplexSeries(tuple(complex(c) for c in raw2))
+        omega = ComplexSeries(raw2)
     m = make_qr_map(F, omega, DEGREE_CAP)
     return PlanarHarmonicMap(g=m.g, h=m.h, k_declared=k)
 
@@ -334,8 +333,8 @@ def strip_example(n: int) -> PlanarHarmonicMap:
 def map_to_json(m: PlanarHarmonicMap) -> str:
     """Serialize as {"g": [[re, im], ...], "h": [[re, im], ...], "k": real}."""
     payload = {
-        "g": [[c.real, c.imag] for c in m.g.coeffs],
-        "h": [[c.real, c.imag] for c in m.h.coeffs],
+        "g": m.g.coeffs.view(float).reshape(-1, 2).tolist(),
+        "h": m.h.coeffs.view(float).reshape(-1, 2).tolist(),
         "k": m.k_declared,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -343,8 +342,8 @@ def map_to_json(m: PlanarHarmonicMap) -> str:
 
 def map_from_json(text: str) -> PlanarHarmonicMap:
     payload = json.loads(text)
-    g = ComplexSeries(tuple(complex(re, im) for re, im in payload["g"]))
-    h = ComplexSeries(tuple(complex(re, im) for re, im in payload["h"]))
+    g, h = (ComplexSeries(np.array(payload[key], dtype=float).view(complex).ravel())
+            for key in ("g", "h"))
     return PlanarHarmonicMap(g=g, h=h, k_declared=float(payload["k"]))
 
 

@@ -1,21 +1,24 @@
 """Truncated complex power series and their values on circles.
 
-A series is a finite coefficient tuple (index j holds the z^j
-coefficient); all arithmetic (add, multiply, truncated reciprocal,
-termwise calculus) is exact in coefficient arithmetic up to the requested
-truncation degree.  This is the representation of every holomorphic piece
-in the package, so map construction carries no quadrature error at all.
+A series is one read-only complex128 coefficient array (index j holds the
+z^j coefficient); all arithmetic (add, multiply, truncated reciprocal,
+termwise calculus) is a numpy expression over it, exact in coefficient
+arithmetic up to the requested truncation degree.  This is the
+representation of every holomorphic piece in the package, so map
+construction carries no quadrature error at all.
 
-There are two ways to evaluate: ``ComplexSeries.__call__`` is the Horner
-sum at arbitrary points, and ``circle_values`` gives g + conj(h) at
-uniform angles on circles by one inverse FFT per circle.  Every circle
-functional goes through ``circle_values``.
+There are two ways to evaluate: ``horner`` takes rows of coefficients
+(``stacked`` pads series to one length) to arbitrary arrays of points,
+and ``circle_values`` gives g + conj(h) at uniform angles on circles by
+one inverse FFT per circle.  ``ComplexSeries.__call__`` is ``horner`` on
+arrays and a Python loop on one point.  Every circle functional goes
+through ``circle_values``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -25,110 +28,114 @@ from .errors import DomainError
 DEGREE_CAP = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == over an array field would raise
 class ComplexSeries:
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise DomainError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        c = np.array(self.coeffs, dtype=complex)
+        if c.ndim != 1 or c.size == 0:
+            raise DomainError("a series needs a 1-D array of at least the constant coefficient")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def constant(cls, c: complex) -> "ComplexSeries":
-        return cls((complex(c),))
+        return cls([c])
 
     @classmethod
     def zero(cls) -> "ComplexSeries":
-        return cls((0j,))
+        return cls([0j])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @cached_property
-    def _arr(self) -> np.ndarray:
-        a = np.asarray(self.coeffs, dtype=complex)
-        a.setflags(write=False)
-        return a
+        return self.coeffs.size - 1
 
     def __call__(self, z):
         """Horner evaluation; z may be a python complex or a numpy array."""
         if isinstance(z, np.ndarray):
-            acc = np.zeros_like(z, dtype=complex)
-            for c in self._arr[::-1]:
-                acc = acc * z + c
-            return acc
-        acc = 0j
-        for c in reversed(self.coeffs):
+            return horner(self.coeffs, z)
+        acc = 0j  # one point: python complexes beat numpy scalars
+        for c in reversed(self.coeffs.tolist()):
             acc = acc * z + c
         return acc
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs.any()
 
     def derivative(self) -> "ComplexSeries":
         if self.degree == 0:
             return ComplexSeries.zero()
-        return ComplexSeries(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))
+        return ComplexSeries(np.arange(1, self.coeffs.size) * self.coeffs[1:])
 
     def antiderivative(self) -> "ComplexSeries":
         """Termwise antiderivative with zero constant term."""
-        return ComplexSeries((0j,) + tuple(c / (j + 1) for j, c in enumerate(self.coeffs)))
+        j = np.arange(1, self.coeffs.size + 1)
+        out = np.zeros(j.size + 1, dtype=complex)
+        # parts divided separately, as python's complex / int does
+        out.real[1:], out.imag[1:] = self.coeffs.real / j, self.coeffs.imag / j
+        return ComplexSeries(out)
 
     def truncated(self, degree: int) -> "ComplexSeries":
         if degree < 0:
             raise DomainError("truncation degree must be >= 0")
-        return ComplexSeries(self.coeffs[: degree + 1] +
-                             (0j,) * max(0, degree + 1 - len(self.coeffs)))
+        out = np.zeros(degree + 1, dtype=complex)
+        out[: self.coeffs.size] = self.coeffs[: degree + 1]
+        return ComplexSeries(out)
 
     def trimmed(self) -> "ComplexSeries":
         """Drop trailing zero coefficients (the zero series stays degree 0)."""
-        n = len(self.coeffs)
-        while n > 1 and self.coeffs[n - 1] == 0:
-            n -= 1
-        return ComplexSeries(self.coeffs[:n])
-
-    def scale(self, s: complex) -> "ComplexSeries":
-        return ComplexSeries(tuple(s * c for c in self.coeffs))
+        nonzero = np.flatnonzero(self.coeffs)
+        return ComplexSeries(self.coeffs[: nonzero[-1] + 1 if nonzero.size else 1])
 
     def __add__(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0j,) * (n - len(self.coeffs))
-        b = other.coeffs + (0j,) * (n - len(other.coeffs))
-        return ComplexSeries(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "ComplexSeries") -> "ComplexSeries":
-        return self + other.scale(-1.0)
+        return ComplexSeries(stacked([self, other]).sum(axis=0))
 
     def __mul__(self, other: "ComplexSeries") -> "ComplexSeries":
-        out = [0j] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ComplexSeries(tuple(out))
+        return ComplexSeries(np.convolve(self.coeffs, other.coeffs))
 
     def reciprocal(self, degree: int) -> "ComplexSeries":
-        """Coefficient recursion for 1/self, truncated at ``degree``.
+        """Coefficient recursion for 1/self, truncated at ``degree``:
+        inv_n = -(a_1 inv_(n-1) + ... + a_j inv_(n-j)) / a_0, j = min(n, deg).
 
         Requires a nonvanishing constant term.
         """
-        a0 = self.coeffs[0]
+        a0, tail = complex(self.coeffs[0]), self.coeffs[:0:-1]  # tail: a_deg, ..., a_1
         if a0 == 0:
             raise DomainError("reciprocal needs a nonzero constant term")
-        inv = [1.0 / a0]
+        inv = np.zeros(degree + 1, dtype=complex)
+        inv[0] = 1.0 / a0
         for n in range(1, degree + 1):
-            s = 0j
-            for j in range(1, min(n, self.degree) + 1):
-                s += self.coeffs[j] * inv[n - j]
-            inv.append(-s / a0)
-        return ComplexSeries(tuple(inv))
+            j = min(n, self.degree)
+            inv[n] = -complex(tail[tail.size - j:].dot(inv[n - j: n])) / a0
+        return ComplexSeries(inv)
 
     def coeff_abs_sum(self) -> float:
         """l1 norm of the coefficients; bounds sup over the closed disk."""
-        return float(sum(abs(c) for c in self.coeffs))
+        return float(np.abs(self.coeffs).sum())
+
+
+def stacked(series: Sequence[ComplexSeries]) -> np.ndarray:
+    """(len(series) x n) coefficient rows, each zero-padded to the longest n."""
+    rows = np.zeros((len(series), max((s.coeffs.size for s in series), default=1)),
+                    dtype=complex)
+    for row, s in zip(rows, series):
+        row[: s.coeffs.size] = s.coeffs
+    return rows
+
+
+def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Every polynomial of ``coeffs`` (last axis the power) at every z.
+
+    Runs in z's precision, at least complex128, so np.clongdouble points
+    keep their width; the result has shape coeffs.shape[:-1] + z.shape.
+    """
+    z = np.asarray(z)
+    *rows, n = coeffs.shape
+    acc = np.zeros((*rows, *z.shape), dtype=np.result_type(z.dtype, complex))
+    for c in np.moveaxis(coeffs, -1, 0)[::-1].reshape((n, *rows) + (1,) * z.ndim):
+        acc = acc * z + c
+    return acc
 
 
 def circle_values(g: ComplexSeries, h: ComplexSeries | None, r, n: int,
@@ -149,7 +156,7 @@ def circle_values(g: ComplexSeries, h: ComplexSeries | None, r, n: int,
     for s, sign in ((g, 1), (h, -1)):
         if s is None:
             continue
-        c = s._arr if sign > 0 else np.conjugate(s._arr)
+        c = s.coeffs if sign > 0 else np.conjugate(s.coeffs)
         j = np.arange(len(c))
         c = c * r[..., None] ** j
         if shift:
@@ -172,9 +179,7 @@ def random_series(seed: int, degree: int, zero_constant: bool = True) -> Complex
     square-function estimator requires.
     """
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal(degree + 1)
-    im = rng.standard_normal(degree + 1)
-    coeffs = [complex(x, y) for x, y in zip(re, im)]
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     if zero_constant:
-        coeffs[0] = 0j
-    return ComplexSeries(tuple(coeffs))
+        coeffs[0] = 0.0
+    return ComplexSeries(coeffs)

@@ -120,14 +120,13 @@ def verify_T2_strip(n: int, q: QuadratureSpec) -> TheoremReport:
     """Strip bound: the map n/(n+1) + z/(n+1) has h^1 norm strictly below 1,
     with gap shrinking like 1/(n+1) (that envelope is reported as a param)."""
     m = strip_example(n)
-    lhs = hardy_norm_estimate(m, 1.0, q)
-    rep = circle_mean_p(m, 1.0, 1.0, q)
+    rep = hardy_norm_estimate(m, 1.0, q)
     return TheoremReport(
         theorem_id="T2_strip",
-        params={"n": float(n), "gap": 1.0 - lhs, "gap_envelope": 2.0 / (n + 1.0)},
-        lhs=lhs,
+        params={"n": float(n), "gap": 1.0 - rep.value, "gap_envelope": 2.0 / (n + 1.0)},
+        lhs=rep.value,
         rhs=1.0,
-        margin=1.0 - lhs,
+        margin=1.0 - rep.value,
         quad_error=rep.est_error,
     )
 

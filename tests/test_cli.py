@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from hqz.cli import main, parse_args
+from hqz.cli import RunConfig, main, parse_args
 from hqz.errors import ConfigError
+from hqz.quadrature import QuadratureSpec
 
 
 def run_cli(args, tmp_path, name):
@@ -57,6 +58,17 @@ class TestParsing:
     def test_unset_keys_mean_scenario_default(self):
         cfg = parse_args(["fuzz"])
         assert (cfg.seeds, cfg.n, cfg.k, cfg.c1c2) == (None, None, None, None)
+        # the other defaults live only in the dataclasses
+        assert cfg.quadrature == QuadratureSpec()
+        assert cfg == RunConfig(scenario="fuzz")
+
+    def test_usage_lists_the_scenarios_in_order(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_args([])
+        assert str(exc.value).splitlines()[-1] == (
+            "scenarios: reproduce-sharpness-3d reproduce-ratio-limit reproduce-strip "
+            "verify-t1 verify-t2 verify-t3 fuzz laplacian-audit green-audit "
+            "calderon-estimate")
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"
@@ -180,6 +192,19 @@ class TestScenarioRuns:
             rows = list(csv.DictReader(fh))
         assert rows[0]["member"] == "z"
         assert rows[-1]["member"] == "max"
+
+    @pytest.mark.parametrize("args, header", [
+        (["reproduce-strip", "--n=8"], "n,h1_norm,gap,gap_envelope"),
+        (["verify-t1", "--seeds=2"], "seed,k,lhs,rhs,margin,quad_error,empirical_constant"),
+        (["verify-t2", "--seeds=2"], "k,seeds,worst_margin,best_ratio"),
+        (["verify-t3"], "family,n,param,lhs_X,rhs,margin,ratio")])
+    def test_scenario_smoke(self, args, header, tmp_path, capsys):
+        code, out = run_cli(args, tmp_path, "s.csv")
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"[PASS] {args[0]}: ")
+        rows = out.read_text().splitlines()
+        assert rows[0] == header and len(rows) > 1
 
     def test_csv_header_row_present(self, tmp_path, capsys):
         _, out = run_cli(["fuzz", "--seeds=0"], tmp_path, "h.csv")

@@ -61,13 +61,15 @@ class TestCircleMeanP:
 
 class TestHardyNorm:
     def test_constant(self, q):
-        assert hardy_norm_estimate(analytic(2.5), 1.0, q) == pytest.approx(2.5, abs=1e-13)
+        assert hardy_norm_estimate(analytic(2.5), 1.0, q).value == pytest.approx(
+            2.5, abs=1e-13)
 
     def test_monomial(self, q):
-        assert hardy_norm_estimate(analytic(0.0, 1.0), 1.0, q) == pytest.approx(1.0, abs=1e-12)
+        assert hardy_norm_estimate(analytic(0.0, 1.0), 1.0, q).value == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_one_plus_z(self, q):
-        assert hardy_norm_estimate(analytic(1.0, 1.0), 1.0, q) == pytest.approx(
+        assert hardy_norm_estimate(analytic(1.0, 1.0), 1.0, q).value == pytest.approx(
             4.0 / math.pi, abs=1e-9)
 
     def test_means_nondecreasing_in_radius(self, q):
@@ -85,7 +87,7 @@ class TestHardyNorm:
     def test_norm_dominates_f0(self, q):
         for seed in range(5):
             m = random_qr_map(seed, 0.3)
-            norm = hardy_norm_estimate(m, 1.0, q)
+            norm = hardy_norm_estimate(m, 1.0, q).value
             assert norm >= abs(m(0j)) - 1e-10
 
 
@@ -235,7 +237,7 @@ class TestCalderonNorms:
 
     def test_trailing_zero_coefficients(self, q):
         H = random_series(7, 5)
-        padded = ComplexSeries(H.coeffs + (0j,) * 6)
+        padded = ComplexSeries(np.concatenate((H.coeffs, np.zeros(6))))
         assert calderon_norms(padded, q) == pytest.approx(calderon_norms(H, q), rel=1e-15)
 
     def test_zero_series_rejected(self, q):
@@ -271,7 +273,7 @@ class TestCalderonRatio:
 class TestVNorm:
     def test_analytic_strip_map(self, q):
         m = strip_example(4)
-        assert v_norm(m, 1.0, q) <= hardy_norm_estimate(m, 1.0, q)
+        assert v_norm(m, 1.0, q) <= hardy_norm_estimate(m, 1.0, q).value
 
 
 def test_frozen_m1_value(q):

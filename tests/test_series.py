@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqz import ComplexSeries, DomainError, random_series
-from hqz.series import circle_values
+from hqz.series import circle_values, horner, stacked
 
 finite_complex = st.builds(
     complex,
@@ -38,14 +38,14 @@ def test_vectorized_eval_matches_scalar():
 def test_derivative_degree_drops():
     s = ComplexSeries((1.0, 2.0, 3.0))
     d = s.derivative()
-    assert d.coeffs == (2.0, 6.0)
-    assert ComplexSeries((5.0,)).derivative().coeffs == (0j,)
+    assert d.coeffs.tolist() == [2.0, 6.0]
+    assert ComplexSeries((5.0,)).derivative().coeffs.tolist() == [0j]
 
 
 def test_antiderivative_starts_at_zero():
     s = ComplexSeries((2.0, 4.0))
     a = s.antiderivative()
-    assert a.coeffs == (0j, 2.0, 2.0)
+    assert a.coeffs.tolist() == [0j, 2.0, 2.0]
     assert a(0j) == 0j
 
 
@@ -97,23 +97,23 @@ def test_reciprocal_needs_nonzero_constant():
 
 def test_truncated_pads_and_cuts():
     s = ComplexSeries((1.0, 2.0, 3.0))
-    assert s.truncated(1).coeffs == (1.0, 2.0)
-    assert s.truncated(4).coeffs == (1.0, 2.0, 3.0, 0j, 0j)
+    assert s.truncated(1).coeffs.tolist() == [1.0, 2.0]
+    assert s.truncated(4).coeffs.tolist() == [1.0, 2.0, 3.0, 0j, 0j]
 
 
 def test_trimmed_drops_trailing_zeros():
     s = ComplexSeries((1.0, 0.0, 0.0))
-    assert s.trimmed().coeffs == (1.0 + 0j,)
-    assert ComplexSeries.zero().trimmed().coeffs == (0j,)
+    assert s.trimmed().coeffs.tolist() == [1.0 + 0j]
+    assert ComplexSeries.zero().trimmed().coeffs.tolist() == [0j]
 
 
 def test_random_series_deterministic_and_zero_constant():
     a = random_series(11, 16)
     b = random_series(11, 16)
-    assert a.coeffs == b.coeffs
+    assert a.coeffs.tolist() == b.coeffs.tolist()
     assert a.coeffs[0] == 0j
     assert a.degree == 16
-    assert random_series(12, 16).coeffs != a.coeffs
+    assert random_series(12, 16).coeffs.tolist() != a.coeffs.tolist()
 
 
 def test_empty_series_rejected():
@@ -148,3 +148,112 @@ def test_circle_values_rows_per_radius():
         np.testing.assert_allclose(row, circle_values(g, h, rho, 16, shift=True),
                                    rtol=0, atol=1e-14)
     np.testing.assert_allclose(rows[0], g.coeffs[0], atol=1e-15)
+
+
+# the tuple-of-complexes arithmetic that the coefficient arrays replaced,
+# kept as a reference: python complexes, one coefficient at a time
+def tuple_mul(a, b):
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def tuple_reciprocal(a, degree):
+    inv = [1.0 / a[0]]
+    for n in range(1, degree + 1):
+        s = 0j
+        for j in range(1, min(n, len(a) - 1) + 1):
+            s += a[j] * inv[n - j]
+        inv.append(-s / a[0])
+    return inv
+
+
+def tuple_derivative(a):
+    return [j * c for j, c in enumerate(a) if j >= 1] or [0j]
+
+
+def tuple_antiderivative(a):
+    return [0j] + [c / (j + 1) for j, c in enumerate(a)]
+
+
+def l1(coeffs):
+    return sum(abs(c) for c in coeffs)
+
+
+EPS = np.finfo(float).eps
+
+
+@given(coeff_lists)
+@settings(max_examples=60, deadline=None)
+def test_calculus_matches_tuple_arithmetic_exactly(coeffs):
+    s = ComplexSeries(coeffs)
+    assert s.derivative().coeffs.tolist() == tuple_derivative(coeffs)
+    assert s.antiderivative().coeffs.tolist() == tuple_antiderivative(coeffs)
+
+
+@given(coeff_lists, coeff_lists)
+@settings(max_examples=60, deadline=None)
+def test_product_matches_tuple_arithmetic(a, b):
+    got = (ComplexSeries(a) * ComplexSeries(b)).coeffs
+    want = np.array(tuple_mul(a, b))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 4 * EPS * l1(a) * l1(b)
+
+
+@given(st.lists(small_complex, min_size=0, max_size=8), st.integers(0, 20))
+@settings(max_examples=60, deadline=None)
+def test_reciprocal_matches_tuple_arithmetic(tail, degree):
+    # constant term 4 dominates the tail (l1 at most 2.9), so the recursion
+    # damps rounding differences instead of amplifying them
+    a = [4.0 + 0j, *tail]
+    got = ComplexSeries(a).reciprocal(degree).coeffs
+    want = np.array(tuple_reciprocal(a, degree))
+    assert got.shape == (degree + 1,)
+    assert np.abs(got - want).max() <= 4 * EPS * l1(a)
+
+
+def test_coefficients_are_a_read_only_copy():
+    source = np.array([1.0, 2.0, 3.0], dtype=complex)
+    s = ComplexSeries(source)
+    assert s.coeffs.dtype == np.complex128 and s.coeffs.ndim == 1
+    with pytest.raises(ValueError):
+        s.coeffs[0] = 5.0
+    source[0] = 5.0
+    assert s.coeffs.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros(0), np.zeros((2, 3)), [[1.0], [2.0]], 1.0])
+def test_only_nonempty_1d_coefficients(coeffs):
+    with pytest.raises(DomainError):
+        ComplexSeries(coeffs)
+
+
+def test_horner_equals_the_scalar_path():
+    g, h = random_series(3, 64, zero_constant=False), random_series(4, 20)
+    rng = np.random.default_rng(5)
+    z = (rng.uniform(0, 1, (3, 7)) * np.exp(2j * np.pi * rng.uniform(0, 1, (3, 7))))
+    rows = horner(stacked([g, h]), z)
+    assert rows.shape == (2, 3, 7) and rows.dtype == np.complex128
+    for s, row in zip((g, h), rows):
+        assert (s(z) == row).all()  # zero padding changes no bit
+        scalar = np.array([[s(complex(w)) for w in line] for line in z])
+        # both within Horner's gamma_2n sum |c_j| |z|^j of the exact value
+        bound = 4 * s.coeffs.size * EPS * np.polyval(np.abs(s.coeffs[::-1]), np.abs(z))
+        assert (np.abs(row - scalar) <= bound).all()
+
+
+def test_horner_keeps_clongdouble_precision():
+    z = np.array([2.0 ** -60, -(2.0 ** -61)], dtype=np.clongdouble)
+    one_plus_z = ComplexSeries((1.0, 1.0)).coeffs
+    got = horner(one_plus_z, z)
+    assert got.dtype == np.clongdouble
+    if np.finfo(np.longdouble).eps <= 2.0 ** -61:  # wider than a double
+        assert (got - 1 == z).all()
+    assert (horner(one_plus_z, z.astype(complex)) == 1.0).all()
+
+
+def test_stacked_pads_rows_to_one_length():
+    rows = stacked([ComplexSeries((1.0, 2.0)), ComplexSeries.zero(), ComplexSeries((0, 0, 3j))])
+    assert rows.tolist() == [[1, 2, 0], [0, 0, 0], [0, 0, 3j]]

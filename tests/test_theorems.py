@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from hqz import functionals, theorems
 from hqz import (AffineBallMap, ComplexSeries, FuzzSummary, HqzError,
                  HypothesisViolation, PlanarHarmonicMap, fuzz_search,
-                 map_from_json, map_to_json, phi_of_m, random_qr_map, v_norm,
+                 map_from_json, map_to_json, phi_of_m, random_qr_map, strip_example, v_norm,
                  verify_T1, verify_T2, verify_T2_strip, verify_T3_affine)
 from hqz.theorems import CORPUS_DILATATION_GRID
 
@@ -74,6 +75,20 @@ class TestVerifyT2Strip:
         values = [verify_T2_strip(n, q).lhs for n in range(1, 17)]
         assert all(b > a for a, b in zip(values[:-1], values[1:]))
         assert all(v < 1.0 for v in values)
+
+    def test_unit_circle_mean_taken_once(self, q, monkeypatch):
+        radii, real = [], functionals.circle_mean_p
+
+        def spy(m, r, p, spec):
+            radii.append(r)
+            return real(m, r, p, spec)
+
+        monkeypatch.setattr(functionals, "circle_mean_p", spy)
+        monkeypatch.setattr(theorems, "circle_mean_p", spy)
+        rep = verify_T2_strip(5, q)
+        assert radii.count(1.0) == 1
+        top = real(strip_example(5), 1.0, 1.0, q)
+        assert (rep.lhs, rep.quad_error) == (top.value, top.est_error)
 
 
 class TestVerifyT1:
