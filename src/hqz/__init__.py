@@ -8,8 +8,8 @@ identities, and verifies the sharp and non-sharp Zygmund-type bounds with
 explicit margins.
 """
 
-from .ball import (AffineBallMap, AxialIntegrand, C_n, RatioRow, X_of, Y_of,
-                   axial_mean, ball_green_calibration, ball_green_identity_n3,
+from .ball import (AffineBallMap, C_n, RatioRow, X_of, Y_of, axial_mean,
+                   ball_green_calibration, ball_green_identity_n3,
                    laplacian_abs_affine, phi_of_m, ratio_limit_scan,
                    ulogplus_mean)
 from .errors import (ConfigError, DegenerateDerivative, DomainError,
@@ -17,16 +17,15 @@ from .errors import (ConfigError, DegenerateDerivative, DomainError,
                      MonotonicityViolation, NoConvergence, NonpositiveRealPart,
                      TruncationOverflow, VanishingModulus)
 from .functionals import (MeanReport, calderon_norms, calderon_ratio_estimate,
-                          calderon_square, circle_mean_p, entropy_u,
+                          calderon_square, circle_mean_p, entropy_u_report,
                           hardy_norm_estimate, poisson_extend_circle,
-                          poisson_kernel, v_norm, zygmund_plus)
-from .gamma import gamma, log_gamma
-from .laplacian import (LaplacianAuditResult, LaplacianSample, PhiAnalysis,
-                        audit_laplacians, disk_green_identity, fd_laplacian,
-                        laplacian_abs_f, laplacian_samples, laplacian_ulogu,
-                        laplacian_ratio_sup, phi_analysis, phi_scan_argmax)
+                          poisson_kernel, zygmund_plus)
+from .gamma import log_gamma
+from .laplacian import (LaplacianAuditResult, audit_laplacians,
+                        disk_green_identity, laplacian_abs_f, laplacian_ulogu,
+                        laplacian_ratio_sup, phi_scan_argmax)
 from .planar import (DilatationReport, PlanarHarmonicMap, dilatation_sup,
-                     disk_grid, eval_map, jacobian, make_qr_map, map_from_json,
+                     disk_grid, jacobian, make_qr_map, map_from_json,
                      map_to_json, random_qr_map, strip_example)
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, random_series
@@ -34,24 +33,21 @@ from .theorems import (FuzzSummary, TheoremReport, fuzz_search, verify_T1,
                        verify_T2, verify_T2_strip, verify_T3_affine)
 
 __all__ = [
-    "AffineBallMap", "AxialIntegrand", "C_n", "ComplexSeries", "ConfigError",
-    "DEGREE_CAP", "DegenerateDerivative", "DilatationReport", "DomainError",
-    "EmptyCorpus", "FuzzSummary", "HqzError", "HypothesisViolation",
-    "KernelBlowup", "LaplacianAuditResult", "LaplacianSample", "MeanReport",
-    "MonotonicityViolation", "NoConvergence", "NonpositiveRealPart",
-    "PhiAnalysis", "PlanarHarmonicMap", "QuadratureSpec", "RatioRow",
-    "TheoremReport", "TruncationOverflow", "VanishingModulus", "X_of", "Y_of",
-    "audit_laplacians", "axial_mean", "ball_green_calibration",
-    "ball_green_identity_n3", "calderon_norms", "calderon_ratio_estimate",
-    "calderon_square", "circle_mean_p", "dilatation_sup",
-    "disk_green_identity", "disk_grid", "entropy_u", "eval_map",
-    "fd_laplacian", "fuzz_search", "gamma",
-    "hardy_norm_estimate", "jacobian", "laplacian_abs_affine",
-    "laplacian_abs_f", "laplacian_samples", "laplacian_ulogu",
-    "laplacian_ratio_sup", "log_gamma", "make_qr_map", "map_from_json",
-    "map_to_json", "phi_analysis", "phi_of_m", "phi_scan_argmax",
-    "poisson_extend_circle", "poisson_kernel", "random_qr_map",
-    "random_series", "ratio_limit_scan", "strip_example", "ulogplus_mean",
-    "v_norm", "verify_T1", "verify_T2", "verify_T2_strip", "verify_T3_affine",
-    "zygmund_plus",
+    "AffineBallMap", "C_n", "ComplexSeries", "ConfigError", "DEGREE_CAP",
+    "DegenerateDerivative", "DilatationReport", "DomainError", "EmptyCorpus",
+    "FuzzSummary", "HqzError", "HypothesisViolation", "KernelBlowup",
+    "LaplacianAuditResult", "MeanReport", "MonotonicityViolation",
+    "NoConvergence", "NonpositiveRealPart", "PlanarHarmonicMap",
+    "QuadratureSpec", "RatioRow", "TheoremReport", "TruncationOverflow",
+    "VanishingModulus", "X_of", "Y_of", "audit_laplacians", "axial_mean",
+    "ball_green_calibration", "ball_green_identity_n3", "calderon_norms",
+    "calderon_ratio_estimate", "calderon_square", "circle_mean_p",
+    "dilatation_sup", "disk_green_identity", "disk_grid", "entropy_u_report",
+    "fuzz_search", "hardy_norm_estimate", "jacobian", "laplacian_abs_affine",
+    "laplacian_abs_f", "laplacian_ulogu", "laplacian_ratio_sup", "log_gamma",
+    "make_qr_map", "map_from_json", "map_to_json", "phi_of_m",
+    "phi_scan_argmax", "poisson_extend_circle", "poisson_kernel",
+    "random_qr_map", "random_series", "ratio_limit_scan", "strip_example",
+    "ulogplus_mean", "verify_T1", "verify_T2", "verify_T2_strip",
+    "verify_T3_affine", "zygmund_plus",
 ]

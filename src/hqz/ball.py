@@ -59,17 +59,6 @@ class AffineBallMap:
         return out
 
 
-@dataclass(frozen=True)
-class AxialIntegrand:
-    """A sphere integrand depending only on the angle to e1."""
-
-    n: int
-    profile: Callable[[np.ndarray], np.ndarray]
-
-    def mean(self, q: QuadratureSpec) -> float:
-        return axial_mean(self.n, self.profile, q)
-
-
 def C_n(n: int) -> float:
     """Normalization Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) of the axial weight."""
     if n < 2:
@@ -77,20 +66,12 @@ def C_n(n: int) -> float:
     return math.exp(log_gamma(0.5 * n) - log_gamma(0.5 * (n - 1))) / _SQRT_PI
 
 
-def _profile_values(profile, t: np.ndarray) -> np.ndarray:
-    vals = profile(t)
-    arr = np.asarray(vals, dtype=float)
-    if arr.shape != t.shape:
-        arr = np.asarray([float(profile(float(ti))) for ti in t])
-    return arr
-
-
 def _axial_level(n: int, profile, nodes: int, pieces: tuple[float, ...]) -> float:
     cn = C_n(n)
     total = []
     for a, b in zip(pieces[:-1], pieces[1:]):
         t, w = gauss_legendre(nodes, a, b)
-        vals = _profile_values(profile, t)
+        vals = np.asarray(profile(t), dtype=float)
         total.extend((w * np.sin(t) ** (n - 2) * vals).tolist())
     return cn * math.fsum(total)
 

@@ -166,8 +166,7 @@ def _jsonable(v):
     return v
 
 
-def write_rows(rows: list[dict], path: str, fmt: str) -> None:
-    header = list(rows[0].keys()) if rows else []
+def write_rows(header: list[str], rows: list[dict], path: str, fmt: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
@@ -186,6 +185,12 @@ def write_rows(rows: list[dict], path: str, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # scenario implementations: each returns (rows, passed, detail)
 # ---------------------------------------------------------------------------
+
+#: columns of the tables that --seeds=0 leaves without rows
+T1_COLUMNS = ("seed", "k", "lhs", "rhs", "margin", "quad_error", "empirical_constant")
+AUDIT_COLUMNS = ("seed", "k", "points", "skipped", "max_rel_abs_f", "max_rel_ulogu",
+                 "max_ratio", "K2_bound")
+
 
 def _default(value, fallback):
     return fallback if value is None else value
@@ -292,9 +297,9 @@ def run_verify_t1(cfg: RunConfig):
     for seed in range(min(seeds, 20)):
         m = random_qr_map(seed, k, cfg.degree)
         rep = verify_T1(m, cfg.r, c1c2, q)
-        rows.append({"seed": seed, "k": k, "lhs": rep.lhs, "rhs": rep.rhs,
-                     "margin": rep.margin, "quad_error": rep.quad_error,
-                     "empirical_constant": rep.params["empirical_constant"]})
+        rows.append(dict(zip(T1_COLUMNS, (seed, k, rep.lhs, rep.rhs, rep.margin,
+                                          rep.quad_error,
+                                          rep.params["empirical_constant"]))))
         if rep.margin < -rep.quad_error:
             ok = False
     detail = (f"c1c2 = {c1c2:.6f}; min margin = {min(r['margin'] for r in rows):.6f}"
@@ -382,11 +387,9 @@ def run_laplacian_audit(cfg: RunConfig):
         rep = dilatation_sup(m)
         ratio = laplacian_ratio_sup(m)
         bound = rep.K_hat ** 2 * (1.0 + 1e-9)
-        rows.append({"seed": seed, "k": k, "points": len(audit.rows),
-                     "skipped": audit.skipped,
-                     "max_rel_abs_f": audit.max_rel_abs_f,
-                     "max_rel_ulogu": audit.max_rel_ulogu,
-                     "max_ratio": ratio, "K2_bound": bound})
+        rows.append(dict(zip(AUDIT_COLUMNS, (seed, k, len(audit.rows), audit.skipped,
+                                             audit.max_rel_abs_f, audit.max_rel_ulogu,
+                                             ratio, bound))))
         if not (audit.max_rel_abs_f <= 1e-5 and audit.max_rel_ulogu <= 1e-5 and ratio <= bound):
             ok = False  # written so that a NaN fails
     worst = max((max(r["max_rel_abs_f"], r["max_rel_ulogu"]) for r in rows), default=0.0)
@@ -428,12 +431,16 @@ RUNNERS = {
 
 SCENARIOS = tuple(RUNNERS)
 
+#: header of a table with no rows; any other table's comes from its first row
+EMPTY_TABLE_COLUMNS = {"verify-t1": T1_COLUMNS, "laplacian-audit": AUDIT_COLUMNS}
+
 
 def run(cfg: RunConfig) -> int:
     """Execute a scenario, write its table, print one PASS/FAIL line."""
     rows, passed, detail = RUNNERS[cfg.scenario](cfg)
     path = cfg.output_path or f"{cfg.scenario}.{cfg.format}"
-    write_rows(rows, path, cfg.format)
+    header = list(rows[0]) if rows else list(EMPTY_TABLE_COLUMNS[cfg.scenario])
+    write_rows(header, rows, path, cfg.format)
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] {cfg.scenario}: {detail} -> {path}")
     return 0 if passed else 1

@@ -3,8 +3,8 @@
 Integral means M_p(r, f), the h^1 norm estimate for polynomial data, the
 two entropy-type functionals
 
-    zygmund_plus:  (1/2pi) int |u| log+ |u| dt      (log+ x = max(log x, 0))
-    entropy_u:     (1/2pi) int  u  log  u  dt       (requires u > 0)
+    zygmund_plus:     (1/2pi) int |u| log+ |u| dt      (log+ x = max(log x, 0))
+    entropy_u_report: (1/2pi) int  u  log  u  dt       (requires u > 0)
 
 with u = Re f, the Poisson extension on the disk, and the radial square
 function
@@ -48,11 +48,6 @@ class MeanReport:
     value: float
     nodes: int
     est_error: float
-
-    def as_row(self) -> dict:
-        """CSV export columns, in order."""
-        return {"r": self.r, "p": self.p, "value": self.value,
-                "nodes": self.nodes, "est_error": self.est_error}
 
 
 def _map_sampler(m: PlanarHarmonicMap, r: float, part) -> Sampler:
@@ -118,14 +113,10 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
     return value, err, nodes
 
 
-def entropy_u(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> float:
-    """(1/2pi) int u log u dt; may be negative; requires u > 0 on the circle."""
-    value, _, _ = entropy_u_report(m, r, q)
-    return value
-
-
 def entropy_u_report(m: PlanarHarmonicMap, r: float,
                      q: QuadratureSpec) -> tuple[float, float, int]:
+    """((1/2pi) int u log u dt, est_error, nodes); the mean may be negative;
+    requires u > 0 on the circle."""
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
 
@@ -150,22 +141,12 @@ def poisson_kernel(x: complex, theta: np.ndarray) -> np.ndarray:
 def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec) -> float:
     """Harmonic extension (1/2pi) int P(x, e^it) phi(t) dt of circle data.
 
-    ``boundary`` is either a callable t -> phi(t) (sampled uniformly, with
-    refinement) or a 1-D array of uniform-in-angle samples, starting at
-    angle 0 (one trapezoid sum over the given samples, with no error
-    estimate).  Points with 1 - |x| < POISSON_FLOOR raise KernelBlowup.
+    ``boundary`` is a callable t -> phi(t), sampled uniformly with
+    refinement.  Points with 1 - |x| < POISSON_FLOOR raise KernelBlowup.
     """
     x = complex(x)
     if 1.0 - abs(x) < POISSON_FLOOR:
         raise KernelBlowup(f"1 - |x| = {1.0 - abs(x):.3e} below floor {POISSON_FLOOR:.1e}")
-    if isinstance(boundary, np.ndarray) or isinstance(boundary, (list, tuple)):
-        phi = np.asarray(boundary, dtype=float)
-        n = phi.size
-        if n < 8:
-            raise DomainError("need at least 8 uniform boundary samples")
-        theta = circle_angles(n)
-        full = float(np.mean(poisson_kernel(x, theta) * phi))
-        return full
 
     def integrand(n: int, shift: bool) -> np.ndarray:
         theta = circle_angles(n, shift)
@@ -247,10 +228,3 @@ def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
         c1_lb = max(c1_lb, nh / ng)
         c2_lb = max(c2_lb, ng / nh)
     return c1_lb, c2_lb
-
-
-def v_norm(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> float:
-    """(1/2pi) int |Im f(r e^it)| dt, the conjugate-part L1 norm."""
-    value, _, _, _ = refined_circle_mean(_map_sampler(m, r, lambda f: np.abs(f.imag)),
-                                         q, context="||v||_1")
-    return value

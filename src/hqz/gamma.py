@@ -39,7 +39,3 @@ def log_gamma(x: float) -> float:
         acc += _LANCZOS_COEFFS[i] / (x + i)
     t = x + _LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (x + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma(x: float) -> float:
-    return math.exp(log_gamma(x))

@@ -18,8 +18,8 @@ The disk representation used downstream is
 valid when |f| is smooth on the closed disk of radius r (no zeros).
 
 The scalar analysis Phi(xi) = xi - lam * xi * log(xi) peaks at
-xi = exp(-1 + 1/lam) with maximum lam * exp(-1 + 1/lam); a scan oracle
-confirms the closed form.
+xi = exp(-1 + 1/lam) with maximum lam * exp(-1 + 1/lam); ``phi_scan_argmax``
+finds the peak by a grid scan, independently of that closed form.
 
 The finite-difference audit checks both closed forms against a 5-point
 stencil: a vectorized 80-bit pass at every point, then stdlib ``decimal``
@@ -29,7 +29,6 @@ at the few points where float rounding divided by h^2 hides the answer.
 from __future__ import annotations
 
 import decimal
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -59,27 +58,6 @@ STENCIL_DIGITS = 40
 #: relative deviation up to which the 80-bit stencil certifies a point;
 #: points above it are re-differenced in ``decimal``
 CERTIFY_REL = 1e-6
-
-
-@dataclass(frozen=True)
-class LaplacianSample:
-    z: complex
-    lap_abs_f: float
-    lap_ulogu: float
-    ratio: float
-
-    def as_row(self) -> dict:
-        """CSV export columns for plotting grids."""
-        return {"x": self.z.real, "y": self.z.imag,
-                "lap_abs_f": self.lap_abs_f, "lap_ulogu": self.lap_ulogu,
-                "ratio": self.ratio}
-
-
-@dataclass(frozen=True)
-class PhiAnalysis:
-    lam: float
-    xi_star: float
-    phi_max: float
 
 
 def _pieces(m: PlanarHarmonicMap, z):
@@ -148,18 +126,6 @@ def laplacian_ratio_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None
     ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
                      np.where(num > 0.0, np.inf, 0.0))
     return float(ratio.max())
-
-
-def laplacian_samples(m: PlanarHarmonicMap, points: np.ndarray) -> list[LaplacianSample]:
-    """Closed-form samples for export (x, y, lap_abs_f, lap_ulogu, ratio)."""
-    out = []
-    for z in points:
-        la = laplacian_abs_f(m, z)
-        lu = laplacian_ulogu(m, z)
-        ratio = la / lu if lu > 0.0 else (0.0 if la == 0.0 else math.inf)
-        out.append(LaplacianSample(z=complex(z), lap_abs_f=la, lap_ulogu=lu,
-                                   ratio=ratio))
-    return out
 
 
 def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
@@ -236,33 +202,6 @@ def phi_scan_argmax(lam: float) -> float:
         lo = max(1e-12, best - 2 * step)
         hi = min(3.0, best + 2 * step)
     return best
-
-
-def phi_analysis(lam: float) -> PhiAnalysis:
-    """Closed-form maximizer of Phi(xi) = xi - lam xi log xi, scan-confirmed.
-
-    xi* = exp(-1 + 1/lam) and Phi(xi*) = lam * xi*.
-    """
-    if lam < 1.0:
-        raise DomainError("lambda must be >= 1")
-    xi_star = math.exp(-1.0 + 1.0 / lam)
-    phi_max = lam * xi_star
-    scanned = phi_scan_argmax(lam)
-    if abs(scanned - xi_star) > 1e-6:
-        raise ArithmeticError(
-            f"scan maximizer {scanned!r} disagrees with exp(-1 + 1/lam) = {xi_star!r}")
-    return PhiAnalysis(lam=lam, xi_star=xi_star, phi_max=phi_max)
-
-
-def fd_laplacian(fn: Callable[[float, float], float], x: float, y: float) -> float:
-    """Fourth-order 5-point-per-coordinate Laplacian stencil in float64, step 1e-4."""
-    h = 1e-4
-
-    def d2(g: Callable[[float], float], t: float) -> float:
-        return (-g(t + 2 * h) + 16 * g(t + h) - 30 * g(t)
-                + 16 * g(t - h) - g(t - 2 * h)) / (12 * h * h)
-
-    return d2(lambda t: fn(t, y), x) + d2(lambda t: fn(x, t), y)
 
 
 @dataclass(frozen=True)

@@ -83,13 +83,6 @@ class DilatationReport:
     grid: str
 
 
-def eval_map(m: PlanarHarmonicMap, z: complex) -> complex:
-    """f(z) = g(z) + conj(h(z)) for |z| <= 1."""
-    if abs(z) > 1.0 + 1e-12:
-        raise DomainError(f"evaluation point |z| = {abs(z)} outside the closed disk")
-    return complex(m.g(complex(z)) + m.h(complex(z)).conjugate())
-
-
 def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
     """z = 0, then the tensor grid of radii j/n_radii and uniform angles."""
     radii = np.arange(1, n_radii + 1) / n_radii

@@ -19,7 +19,6 @@ because they are estimated, not computed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -56,17 +55,6 @@ class TheoremReport:
     rhs: float
     margin: float
     quad_error: float
-
-    def to_json(self) -> str:
-        payload = {
-            "theorem_id": self.theorem_id,
-            "params": dict(sorted(self.params.items())),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "quad_error": self.quad_error,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

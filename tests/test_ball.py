@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hqz import (AffineBallMap, AxialIntegrand, C_n, ComplexSeries,
+from hqz import (AffineBallMap, C_n, ComplexSeries,
                  DomainError, NonpositiveRealPart, PlanarHarmonicMap,
                  VanishingModulus, X_of, Y_of, axial_mean,
                  ball_green_calibration, ball_green_identity_n3,
@@ -53,12 +53,8 @@ class TestAxialMean:
                                     abs=1e-10)
 
     def test_integrand_dataclass(self, q):
-        ai = AxialIntegrand(n=4, profile=lambda t: np.cos(t) ** 2)
-        assert ai.mean(q) == pytest.approx(0.25, abs=1e-12)  # <x1^2> = 1/n
-
-    def test_scalar_profile_accepted(self, q):
-        assert axial_mean(3, lambda t: math.cos(t) ** 2 if np.isscalar(t) else np.cos(t) ** 2,
-                          q) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        got = axial_mean(4, lambda t: np.cos(t) ** 2, q)
+        assert got == pytest.approx(0.25, abs=1e-12)  # <x1^2> = 1/n
 
 
 class TestXandY:

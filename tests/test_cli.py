@@ -110,7 +110,11 @@ class TestExitCodes:
         code, out = run_cli([scenario, "--seeds=0"], tmp_path, "e.csv")
         assert code == 0
         assert f"[PASS] {scenario}: empty corpus, vacuous PASS" in capsys.readouterr().out
-        assert out.exists()
+        # the header row alone, as the table of one seed starts
+        _, one = run_cli([scenario, "--seeds=1"], tmp_path, "one.csv")
+        header = one.read_text().splitlines()[0]
+        assert header.startswith("seed,k,")
+        assert out.read_text() == header + "\n"
 
     def test_ratio_limit_needs_dimension_two(self, tmp_path, capsys):
         # reproduce-strip accepts n = 1, the ball scenario needs n >= 2

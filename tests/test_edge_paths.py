@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
-from hqz import (ComplexSeries, DomainError, NoConvergence, PlanarHarmonicMap,
-                 QuadratureSpec, circle_mean_p, poisson_extend_circle)
+from hqz import (ComplexSeries, NoConvergence, PlanarHarmonicMap,
+                 QuadratureSpec, circle_mean_p)
 from hqz.cli import main, parse_args
 from hqz.errors import ConfigError
 
@@ -16,11 +15,6 @@ def test_circle_mean_no_convergence():
                              refinement_limit=1, abs_tol=1e-30)
     with pytest.raises(NoConvergence):
         circle_mean_p(m, 1.0, 1.0, starved)
-
-
-def test_poisson_needs_enough_samples(q):
-    with pytest.raises(DomainError):
-        poisson_extend_circle(np.ones(4), 0.2, q)
 
 
 def test_config_scenario_mismatch(tmp_path):

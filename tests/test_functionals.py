@@ -6,9 +6,9 @@ import pytest
 from hqz import (ComplexSeries, DomainError, EmptyCorpus, KernelBlowup,
                  NonpositiveRealPart, PlanarHarmonicMap,
                  QuadratureSpec, calderon_norms, calderon_ratio_estimate,
-                 calderon_square, circle_mean_p, entropy_u,
+                 calderon_square, circle_mean_p, entropy_u_report,
                  hardy_norm_estimate, poisson_extend_circle, random_qr_map,
-                 random_series, strip_example, v_norm, zygmund_plus)
+                 random_series, zygmund_plus)
 from hqz.quadrature import gauss_legendre, refined_circle_mean
 from hqz.series import circle_values
 
@@ -119,27 +119,27 @@ class TestZygmundPlus:
 
 class TestEntropy:
     def test_constant_one(self, q):
-        assert entropy_u(analytic(1.0), 1.0, q) == 0.0
+        assert entropy_u_report(analytic(1.0), 1.0, q)[0] == 0.0
 
     def test_constant_e(self, q):
-        assert entropy_u(analytic(math.e), 1.0, q) == pytest.approx(math.e, abs=1e-12)
+        assert entropy_u_report(analytic(math.e), 1.0, q)[0] == pytest.approx(math.e, abs=1e-12)
 
     def test_one_plus_half_z_closed_form(self, q):
-        val = entropy_u(analytic(1.0, 0.5), 1.0, q)
+        val = entropy_u_report(analytic(1.0, 0.5), 1.0, q)[0]
         assert val == pytest.approx(ENTROPY_1_PLUS_HALF_Z, abs=1e-10)
         # leading order b^2/4 with b = 1/2
         assert val == pytest.approx(0.0625, abs=0.003)
 
     def test_requires_positive_u(self, q):
         with pytest.raises(NonpositiveRealPart):
-            entropy_u(analytic(0.5, 1.0), 1.0, q)
+            entropy_u_report(analytic(0.5, 1.0), 1.0, q)
 
     def test_jensen_lower_bound(self, q_fast):
         # x log x convex and mean of u over the circle equals u(0)
         for seed in range(8):
             m = random_qr_map(seed, 0.3)
             u0 = float(m.u(0j))
-            assert entropy_u(m, 1.0, q_fast) >= u0 * math.log(u0) - 1e-9
+            assert entropy_u_report(m, 1.0, q_fast)[0] >= u0 * math.log(u0) - 1e-9
 
 
 class TestPoisson:
@@ -169,11 +169,6 @@ class TestPoisson:
                     want = float(part(x ** j))
                     got = poisson_extend_circle(boundary, complex(x), q)
                     assert got == pytest.approx(want, abs=1e-8)
-
-    def test_sampled_boundary_array(self, q):
-        t = 2.0 * np.pi * np.arange(4096) / 4096
-        val = poisson_extend_circle(np.cos(t), 0.4, q)
-        assert val == pytest.approx(0.4, abs=1e-10)
 
     def test_blowup_guard(self, q):
         with pytest.raises(KernelBlowup):
@@ -268,12 +263,6 @@ class TestCalderonRatio:
     def test_nonzero_constant_rejected(self, q):
         with pytest.raises(DomainError):
             calderon_ratio_estimate([ComplexSeries((1.0, 1.0))], q)
-
-
-class TestVNorm:
-    def test_analytic_strip_map(self, q):
-        m = strip_example(4)
-        assert v_norm(m, 1.0, q) <= hardy_norm_estimate(m, 1.0, q).value
 
 
 def test_frozen_m1_value(q):

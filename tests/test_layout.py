@@ -1,5 +1,6 @@
 """Module boundaries and dead code: no hqz module imports another module's
-private names, every definition in hqz is referenced by name, every
+private names, every definition in hqz is referenced by name, and by the
+program itself unless it is a named reference for the unit tests, every
 optional parameter is passed by some call, and every hqz name and keyword
 the benchmark under bench/ uses exists."""
 
@@ -209,6 +210,65 @@ def test_detects_an_unset_optional_parameter(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("used(0, c=3)\nBox().put(1, 'x')\n")
     assert unset_parameters([path], [path, caller]) == []
+
+
+#: definitions that the program never reaches, kept because unit tests check
+#: them, or other code against them: (module.name, why)
+REFERENCES = (
+    ("ball.laplacian_abs_affine", "lap|f| on the ball from the radial field; equals "
+                                  "laplacian_abs_f at n = 2"),
+    ("functionals.calderon_square", "G[H] at one point by Gauss-Legendre; pins the "
+                                    "definition that calderon_norms sums in closed form"),
+    ("laplacian.laplacian_abs_f", "pointwise closed form of lap|f|; the audit's stencils "
+                                  "are checked against it"),
+    ("laplacian.laplacian_ulogu", "pointwise closed form of lap(u log u); the audit's "
+                                  "stencils are checked against it"),
+    ("planar.jacobian", "|g'|^2 - |h'|^2; shows that random_qr_map is sense-preserving"),
+    ("planar.map_from_json", "reads the witness column that fuzz_search writes with "
+                             "map_to_json"),
+)
+
+
+def traffic(repo: Path) -> list[Path]:
+    """The program: hqz and its CLI scenarios, the benchmark under bench/,
+    and the acceptance suite."""
+    return (sorted((repo / "src" / "hqz").glob("*.py")) + sorted((repo / "bench").glob("*.py"))
+            + [repo / "tests" / "test_acceptance.py"])
+
+
+def dotted(hit: str) -> str:
+    """'ball.py:204: laplacian_abs_affine' -> 'ball.laplacian_abs_affine'."""
+    where, qual = hit.split(": ")
+    return f"{where.split('.py:')[0]}.{qual}"
+
+
+def test_every_definition_serves_the_program():
+    modules, everything = trees()
+    program = traffic(REPO)
+    assert modules[0] in program and (REPO / "bench" / "workloads.py") in program
+    assert sorted(dotted(hit) for hit in unreferenced(modules, program)) == [
+        name for name, _ in REFERENCES]
+    # and each reference still has a unit test that reads it
+    refs, _ = uses([path for path in everything if path not in program])
+    read = {name for _, _, name in refs}
+    assert [name for name, _ in REFERENCES if name.split(".")[-1] not in read] == []
+
+
+def test_detects_a_definition_only_unit_tests_use(tmp_path):
+    (tmp_path / "src" / "hqz").mkdir(parents=True)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "tests").mkdir()
+    probe = tmp_path / "src" / "hqz" / "probe.py"
+    probe.write_text("def accepted():\n    pass\n\n\n"
+                     "def benched():\n    pass\n\n\n"
+                     "def unit_only():\n    pass\n")
+    (tmp_path / "tests" / "test_acceptance.py").write_text("from hqz.probe import accepted\n"
+                                                           "accepted()\n")
+    (tmp_path / "bench" / "run.py").write_text("from hqz import probe\nprobe.benched()\n")
+    (tmp_path / "tests" / "test_probe.py").write_text("from hqz.probe import unit_only\n"
+                                                      "unit_only()\n")
+    assert unreferenced([probe], traffic(tmp_path)) == ["probe.py:9: unit_only"]
+    assert unreferenced([probe], traffic(tmp_path) + [tmp_path / "tests" / "test_probe.py"]) == []
 
 
 def bench_contract(paths: list[Path]) -> list[str]:

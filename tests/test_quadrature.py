@@ -10,7 +10,7 @@ import pytest
 from hqz import (AffineBallMap, C_n, ComplexSeries, NoConvergence,
                  NonpositiveRealPart, PlanarHarmonicMap, QuadratureSpec,
                  axial_mean, ball_green_calibration, ball_green_identity_n3,
-                 calderon_norms, circle_mean_p, entropy_u, random_qr_map,
+                 calderon_norms, circle_mean_p, random_qr_map,
                  random_series, ulogplus_mean)
 from hqz.ball import _ball3_volume_weighted
 from hqz.functionals import entropy_u_report, zygmund_plus_report
@@ -113,7 +113,7 @@ def test_entropy_rejects_nonpositive_u_at_odd_node_only():
     m = PlanarHarmonicMap(g=g, h=ComplexSeries.zero())
     q = QuadratureSpec(circle_nodes=8, refinement_limit=4)
     with pytest.raises(NonpositiveRealPart):
-        entropy_u(m, 1.0, q)
+        entropy_u_report(m, 1.0, q)
 
 
 def test_refine_doubles_from_n0_and_reports_the_last_change():

@@ -20,19 +20,19 @@ def test_horner_identity_map():
     assert s(0.25 + 0.5j) == 0.25 + 0.5j
 
 
-def test_horner_matches_direct_sum():
-    s = ComplexSeries((1.0, -2.0j, 0.5, 3.0))
-    z = 0.3 - 0.2j
-    direct = sum(c * z ** j for j, c in enumerate(s.coeffs))
-    assert abs(s(z) - direct) < 1e-14
-
-
 def test_vectorized_eval_matches_scalar():
     s = ComplexSeries((1.0, 2.0j, -0.5))
     zs = np.array([0.1, 0.5j, -0.3 + 0.4j])
     vec = s(zs)
     for z, v in zip(zs, vec):
         assert abs(s(complex(z)) - v) == 0.0
+
+
+def test_horner_matches_direct_sum():
+    s = ComplexSeries((1.0, -2.0j, 0.5, 3.0))
+    z = 0.3 - 0.2j
+    direct = sum(c * z ** j for j, c in enumerate(s.coeffs))
+    assert abs(s(z) - direct) < 1e-14
 
 
 def test_derivative_degree_drops():
@@ -231,17 +231,19 @@ def test_only_nonempty_1d_coefficients(coeffs):
 
 
 def test_horner_equals_the_scalar_path():
-    g, h = random_series(3, 64, zero_constant=False), random_series(4, 20)
     rng = np.random.default_rng(5)
-    z = (rng.uniform(0, 1, (3, 7)) * np.exp(2j * np.pi * rng.uniform(0, 1, (3, 7))))
-    rows = horner(stacked([g, h]), z)
-    assert rows.shape == (2, 3, 7) and rows.dtype == np.complex128
-    for s, row in zip((g, h), rows):
-        assert (s(z) == row).all()  # zero padding changes no bit
-        scalar = np.array([[s(complex(w)) for w in line] for line in z])
-        # both within Horner's gamma_2n sum |c_j| |z|^j of the exact value
-        bound = 4 * s.coeffs.size * EPS * np.polyval(np.abs(s.coeffs[::-1]), np.abs(z))
-        assert (np.abs(row - scalar) <= bound).all()
+    disk = (rng.uniform(0, 1, (3, 7)) * np.exp(2j * np.pi * rng.uniform(0, 1, (3, 7))))
+    cases = [([random_series(3, 64, zero_constant=False), random_series(4, 20)], disk),
+             ([ComplexSeries((1.0, 2.0j, -0.5))], np.array([0.1, 0.5j, -0.3 + 0.4j]))]
+    for series, z in cases:
+        rows = horner(stacked(series), z)
+        assert rows.shape == (len(series), *z.shape) and rows.dtype == np.complex128
+        for s, row in zip(series, rows):
+            assert (s(z) == row).all()  # zero padding changes no bit
+            scalar = np.array([s(complex(w)) for w in z.ravel()]).reshape(z.shape)
+            # both within Horner's gamma_2n sum |c_j| |z|^j of the exact value
+            bound = 4 * s.coeffs.size * EPS * np.polyval(np.abs(s.coeffs[::-1]), np.abs(z))
+            assert (np.abs(row - scalar) <= bound).all()
 
 
 def test_horner_keeps_clongdouble_precision():
