@@ -12,10 +12,10 @@ from .ball import (AffineBallMap, C_n, RatioRow, X_of, Y_of, axial_mean,
                    ball_green_calibration, ball_green_identity_n3,
                    laplacian_abs_affine, phi_of_m, ratio_limit_scan,
                    ulogplus_mean)
-from .errors import (ConfigError, DegenerateDerivative, DomainError,
-                     EmptyCorpus, HqzError, HypothesisViolation, KernelBlowup,
-                     MonotonicityViolation, NoConvergence, NonpositiveRealPart,
-                     TruncationOverflow, VanishingModulus)
+from .errors import (ConfigError, DomainError, EmptyCorpus, HqzError,
+                     HypothesisViolation, KernelBlowup, MonotonicityViolation,
+                     NoConvergence, NonpositiveRealPart, TruncationOverflow,
+                     VanishingModulus)
 from .functionals import (MeanReport, calderon_norms, calderon_ratio_estimate,
                           calderon_square, circle_mean_p, entropy_u_report,
                           hardy_norm_estimate, poisson_extend_circle,
@@ -25,8 +25,8 @@ from .laplacian import (LaplacianAuditResult, audit_laplacians,
                         disk_green_identity, laplacian_abs_f, laplacian_ulogu,
                         laplacian_ratio_sup, phi_scan_argmax)
 from .planar import (DilatationReport, PlanarHarmonicMap, dilatation_sup,
-                     disk_grid, jacobian, make_qr_map, map_from_json,
-                     map_to_json, random_qr_map, strip_example)
+                     jacobian, make_qr_map, map_from_json, map_to_json,
+                     random_qr_map, strip_example)
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (FuzzSummary, TheoremReport, fuzz_search, verify_T1,
@@ -34,15 +34,15 @@ from .theorems import (FuzzSummary, TheoremReport, fuzz_search, verify_T1,
 
 __all__ = [
     "AffineBallMap", "C_n", "ComplexSeries", "ConfigError", "DEGREE_CAP",
-    "DegenerateDerivative", "DilatationReport", "DomainError", "EmptyCorpus",
-    "FuzzSummary", "HqzError", "HypothesisViolation", "KernelBlowup",
+    "DilatationReport", "DomainError", "EmptyCorpus", "FuzzSummary",
+    "HqzError", "HypothesisViolation", "KernelBlowup",
     "LaplacianAuditResult", "MeanReport", "MonotonicityViolation",
     "NoConvergence", "NonpositiveRealPart", "PlanarHarmonicMap",
     "QuadratureSpec", "RatioRow", "TheoremReport", "TruncationOverflow",
     "VanishingModulus", "X_of", "Y_of", "audit_laplacians", "axial_mean",
     "ball_green_calibration", "ball_green_identity_n3", "calderon_norms",
     "calderon_ratio_estimate", "calderon_square", "circle_mean_p",
-    "dilatation_sup", "disk_green_identity", "disk_grid", "entropy_u_report",
+    "dilatation_sup", "disk_green_identity", "entropy_u_report",
     "fuzz_search", "hardy_norm_estimate", "jacobian", "laplacian_abs_affine",
     "laplacian_abs_f", "laplacian_ulogu", "laplacian_ratio_sup", "log_gamma",
     "make_qr_map", "map_from_json", "map_to_json", "phi_of_m",

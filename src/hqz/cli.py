@@ -139,7 +139,8 @@ def parse_args(argv: list[str]) -> RunConfig:
                              ("n", lambda v: v >= 1, "at least 1"),
                              ("k", lambda v: 0 <= v < 1, "in [0, 1)"),
                              ("r", lambda v: 0 < v <= 1, "in (0, 1]"),
-                             ("degree", lambda v: 1 <= v <= DEGREE_CAP, f"in [1, {DEGREE_CAP}]"),
+                             ("degree", lambda v: 1 <= v < DEGREE_CAP,
+                              f"in [1, {DEGREE_CAP - 1}], below the degree cap {DEGREE_CAP}"),
                              ("c1c2", lambda v: v > 0, "positive")):
         if key in merged and not valid(merged[key]):
             raise ConfigError(f"{key} must be {want}, got {merged[key]!r}")

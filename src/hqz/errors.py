@@ -16,12 +16,6 @@ class DomainError(HqzError, ValueError):
     """Input outside the operation's stated domain (e.g. m <= 1, p < 1)."""
 
 
-class DegenerateDerivative(HqzError):
-    """min |g'| on the sample grid fell below the floor; the dilatation
-    ratio |h'/g'| is unreliable and the map cannot be certified
-    sense-preserving there."""
-
-
 class TruncationOverflow(HqzError):
     """A series construction asked for a truncation degree above the cap."""
 

@@ -105,9 +105,9 @@ def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
 def laplacian_ratio_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> float:
     """max over the disk grid of lap|f| / lap(u log u).
 
-    The grid is that of ``disk_grid(radial_nodes, circle_nodes)``: z = 0
-    and the circles of radius j / radial_nodes at circle_nodes uniform
-    angles, where f, g' and h' come from one ``circle_values`` call each.
+    The grid is z = 0 and the circles of radius j / radial_nodes at
+    circle_nodes uniform angles, where f, g' and h' come from one
+    ``circle_values`` call each.
     Both Laplacians vanish together only where g' = h' = 0; those 0/0
     points (e.g. constant maps) contribute 0 by convention.  Requires
     u > 0 and |f| > TAU_F on the whole grid.

@@ -1,57 +1,64 @@
-"""Planar harmonic maps f = g + conj(h) with controlled dilatation.
+"""Planar harmonic maps f = g + conj(h) with certified dilatation.
 
 A sense-preserving harmonic map of the unit disk splits as f = g + conj(h)
 with g, h holomorphic and h(0) = 0; it is k-quasiregular exactly when
-|h'| <= k |g'| with k = (K-1)/(K+1).  Everything here works on truncated
-power series, so construction and differentiation are exact and the only
-numerics live in ``dilatation_sups``: for a batch of maps it locates each
-largest |h'/g'| on a tensor grid of FFT circle values and polishes all of
-them together by a local search on separable r^j e^(ijt) power tables.
+|h'| <= k |g'| with k = (K-1)/(K+1).  Its dilatation omega = h'/g' is
+holomorphic (Duren, Harmonic Mappings in the Plane, 2004), so a map built
+as g' = P, h' = omega P has sup over the disk of |h'/g'| equal to the
+maximum of |omega| on the unit circle, zeros of g' included (they are
+removable).  Everything here works on truncated power series, so
+construction and differentiation are exact up to rounding, and the only
+numerics live in ``dilatation_sup``: one FFT of omega on the circle and a
+Newton polish give the lower bound k_lower, and the sampled maximum times
+the Ehlich-Zeller factor the upper bound k_upper.
 
-``make_qr_map`` engineers a map with prescribed g + h = F (hence
-Re f = Re F and Im f(0) = Im F(0)) and h' the truncation of omega g',
-which is how the fuzz corpus realizes positive real part and a dilatation
-near |omega| wherever g' is not small.
+``make_qr_map`` builds such a map with g + h close to a prescribed F, which
+is how the fuzz corpus realizes positive real part and a dilatation of
+exactly max |omega|.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateDerivative, DomainError, HypothesisViolation,
-                     TruncationOverflow)
+from .errors import DomainError, HypothesisViolation, TruncationOverflow
 from .quadrature import QuadratureSpec
-from .series import DEGREE_CAP, ComplexSeries, circle_values, stacked
+from .series import DEGREE_CAP, ComplexSeries, circle_values
 
-#: floor distinguishing genuine critical points of g from rounding
-TAU_G = 1e-9
+#: Newton steps that polish each candidate maximum of |omega| on the circle:
+#: from within half a node step, two reach rounding level
+_NEWTON_STEPS = 2
 
-#: node offsets of the 9 x 9 polish patch, in units of its half-widths
-_PATCH = np.linspace(-1.0, 1.0, 9)
-
-#: default grid/refinement policy for sup-norm scans over the disk; the
-#: polish step carries the accuracy, so levels converge after one doubling
-SUP_GRID_SPEC = QuadratureSpec(circle_nodes=512, radial_nodes=64,
-                               refinement_limit=4, abs_tol=1e-9)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class PlanarHarmonicMap:
-    """Pair (g, h) encoding f = g + conj(h), plus the claimed dilatation bound."""
+    """Pair (g, h) encoding f = g + conj(h), the claimed dilatation bound and,
+    when known, the dilatation omega = h'/g' as a polynomial."""
 
     g: ComplexSeries
     h: ComplexSeries
     k_declared: float = 0.0
+    omega: ComplexSeries | None = None
 
     def __post_init__(self) -> None:
         if self.h.coeffs[0] != 0:
             raise DomainError("h(0) must vanish in the decomposition f = g + conj(h)")
         if not 0.0 <= self.k_declared < 1.0:
             raise DomainError("k_declared must lie in [0, 1)")
+        if self.omega is not None:
+            hp, tol = self.h_prime.coeffs, self._h_prime_tolerance
+            miss = np.convolve(self.omega.coeffs, self.g_prime.coeffs)  # as long as tol
+            miss[: hp.size] -= hp[: miss.size]
+            if (np.abs(miss) > tol).any() or hp[miss.size:].any():
+                raise DomainError("h' differs from omega g' beyond rounding: omega is not h'/g'")
 
     @cached_property
     def g_prime(self) -> ComplexSeries:
@@ -60,6 +67,30 @@ class PlanarHarmonicMap:
     @cached_property
     def h_prime(self) -> ComplexSeries:
         return self.h.derivative()
+
+    @cached_property
+    def _h_prime_tolerance(self) -> np.ndarray:
+        """Rounding bound of each coefficient of omega g': a sum of at most n
+        complex products, within 2 (n + 4) eps (|omega| * |g'|)_j (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+        section 3.1, with room for the complex products and the termwise
+        calculus that stores h' as h)."""
+        a, b = np.abs(self.omega.coeffs), np.abs(self.g_prime.coeffs)
+        return 2.0 * (min(a.size, b.size) + 4) * _EPS * np.convolve(a, b)
+
+    @cached_property
+    def h_rounding(self) -> float:
+        """Bound on sup over the closed disk of |h - int omega g'|, so of |f - f*|
+        for the exact map f* with dilatation omega; 0 without omega.
+
+        The stored h' is within the tolerance of the float omega g', which is
+        within it of the exact product, and integration divides coefficient
+        j of h' by j + 1.
+        """
+        if self.omega is None:
+            return 0.0
+        tol = self._h_prime_tolerance
+        return float((2.0 * tol / np.arange(1, tol.size + 1)).sum())
 
     def __call__(self, z):
         return self.g(z) + np.conjugate(self.h(z))
@@ -78,185 +109,92 @@ class PlanarHarmonicMap:
 
 @dataclass(frozen=True)
 class DilatationReport:
+    """k_hat <= sup |h'/g'| <= k_upper over the disk, K_hat = (1 + k_hat) / (1 - k_hat),
+    from ``nodes`` circle samples of omega (0 where k = 0 is exact)."""
+
     k_hat: float
     K_hat: float
-    grid: str
+    k_upper: float
+    nodes: int
 
 
-def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
-    """z = 0, then the tensor grid of radii j/n_radii and uniform angles."""
-    radii = np.arange(1, n_radii + 1) / n_radii
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    return np.concatenate(([0j], np.outer(radii, np.exp(1j * angles)).ravel()))
+def _omega_bounds(omega: ComplexSeries, floor: int = 0) -> tuple[float, float, int]:
+    """(k_lower, k_upper, N) bracketing max over |z| = 1 of |omega|.
 
-
-def _derivative_coeffs(maps: list[PlanarHarmonicMap]) -> np.ndarray:
-    """(maps x 2 x n) coefficients of each map's g' and h', zero-padded to one n."""
-    rows = stacked([s for m in maps for s in (m.g_prime, m.h_prime)])
-    return rows.reshape(len(maps), 2, rows.shape[-1])
-
-
-def _power_table(z: np.ndarray, n: int) -> np.ndarray:
-    """(n x len(z)) table of z^j, j < n, by doubling.
-
-    Rows [k, 2k) are rows [0, k) times z^k, with z^k from repeated
-    squaring, so z^j is the product of the powers z^(2^p) in the binary
-    expansion of j, and the table times a coefficient matrix stays within
-    Horner's gamma_2n * sum |c_j| |z|^j error bound (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 2002, section 5.1).
+    One ``circle_values`` call samples omega at N = 64 * 2^ceil(log2 d)
+    uniform angles (at least ``floor``), d = deg omega.  Every sample that
+    is a local maximum and could lie under the maximum is polished by
+    Newton steps on |omega(e^(it))|^2, and k_lower is the largest |omega|
+    reached.  e^(-idt/2) omega(e^(it)) has frequencies in [-d/2, d/2], so
+    at distance s from the maximum M, |omega| >= M cos(d s / 2) (Ehlich &
+    Zeller 1964), and a node lies within pi / N of it: k_upper is the
+    smaller of the l1 norm and the node maximum times sec(pi d / 2N), each
+    rounded up by its evaluation's rounding bound.
     """
-    table = np.empty((n, z.size), dtype=complex)
-    table[0] = 1.0
-    zk = z
-    k = 1
-    while k < n:
-        w = min(k, n - k)
-        np.multiply(table[:w], zk, out=table[k: k + w])
-        zk = zk * zk
-        k *= 2
-    return table
-
-
-def _patch_values(coeffs: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """|g'| and |h'| of map i on its patch radii[i] x angles[i], shape
-    (maps, 2, radii, angles).  z^j = r^j e^(ijt) is separable, so one
-    ``_power_table`` of every map's radii and e^(it) serves the batch."""
-    (count, n_r), n = radii.shape, coeffs.shape[-1]
-    table = _power_table(np.concatenate((radii, np.exp(1j * angles)), axis=1).ravel(), n)
-    table = table.reshape(n, count, n_r + angles.shape[1])
-    rows = table[:, :, :n_r].transpose(1, 2, 0)
-    cols = table[:, :, n_r:].transpose(1, 0, 2)
-    return np.abs((coeffs[:, :, None, :] * rows[:, None]) @ cols[:, None])
-
-
-def _grid_starts(m: PlanarHarmonicMap, n_radii: int, n_angles: int, search: bool,
-                 strides: tuple[int, ...]) -> list[tuple[float, float, float]]:
-    """(min |g'|, radius, angle of the largest |h'/g'|) on every s-th radius and
-    angle (s in ``strides``) of the grid of radii j/n_radii and n_angles angles,
-    one FFT per derivative; the argmax is 0 without ``search`` or past TAU_G."""
-    radii = np.concatenate(([0.0], np.arange(1, n_radii + 1) / n_radii))
-    gp = np.abs(circle_values(m.g_prime, None, radii, n_angles))
-    hp = np.abs(circle_values(m.h_prime, None, radii, n_angles)) if search else None
-    starts = []
-    for s in strides:
-        g = gp[::s, ::s]
-        gmin, i, j = float(g.min()), 0, 0
-        if search and gmin > TAU_G:
-            i, j = np.unravel_index(int(np.argmax(hp[::s, ::s] / g)), g.shape)
-        starts.append((gmin, float(radii[s * i]), float(2.0 * np.pi * (s * j) / n_angles)))
-    return starts
-
-
-def _polish(coeffs: np.ndarray, r0: np.ndarray, t0: np.ndarray, dr: float,
-            dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shrinking local grid search around each map's coarse argmax.
-
-    For 12 rounds each map takes |h'/g'| on a 9 x 9 patch of radii in
-    [r0 - dr, r0 + dr] (clipped to [0, 1]) and angles in [t0 - dt, t0 + dt]
-    around its own centre and moves there if the patch maximum beats its
-    best so far (at first the centre's); the shared half-widths shrink 4x.
-    A map whose patch has min |g'| <= TAU_G leaves the batch.  Returns each
-    map's best ratio and the min |g'| that stopped it (inf if none did).
-    """
-    best, stop = np.zeros(len(r0)), np.full(len(r0), np.inf)
-    on = idx = np.arange(len(r0))
-    for rnd in range(12):
-        rs = (r0[:, None] + dr * _PATCH).clip(0.0, 1.0)
-        ts = t0[:, None] + dt * _PATCH
-        gp, hp = _patch_values(coeffs, rs, ts).transpose(1, 0, 2, 3)
-        gmin = gp.min(axis=(1, 2))
-        if gmin.min(initial=np.inf) <= TAU_G:
-            ok = gmin > TAU_G
-            stop[on[~ok]] = gmin[~ok]
-            on, coeffs, best, r0, t0, rs, ts, gp, hp = (
-                a[ok] for a in (on, coeffs, best, r0, t0, rs, ts, gp, hp))
-            idx = np.arange(len(on))
-        ratio = (hp / gp).reshape(len(on), 81)
-        if rnd == 0:
-            best = ratio[:, 40]
-        top = ratio.argmax(axis=1)
-        val = ratio[idx, top]
-        up = val > best
-        best = np.where(up, val, best)
-        r0 = np.where(up, rs[idx, top // 9], r0)
-        t0 = np.where(up, ts[idx, top % 9], t0)
-        dr, dt = dr / 4.0, dt / 4.0
-    return np.bincount(on, best, len(stop)), stop  # best scattered back, 0 if stopped
-
-
-def dilatation_sups(maps: list[PlanarHarmonicMap],
-                    grid: QuadratureSpec | None = None) -> list[DilatationReport]:
-    """Grid supremum of |h'/g'| for each map, refined until stable.
-
-    Level l takes each map's argmax on the tensor grid of radial_nodes 2^l
-    radii and circle_nodes 2^l angles, and ``_polish`` refines all maps'
-    argmaxes together.  Levels 0 and 1 read one grid, level 1's, whose
-    every other radius and angle is a node of level 0.  A map stops at the
-    first level >= 1 that moves its supremum by at most abs_tol; with h' = 0
-    the ratio is 0 everywhere and it stops there unsearched.  Each k_hat is
-    a lower bound; every evaluated |g'| must exceed TAU_G, else
-    DegenerateDerivative.  If maps fail, the first failing map's error is
-    raised, the one it raises alone.
-    """
-    spec = grid if grid is not None else SUP_GRID_SPEC
-    coeffs = _derivative_coeffs(maps)
-    search = [not m.h_prime.is_zero() for m in maps]
-    k_hat, levels = [0.0] * len(maps), [0] * len(maps)
-    degenerate: dict[int, float] = {}  # map index -> the min |g'| that stopped it
-    live = list(range(len(maps)))
-    for level in range(spec.refinement_limit + 1):
-        if not live:
-            break
-        n_r, n_t = spec.radial_nodes << level, spec.circle_nodes << level
-        if level == 0:
-            pairs = {i: _grid_starts(maps[i], 2 * n_r, 2 * n_t, search[i], (2, 1)) for i in live}
-        starts = {i: pairs[i][level] if level < 2 else
-                  _grid_starts(maps[i], n_r, n_t, search[i], (1,))[0] for i in live}
-        degenerate.update({i: s[0] for i, s in starts.items() if s[0] <= TAU_G})
-        run = [i for i in live if search[i] and i not in degenerate]
-        best, stop = _polish(coeffs[run], np.array([starts[i][1] for i in run]),
-                             np.array([starts[i][2] for i in run]), 1.0 / n_r, 2.0 * np.pi / n_t)
-        degenerate.update({i: g for i, g in zip(run, stop.tolist()) if g <= TAU_G})
-        value = dict.fromkeys(live, 0.0) | dict(zip(run, best.tolist()))
-        first = min(degenerate, default=len(maps))  # later maps no longer matter
-        moved = {i: abs(value[i] - k_hat[i]) for i in live if i < first}
-        for i in moved:
-            k_hat[i], levels[i] = max(k_hat[i], value[i]), level
-        live = [i for i, d in moved.items() if level == 0 or d > spec.abs_tol]
-    for i, k in enumerate(k_hat):
-        if i in degenerate:
-            raise DegenerateDerivative(
-                f"min |g'| = {degenerate[i]:.3e} <= {TAU_G:.1e} on the sample grid")
-        if k >= 1.0:
-            raise HypothesisViolation(
-                f"grid dilatation {k:.6f} >= 1: map is not sense-preserving QR")
-    return [DilatationReport(k_hat=k, K_hat=(1.0 + k) / (1.0 - k),
-                             grid=f"radii={spec.radial_nodes << n},"
-                                  f"angles={spec.circle_nodes << n},levels={n}")
-            for k, n in zip(k_hat, levels)]
+    w0 = omega.trimmed()
+    a, d = w0.coeffs, w0.degree
+    n = max(64 << max(d - 1, 0).bit_length(), floor)
+    vals = np.abs(circle_values(w0, None, 1.0, n))
+    l1 = float(np.abs(a).sum())
+    cos = math.cos(math.pi * d / (2 * n))
+    top = float(vals.max())
+    # FFT rounding (Higham, section 24.1) bounds every sample to this
+    fft_error = 3.0 * math.log2(n) * math.sqrt(n) * _EPS * l1
+    upper = min(l1 * (1.0 + (d + 2) * _EPS), (top + fft_error) / cos)
+    j = np.arange(d + 1)
+    w1, w2 = ComplexSeries(1j * j * a), ComplexSeries(-(j * j) * a)  # d/dt, d^2/dt^2 of w0(e^(it))
+    lower = top
+    for i in np.flatnonzero(vals >= top * cos).tolist():
+        if vals[i - 1] > vals[i] or vals[(i + 1) % n] > vals[i]:
+            continue  # not a local maximum of the samples
+        t = 2.0 * math.pi * i / n
+        for _ in range(_NEWTON_STEPS):
+            z = cmath.exp(1j * t)
+            w, dw = w0(z).conjugate(), w1(z)
+            slope, curve = (w * dw).real, abs(dw) ** 2 + (w * w2(z)).real
+            if curve < 0.0:  # Newton on d/dt |omega|^2 = 0, at most half a node step
+                t -= max(-math.pi / n, min(math.pi / n, slope / curve))
+        lower = max(lower, abs(w0(cmath.exp(1j * t))))
+    return lower, upper, n
 
 
 def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> DilatationReport:
-    """``dilatation_sups`` of the one map ``m``."""
-    return dilatation_sups([m], grid)[0]
+    """Certified bracket [k_hat, k_upper] of sup over the disk of |h'/g'|.
+
+    With omega on the map the bracket is ``_omega_bounds`` of omega, at
+    no fewer circle nodes than the spec's circle_nodes.  A map with h = 0
+    (or omega = 0) has k = 0 exactly and needs no samples.  A map with
+    h != 0 and no omega cannot be certified and raises HypothesisViolation,
+    as does a bracket that does not stay below 1.
+    """
+    if m.omega is None and not m.h.is_zero():
+        raise HypothesisViolation("h' != 0 and the map carries no omega = h'/g', so its "
+                                  "dilatation cannot be certified (build it with make_qr_map)")
+    if m.omega is None or m.omega.is_zero():
+        return DilatationReport(k_hat=0.0, K_hat=1.0, k_upper=0.0, nodes=0)
+    lower, upper, nodes = _omega_bounds(m.omega, 0 if grid is None else grid.circle_nodes)
+    if upper >= 1.0:
+        raise HypothesisViolation(
+            f"dilatation bound {upper:.6f} >= 1: map is not certified sense-preserving QR")
+    return DilatationReport(k_hat=lower, K_hat=(1.0 + lower) / (1.0 - lower),
+                            k_upper=upper, nodes=nodes)
 
 
 def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
                 truncation_degree: int = DEGREE_CAP) -> PlanarHarmonicMap:
-    """Map with g + h = F and h'/g' close to omega, as truncated series.
+    """Harmonic map with g' = P, h' = omega P and g + h = F(0) + int (1 + omega) P.
 
-    g' = F'/(1 + omega) and h' = omega g' are expanded by the reciprocal
-    recursion, truncated at degree ``truncation_degree - 1`` and integrated
-    termwise, so Re f = Re F exactly in coefficient arithmetic.  h' is the
-    truncation of omega g', not omega g' itself: |h'/g'| stays near |omega|
-    only where |g'| is large against the truncation tail.  At a zero of g'
-    inside the disk h' is in general not zero, so |h'/g'| is unbounded
-    and the Jacobian negative near it.  Fuzz-corpus maps with k > 0 all
-    have zeros of g' in the disk, most with h' != 0 there, and
-    ``dilatation_sup`` reports only what its grid and polish see.
+    P is F'/(1 + omega), expanded by the reciprocal recursion and truncated
+    at degree d_P = truncation_degree - 1 - deg omega, so that h' = omega P,
+    an exact coefficient product, stays below degree truncation_degree;
+    g = F(0) + int P and h = int h'.  The map carries omega, its
+    dilatation is max over |z| = 1 of |omega|, and g + h is F up to the
+    truncation tail of F'/(1 + omega), so Re f is Re F only up to that
+    tail.
 
-    Requires F(0) real and sup |omega| < 1 (certified via the coefficient
-    l1 norm when possible).
+    Requires F(0) real, d_P >= 0 (else TruncationOverflow) and sup |omega|
+    < 1: certified by the l1 norm of omega, or else by the k_upper of
+    ``_omega_bounds``, which then becomes k_declared.
     """
     if truncation_degree > DEGREE_CAP:
         raise TruncationOverflow(
@@ -265,21 +203,21 @@ def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
         raise DomainError("truncation_degree must be >= 1")
     if abs(F.coeffs[0].imag) > 0:
         raise DomainError("F(0) must be real so that Im f(0) = 0")
-    if omega.coeff_abs_sum() >= 1.0:
-        # l1 envelope is the cheap sufficient certificate; a genuine
-        # sup |omega| >= 1 would break sense-preservation anyway
-        sup_grid = float(np.abs(omega(disk_grid(32, 256))).max())
-        if sup_grid >= 1.0:
-            raise DomainError(f"sup |omega| >= 1 on the disk (grid value {sup_grid:.4f})")
-    Fp = F.derivative()
+    omega = omega.trimmed()
+    d_p = truncation_degree - 1 - omega.degree
+    if d_p < 0:
+        raise TruncationOverflow(f"deg omega = {omega.degree} leaves no degree for g' "
+                                 f"below {truncation_degree}")
+    k_decl = omega.coeff_abs_sum()
+    if k_decl >= 1.0:
+        k_decl = _omega_bounds(omega)[1]
+        if k_decl >= 1.0:
+            raise DomainError(f"sup |omega| may reach 1 on the circle (bound {k_decl:.4f})")
     one_plus = ComplexSeries.constant(1.0) + omega
-    recip = one_plus.reciprocal(truncation_degree - 1)
-    gp = (Fp * recip).truncated(truncation_degree - 1)
-    hp = (omega * gp).truncated(truncation_degree - 1)
-    g = ComplexSeries.constant(F.coeffs[0]) + gp.antiderivative()
-    h = hp.antiderivative()
-    k_decl = min(omega.coeff_abs_sum(), 1.0 - 1e-15)
-    return PlanarHarmonicMap(g=g, h=h, k_declared=k_decl)
+    P = (F.derivative() * one_plus.reciprocal(d_p)).truncated(d_p)
+    g = ComplexSeries.constant(F.coeffs[0]) + P.antiderivative()
+    h = (omega * P).antiderivative()
+    return PlanarHarmonicMap(g=g, h=h, k_declared=k_decl, omega=omega)
 
 
 def random_qr_map(seed: int, k: float, degree: int = 16,
@@ -287,9 +225,11 @@ def random_qr_map(seed: int, k: float, degree: int = 16,
     """Deterministic fuzz-corpus generator.
 
     Draws F = c0 + sum c_j z^j with c0 real and sum |c_j| <= c0 - margin,
-    so Re F >= margin on the closed disk by the triangle inequality, and
-    omega with coefficient l1 norm <= k, so sup |omega| <= k.  The same
-    seed reproduces the same coefficients byte for byte.
+    and omega with coefficient l1 norm <= k, so sup |omega| <= k, and
+    builds ``make_qr_map(F, omega)``.  Its g + h is F up to a truncation
+    tail, so Re f >= margin is certified again from the coefficients of
+    g + h by the triangle inequality, or DomainError.  The same seed
+    reproduces the same coefficients byte for byte.
     """
     if not 0.0 <= k < 1.0:
         raise DomainError("k must lie in [0, 1)")
@@ -312,7 +252,12 @@ def random_qr_map(seed: int, k: float, degree: int = 16,
         raw2 = raw2 * (target / np.abs(raw2).sum())
         omega = ComplexSeries(raw2)
     m = make_qr_map(F, omega, DEGREE_CAP)
-    return PlanarHarmonicMap(g=m.g, h=m.h, k_declared=k)
+    s = (m.g + m.h).coeffs
+    low = s[0].real - float(np.abs(s[1:]).sum())
+    if low < positivity_margin:
+        raise DomainError(f"Re f >= {low:.4f} by the coefficient l1 norm, "
+                          f"below the margin {positivity_margin}")
+    return PlanarHarmonicMap(g=m.g, h=m.h, k_declared=k, omega=m.omega)
 
 
 def strip_example(n: int) -> PlanarHarmonicMap:
@@ -324,20 +269,19 @@ def strip_example(n: int) -> PlanarHarmonicMap:
 
 
 def map_to_json(m: PlanarHarmonicMap) -> str:
-    """Serialize as {"g": [[re, im], ...], "h": [[re, im], ...], "k": real}."""
-    payload = {
-        "g": m.g.coeffs.view(float).reshape(-1, 2).tolist(),
-        "h": m.h.coeffs.view(float).reshape(-1, 2).tolist(),
-        "k": m.k_declared,
-    }
+    """Serialize as {"g": [[re, im], ...], "h": [[re, im], ...], "k": real},
+    plus "omega": [[re, im], ...] when the map carries omega."""
+    parts = {"g": m.g, "h": m.h} | ({} if m.omega is None else {"omega": m.omega})
+    payload = {key: s.coeffs.view(float).reshape(-1, 2).tolist() for key, s in parts.items()}
+    payload["k"] = m.k_declared
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def map_from_json(text: str) -> PlanarHarmonicMap:
     payload = json.loads(text)
-    g, h = (ComplexSeries(np.array(payload[key], dtype=float).view(complex).ravel())
-            for key in ("g", "h"))
-    return PlanarHarmonicMap(g=g, h=h, k_declared=float(payload["k"]))
+    g, h, omega = (ComplexSeries(np.array(payload[key], dtype=float).view(complex).ravel())
+                   if key in payload else None for key in ("g", "h", "omega"))
+    return PlanarHarmonicMap(g=g, h=h, k_declared=float(payload["k"]), omega=omega)
 
 
 def jacobian(m: PlanarHarmonicMap, z) -> float:

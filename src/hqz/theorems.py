@@ -24,23 +24,20 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .ball import AffineBallMap, X_of, Y_of, ulogplus_mean
-from .errors import HqzError, HypothesisViolation, NonpositiveRealPart
+from .errors import HypothesisViolation, NonpositiveRealPart
 from .functionals import (circle_mean_p, entropy_u_report, hardy_norm_estimate,
                           zygmund_plus_report)
-from .planar import (PlanarHarmonicMap, dilatation_sup, dilatation_sups,
-                     map_to_json, random_qr_map, strip_example)
+from .planar import (PlanarHarmonicMap, dilatation_sup, map_to_json,
+                     random_qr_map, strip_example)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 #: tolerance for the v(0) = 0 hypothesis; constructions satisfy it exactly
 V0_TOL = 1e-12
 
-#: corpus runs localize on this lighter grid; the polish step inside
-#: dilatation_sup still pins the supremum to machine precision
+#: the grid fuzz_search hands dilatation_sup; only its circle_nodes is read,
+#: as a floor on the certificate's nodes, which corpus maps exceed anyway
 CORPUS_DILATATION_GRID = QuadratureSpec(circle_nodes=256, radial_nodes=24,
                                         refinement_limit=3, abs_tol=1e-9)
-
-#: corpus maps per ``dilatation_sups`` batch, so memory stays flat in seeds
-_CHUNK = 16
 
 #: the classical-theorem envelope constant 2 (6 pi e + 1) appearing in the
 #: non-sharp bound
@@ -67,11 +64,25 @@ class FuzzSummary:
 
 def _resolve_K(m: PlanarHarmonicMap, K: float | None,
                dilatation_grid: QuadratureSpec | None) -> float:
+    """K as given, else K(k_upper) of the certified dilatation."""
     if K is not None:
         if K < 1.0:
             raise HypothesisViolation("K must be >= 1")
         return float(K)
-    return dilatation_sup(m, dilatation_grid).K_hat
+    k = dilatation_sup(m, dilatation_grid).k_upper
+    return (1.0 + k) / (1.0 - k)
+
+
+def _rounding_error(m: PlanarHarmonicMap, weight: float) -> float:
+    """How far lhs - weight * mean phi(u) of the stored map can sit from that
+    of the exact map with dilatation omega, for phi(x) = x log x or
+    |x| log+ |x|: f moves by at most d = m.h_rounding on the closed disk, so
+    M_1 by d and phi(u) by d (2 + 2 |log d| + log+ B) where |u| <= B."""
+    d = m.h_rounding
+    if d == 0.0:
+        return 0.0
+    B = m.g.coeff_abs_sum() + m.h.coeff_abs_sum() + d
+    return d * (1.0 + weight * (2.0 + 2.0 * abs(math.log(d)) + max(math.log(B), 0.0)))
 
 
 def verify_T2(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
@@ -79,8 +90,8 @@ def verify_T2(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
               dilatation_grid: QuadratureSpec | None = None) -> TheoremReport:
     """Sharp planar bound for positive real part and v(0) = 0.
 
-    K is measured by dilatation_sup unless supplied (constant maps have no
-    measurable dilatation, so the degenerate check passes K = 1 directly).
+    K is K(k_upper) of dilatation_sup unless supplied.  quad_error adds
+    the rounding of the stored h' to the quadrature estimates.
     """
     v0 = float(m.v(0j))
     if abs(v0) > V0_TOL:
@@ -92,7 +103,7 @@ def verify_T2(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
         raise HypothesisViolation(f"u must be positive on the circle: {exc}") from exc
     lhs_rep = circle_mean_p(m, r, 1.0, q)
     rhs = K_val ** 2 * (math.exp(-1.0 + K_val ** -2) + ent)
-    quad_error = lhs_rep.est_error + K_val ** 2 * ent_err
+    quad_error = lhs_rep.est_error + K_val ** 2 * ent_err + _rounding_error(m, K_val ** 2)
     return TheoremReport(
         theorem_id="T2",
         params={"K": K_val, "k": (K_val - 1.0) / (K_val + 1.0), "r": r,
@@ -125,7 +136,8 @@ def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec,
 
     The square-function constants enter as the caller-supplied product
     c1c2; the report also carries the hypothesis-free empirical constant
-    lhs / (1 + zygmund_plus) for comparison with corpus estimates.
+    lhs / (1 + zygmund_plus) for comparison with corpus estimates.  K and
+    quad_error are as in ``verify_T2``.
     """
     if c1c2 <= 0.0:
         raise HypothesisViolation("c1c2 must be positive")
@@ -133,7 +145,8 @@ def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec,
     zp, zp_err, _ = zygmund_plus_report(m, r, q)
     lhs_rep = circle_mean_p(m, r, 1.0, q)
     rhs = T1_ENVELOPE * c1c2 * K_val * (1.0 + zp)
-    quad_error = lhs_rep.est_error + T1_ENVELOPE * c1c2 * K_val * zp_err
+    quad_error = (lhs_rep.est_error + T1_ENVELOPE * c1c2 * K_val * zp_err
+                  + _rounding_error(m, T1_ENVELOPE * c1c2 * K_val))
     return TheoremReport(
         theorem_id="T1",
         params={"K": K_val, "r": r, "c1c2": c1c2, "zygmund_plus": zp,
@@ -177,25 +190,18 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
                 positivity_margin: float = 0.05) -> FuzzSummary:
     """Run the sharp planar verifier across the deterministic corpus.
 
-    K comes from ``dilatation_sups`` over chunks of at most _CHUNK seeds;
-    a chunk that raises goes through ``verify_T2`` map by map, so the first
-    failing seed raises its own error.  Returns the worst margin, the best
-    lhs/rhs ratio (tightness), and the serialized first map attaining that
-    ratio.  seeds = 0 yields the vacuous summary (infinite worst margin,
-    zero best ratio, empty witness).
+    One ``verify_T2`` per seed, each with its certified K; the first
+    failing seed raises.  Returns the worst margin, the best lhs/rhs ratio
+    (tightness), and the serialized first map attaining that ratio.
+    seeds = 0 yields the vacuous summary (infinite worst margin, zero best
+    ratio, empty witness).
     """
     worst, best, witness = math.inf, 0.0, None
-    for start in range(0, seeds, _CHUNK):
-        maps = [random_qr_map(seed, k, degree, positivity_margin)
-                for seed in range(start, min(seeds, start + _CHUNK))]
-        try:
-            Ks = [rep.K_hat for rep in dilatation_sups(maps, CORPUS_DILATATION_GRID)]
-        except HqzError:  # verify_T2 measures each K again and raises the first error
-            Ks = [None] * len(maps)
-        for m, K in zip(maps, Ks):
-            rep = verify_T2(m, r, q, K=K, dilatation_grid=CORPUS_DILATATION_GRID)
-            worst = min(worst, rep.margin)
-            if rep.lhs / rep.rhs > best:
-                best, witness = rep.lhs / rep.rhs, m
+    for seed in range(seeds):
+        m = random_qr_map(seed, k, degree, positivity_margin)
+        rep = verify_T2(m, r, q, dilatation_grid=CORPUS_DILATATION_GRID)
+        worst = min(worst, rep.margin)
+        if rep.lhs / rep.rhs > best:
+            best, witness = rep.lhs / rep.rhs, m
     return FuzzSummary(seeds=seeds, worst_margin=worst, best_ratio=best,
                        witness="" if witness is None else map_to_json(witness))

@@ -89,7 +89,8 @@ def test_criterion_05_T2_never_violated():
     with budget("5 (sharp planar bound on the fuzz corpus)", 60.0):
         worst = math.inf
         for seed, k, m in corpus_maps():
-            rep = verify_T2(m, 1.0, Q_CORPUS)
+            # at K(k_lower), the smallest K the certificate allows
+            rep = verify_T2(m, 1.0, Q_CORPUS, K=dilatation_sup(m, Q_CORPUS).K_hat)
             worst = min(worst, rep.margin)
             assert rep.margin >= -1e-9, f"margin {rep.margin} at seed={seed}, k={k}"
         # degenerate instance: K = 1, u == 1 sits exactly at the maximizer

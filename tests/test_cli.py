@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hqz import dilatation_sup, map_from_json, random_qr_map
 from hqz.cli import RunConfig, main, parse_args
 from hqz.errors import ConfigError
 from hqz.quadrature import QuadratureSpec
@@ -89,12 +90,19 @@ class TestExitCodes:
                                       "--seeds=-5", "--n=-1", "--n=0", "--k=-0.5",
                                       "--k=1", "--r=2", "--r=0", "--r=nan",
                                       "--degree=-1", "--degree=0", "--degree=80",
+                                      "--degree=64",
                                       "--c1c2=0"])
     def test_bad_input_exits_2(self, flag, tmp_path, capsys):
         code, out = run_cli(["fuzz", flag], tmp_path, "f.csv")
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_degree_cap_is_named(self, tmp_path, capsys):
+        # omega takes degree d, so g' needs d <= 63 to fit below the cap 64
+        code, _ = run_cli(["fuzz", "--degree=64"], tmp_path, "f.csv")
+        assert code == 2
+        assert "below the degree cap 64" in capsys.readouterr().err
 
     def test_unwritable_path_exits_3(self, capsys):
         assert main(["fuzz", "--seeds=0", "--out", "/no/such/dir/x.csv"]) == 3
@@ -157,6 +165,15 @@ class TestScenarioRuns:
         record = json.loads(lines[0])
         assert record["seeds"] == 2
         assert record["worst_margin"] >= -1e-9
+
+    def test_fuzz_at_degree_40_certifies_every_k(self, tmp_path, capsys):
+        code, out = run_cli(["fuzz", "--degree=40", "--seeds=20"], tmp_path, "f.csv")
+        assert code == 0
+        assert capsys.readouterr().out.startswith("[PASS] fuzz: ")
+        witness = map_from_json(next(csv.DictReader(out.open()))["witness"])
+        assert witness.omega.degree == 40
+        for seed in range(20):
+            assert dilatation_sup(random_qr_map(seed, 0.5, 40)).k_upper <= 0.5
 
     def test_green_audit(self, tmp_path, capsys):
         code, out = run_cli(["green-audit"], tmp_path, "g.csv")

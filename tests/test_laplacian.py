@@ -10,7 +10,7 @@ import pytest
 import hqz
 from hqz import (ComplexSeries, NonpositiveRealPart, PlanarHarmonicMap,
                  QuadratureSpec, VanishingModulus, audit_laplacians,
-                 disk_green_identity, disk_grid, laplacian_abs_f,
+                 disk_green_identity, laplacian_abs_f,
                  laplacian_ulogu, laplacian_ratio_sup, make_qr_map,
                  phi_scan_argmax, random_qr_map)
 from hqz import laplacian
@@ -143,6 +143,13 @@ class TestDecimalFallback:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
+
+
+def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
+    """z = 0, then the tensor grid of radii j/n_radii and uniform angles."""
+    radii = np.arange(1, n_radii + 1) / n_radii
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    return np.concatenate(([0j], np.outer(radii, np.exp(1j * angles)).ravel()))
 
 
 def ratio_sup_reference(m: PlanarHarmonicMap, spec: QuadratureSpec) -> float:

@@ -1,25 +1,30 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqz import (ComplexSeries, DegenerateDerivative, DomainError,
-                 HypothesisViolation, PlanarHarmonicMap, TruncationOverflow,
-                 dilatation_sup, disk_grid, jacobian, make_qr_map,
-                 map_from_json, map_to_json, random_qr_map, strip_example)
-from hqz.planar import (SUP_GRID_SPEC, TAU_G, _derivative_coeffs, _patch_values,
-                        _power_table, dilatation_sups)
+from hqz import (ComplexSeries, DomainError, HypothesisViolation,
+                 PlanarHarmonicMap, TruncationOverflow, dilatation_sup,
+                 jacobian, make_qr_map, map_from_json, map_to_json,
+                 random_qr_map, strip_example)
 from hqz.series import circle_values
 from hqz.theorems import CORPUS_DILATATION_GRID
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
+EPS = np.finfo(float).eps
+
 
 def analytic(coeffs) -> PlanarHarmonicMap:
     return PlanarHarmonicMap(g=ComplexSeries(tuple(coeffs)),
                              h=ComplexSeries.zero())
+
+
+def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
+    """z = 0, then the tensor grid of radii j/n_radii and uniform angles."""
+    radii = np.arange(1, n_radii + 1) / n_radii
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    return np.concatenate(([0j], np.outer(radii, np.exp(1j * angles)).ravel()))
 
 
 class TestEvalMap:
@@ -37,20 +42,30 @@ class TestEvalMap:
         assert m(1.0) == pytest.approx(1.0 + k / 2)
 
 
+#: dilatation_sup's own default (no floor on the nodes) and the corpus grid
+SPECS = pytest.mark.parametrize("spec", [None, CORPUS_DILATATION_GRID],
+                                ids=["sup-grid", "corpus-grid"])
+
+
 class TestDilatation:
     def test_analytic_map_has_zero_dilatation(self):
         rep = dilatation_sup(analytic((1.0, 0.5)))
         assert rep.k_hat == 0.0
         assert rep.K_hat == 1.0
+        assert (rep.k_upper, rep.nodes) == (0.0, 0)
 
     def test_constant_ratio(self):
         # h' = 0.5 g' coefficientwise
         g = ComplexSeries((1.0, 1.0, 0.25))
         h = ComplexSeries((0.0, 0.5, 0.125))
-        m = PlanarHarmonicMap(g=g, h=h, k_declared=0.5)
+        m = PlanarHarmonicMap(g=g, h=h, k_declared=0.5, omega=ComplexSeries.constant(0.5))
         rep = dilatation_sup(m)
         assert rep.k_hat == pytest.approx(0.5, abs=1e-12)
         assert rep.K_hat == pytest.approx(3.0, abs=1e-10)
+        assert rep.k_hat <= rep.k_upper <= 0.5 * (1.0 + 1e-14)
+        # the same map without its omega cannot be certified
+        with pytest.raises(HypothesisViolation, match="no omega"):
+            dilatation_sup(PlanarHarmonicMap(g=g, h=h, k_declared=0.5))
 
     def test_linear_omega_sup_on_boundary(self):
         m = make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries((0.0, 0.3)))
@@ -59,194 +74,94 @@ class TestDilatation:
         assert rep.k_hat == pytest.approx(0.3, abs=1e-10)
 
     def test_degenerate_derivative(self):
-        with pytest.raises(DegenerateDerivative):
-            dilatation_sup(analytic((1.0,)))
+        # g' = 0: with h = 0 the dilatation is 0 exactly, without a grid
+        rep = dilatation_sup(analytic((1.0,)))
+        assert (rep.k_hat, rep.K_hat, rep.k_upper, rep.nodes) == (0.0, 1.0, 0.0, 0)
+        with pytest.raises(HypothesisViolation, match="no omega"):
+            dilatation_sup(PlanarHarmonicMap(g=ComplexSeries((1.0,)),
+                                             h=ComplexSeries((0.0, 0.1))))
 
-    @pytest.mark.parametrize("spec", [SUP_GRID_SPEC, CORPUS_DILATATION_GRID],
-                             ids=["sup-grid", "corpus-grid"])
+    @SPECS
     def test_analytic_map_skips_the_search(self, spec):
-        # h' = 0: k_hat = 0 at level 1 without a polish, as the search found
-        m = analytic((1.0, 0.5))
-        rep = dilatation_sup(m, spec)
-        assert (rep.k_hat, rep.K_hat) == (0.0, 1.0)
-        assert rep.grid == horner_dilatation_sup(m, spec)[1]
-        assert rep.grid == (f"radii={2 * spec.radial_nodes},"
-                            f"angles={2 * spec.circle_nodes},levels=1")
+        # h' = 0: k = 0 exactly, with no samples at all
+        rep = dilatation_sup(analytic((1.0, 0.5)), spec)
+        assert (rep.k_hat, rep.K_hat, rep.k_upper, rep.nodes) == (0.0, 1.0, 0.0, 0)
+        corpus = random_qr_map(4, 0.0, 16)  # omega = 0
+        assert dilatation_sup(corpus, spec) == rep
 
     @pytest.mark.parametrize("h", [(0.0,), (0.0, 0.0, 0.1)], ids=["h=0", "h'=0.2z"])
     def test_critical_point_at_grid_node(self, h):
-        # g' = z vanishes at the grid node z = 0, with or without a search
-        m = PlanarHarmonicMap(g=ComplexSeries((1.0, 0.0, 0.5)), h=ComplexSeries(h))
-        for spec in (SUP_GRID_SPEC, CORPUS_DILATATION_GRID):
-            with pytest.raises(DegenerateDerivative, match="min .g'. = 0.000e"):
-                dilatation_sup(m, spec)
+        # g' = z vanishes at z = 0, where the old grid search stopped; as a
+        # zero of h'/g' = omega it is removable, and omega is certified
+        g = ComplexSeries((1.0, 0.0, 0.5))
+        omega = ComplexSeries.constant(0.2 if len(h) > 1 else 0.0)
+        m = PlanarHarmonicMap(g=g, h=ComplexSeries(h), k_declared=0.2, omega=omega)
+        for spec in (None, CORPUS_DILATATION_GRID):
+            rep = dilatation_sup(m, spec)
+            assert rep.k_hat == pytest.approx(abs(omega.coeffs[0]), abs=1e-15)
+            assert rep.k_hat <= rep.k_upper <= rep.k_hat * (1.0 + 1e-14)
+        if len(h) > 1:
+            with pytest.raises(HypothesisViolation, match="no omega"):
+                dilatation_sup(PlanarHarmonicMap(g=g, h=ComplexSeries(h)))
 
-    def test_batch_raises_the_first_failing_map(self):
-        good = random_qr_map(3, 0.3, 16)
-        critical = PlanarHarmonicMap(g=ComplexSeries((1.0, 0.0, 0.5)), h=ComplexSeries.zero())
+    def test_bound_at_one_is_refused(self):
         # g' = 1, h' = 2z: |h'/g'| reaches 2 on the circle
-        expanding = PlanarHarmonicMap(g=ComplexSeries((1.0, 1.0)),
-                                      h=ComplexSeries((0.0, 0.0, 1.0)))
-        for batch in ([good, expanding, critical], [good, critical, expanding, good]):
-            with pytest.raises(Exception) as alone:
-                dilatation_sup(batch[1])
-            with pytest.raises(type(alone.value)) as batched:
-                dilatation_sups(batch)
-            assert str(batched.value) == str(alone.value)
-        assert isinstance(alone.value, DegenerateDerivative)
-        with pytest.raises(HypothesisViolation, match="grid dilatation 2.000000 >= 1"):
-            dilatation_sup(expanding)
-
-    def test_empty_batch(self):
-        assert dilatation_sups([]) == []
-
-
-def random_disk_points(seed: int, n: int = 200) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.uniform(0.0, 1.0, n))
-    r[:4] = (0.0, 1.0, 1.0, 0.5)
-    return r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-
-
-def horner_dilatation_sup(m: PlanarHarmonicMap, spec) -> tuple[float, str]:
-    """The tensor grid and 12-round polish of dilatation_sup, with the
-    polish evaluated by Horner at linspace patches; returns (k_hat, grid)."""
-    def ratio(z):
-        gp, hp = np.abs(m.g_prime(z)), np.abs(m.h_prime(z))
-        assert gp.min() > TAU_G
-        return hp / gp
-
-    def level(nr, nt):
-        radii = np.concatenate(([0.0], np.arange(1, nr + 1) / nr))
-        gp = np.abs(circle_values(m.g_prime, None, radii, nt))
-        hp = np.abs(circle_values(m.h_prime, None, radii, nt))
-        i, j = np.unravel_index(int(np.argmax(hp / gp)), gp.shape)
-        r0, t0, dr, dt = float(radii[i]), 2.0 * np.pi * j / nt, 1.0 / nr, 2.0 * np.pi / nt
-        best = float(ratio(np.asarray([r0 * np.exp(1j * t0)]))[0])
-        for _ in range(12):
-            rs = np.clip(np.linspace(r0 - dr, r0 + dr, 9), 0.0, 1.0)
-            ts = np.linspace(t0 - dt, t0 + dt, 9)
-            vals = ratio(np.outer(rs, np.exp(1j * ts)))
-            a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if vals[a, b] > best:
-                best, r0, t0 = float(vals[a, b]), float(rs[a]), float(ts[b])
-            dr /= 4.0
-            dt /= 4.0
-        return best
-
-    n_r, n_t = spec.radial_nodes, spec.circle_nodes
-    k_hat = level(n_r, n_t)
-    levels = 0
-    for _ in range(spec.refinement_limit):
-        n_r *= 2
-        n_t *= 2
-        nxt = level(n_r, n_t)
-        levels += 1
-        moved = abs(nxt - k_hat)
-        k_hat = max(k_hat, nxt)
-        if moved <= spec.abs_tol:
-            break
-    return k_hat, f"radii={n_r},angles={n_t},levels={levels}"
-
-
-def kernel_values(m: PlanarHarmonicMap, z: np.ndarray) -> np.ndarray:
-    """g' and h' at z as one power table times the coefficient matrix."""
-    coeffs = _derivative_coeffs([m])[0]
-    return coeffs @ _power_table(z, coeffs.shape[1])
-
-
-class TestPowerTableKernel:
-    def check(self, m: PlanarHarmonicMap, seed: int) -> None:
-        z = random_disk_points(seed)
-        vals = kernel_values(m, z)
-        assert vals.shape == (2, z.size)
-        for got, s in zip(vals, (m.g_prime, m.h_prime)):
-            assert np.max(np.abs(got - s(z))) <= 1e-14 * s.coeff_abs_sum()
-
-    @pytest.mark.parametrize("k", [0.1, 0.3, 0.5])
-    def test_corpus_maps_match_horner(self, k):
-        for seed in range(10):
-            m = random_qr_map(seed, k, 16)
-            assert m.g_prime.degree == 63
-            self.check(m, seed)
-
-    def test_h_zero(self):
-        corpus = random_qr_map(4, 0.0, 16)  # h is 64 zero coefficients
-        short = PlanarHarmonicMap(g=corpus.g, h=ComplexSeries.zero())
-        for m in (corpus, short):
-            assert m.h_prime.is_zero()
-            self.check(m, 4)
-            assert np.all(kernel_values(m, random_disk_points(4))[1] == 0)
-
-    @pytest.mark.parametrize("g, h", [((1.0, 2.0 - 1j), (0.0,)),
-                                      ((1.0, 2.0), (0.0, 0.5j)),
-                                      ((3.0,), (0.0,))])
-    def test_degree_zero_derivatives(self, g, h):
-        self.check(PlanarHarmonicMap(g=ComplexSeries(g), h=ComplexSeries(h)), 9)
-
-    def test_patch_values_see_critical_point(self):
-        # g' = z vanishes at the origin; dilatation_sups rejects it there
-        m = PlanarHarmonicMap(g=ComplexSeries((0.0, 0.0, 0.5)), h=ComplexSeries.zero())
-        vals = _patch_values(_derivative_coeffs([m]), np.asarray([[0.0, 0.5]]),
-                             np.asarray([[0.0, np.pi / 2]]))
-        assert vals.tolist() == [[[[0.0, 0.0], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]]]
-        with pytest.raises(DegenerateDerivative):
+        m = PlanarHarmonicMap(g=ComplexSeries((1.0, 1.0)), h=ComplexSeries((0.0, 0.0, 1.0)),
+                              omega=ComplexSeries((0.0, 2.0)))
+        with pytest.raises(HypothesisViolation, match="bound 2.0000.* >= 1"):
             dilatation_sup(m)
 
-    def test_patch_values_match_horner(self):
-        # one batch of maps of different degrees, each on its own patch
-        maps = [random_qr_map(s, k, 16) for s, k in ((0, 0.1), (1, 0.0), (2, 0.5))]
-        maps += [PlanarHarmonicMap(g=ComplexSeries((1.0, 2.0)), h=ComplexSeries((0.0, 0.5j)))]
-        coeffs = _derivative_coeffs(maps)
-        assert coeffs.shape == (4, 2, 64)
-        assert np.all(coeffs[3, :, 1:] == 0)
-        rng = np.random.default_rng(5)
-        radii = np.sort(rng.uniform(0.0, 1.0, (4, 9)), axis=1)
-        radii[:, 0], radii[:, -1] = 0.0, 1.0
-        angles = rng.uniform(-1.0, 7.0, (4, 7))
-        vals = _patch_values(coeffs, radii, angles)
-        assert vals.shape == (4, 2, 9, 7)
-        for m, v, r, t in zip(maps, vals, radii, angles):
-            z = np.outer(r, np.exp(1j * t))
-            for got, s in zip(v, (m.g_prime, m.h_prime)):
-                assert np.max(np.abs(got - np.abs(s(z)))) <= 1e-14 * s.coeff_abs_sum()
+    def test_omega_must_match_h_prime(self):
+        g, h = ComplexSeries((1.0, 1.0, 0.25)), ComplexSeries((0.0, 0.5, 0.125))
+        PlanarHarmonicMap(g=g, h=h, omega=ComplexSeries.constant(0.5))
+        for wrong in (ComplexSeries.constant(0.5 + 1e-12), ComplexSeries((0.5, 1e-9)),
+                      ComplexSeries.zero()):
+            with pytest.raises(DomainError, match="omega is not h'/g'"):
+                PlanarHarmonicMap(g=g, h=h, omega=wrong)
+        m = random_qr_map(3, 0.3, 16)
+        with pytest.raises(DomainError, match="omega is not h'/g'"):
+            PlanarHarmonicMap(g=m.g, h=m.h, omega=m.omega + ComplexSeries((0.0, 0.0, 1e-10)))
 
 
-@pytest.mark.parametrize("spec", [SUP_GRID_SPEC, CORPUS_DILATATION_GRID],
-                         ids=["sup-grid", "corpus-grid"])
+def dense_max(omega: ComplexSeries, n: int = 1 << 16) -> float:
+    """max of |omega| at n uniform angles of the unit circle, by Horner."""
+    return float(np.abs(omega(np.exp(2j * np.pi * np.arange(n) / n))).max())
+
+
+@SPECS
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5])
 def test_dilatation_sup_matches_horner_search(spec, k):
-    for seed in range(20):
+    # k_lower is the maximum of |omega| to rounding, k_upper is above every
+    # sample, and the l1 norm and the declared k bound both
+    for seed in range(40):
         m = random_qr_map(seed, k, 16)
         rep = dilatation_sup(m, spec)
-        ref, grid = horner_reference(spec, seed, k)
-        assert rep.grid == grid
-        assert abs(rep.k_hat - ref) <= 1e-15
+        ref = dense_max(m.omega)
+        assert ref - 1e-12 <= rep.k_hat <= rep.k_upper, (seed, k)
+        assert ref <= rep.k_upper <= m.omega.coeff_abs_sum() <= m.k_declared, (seed, k)
+        assert rep.K_hat == (1.0 + rep.k_hat) / (1.0 - rep.k_hat)
+        assert rep.nodes == (0 if k == 0.0 else 1024)
 
 
-@lru_cache(maxsize=None)
-def horner_reference(spec, seed: int, k: float) -> tuple[float, str]:
-    """horner_dilatation_sup of random_qr_map(seed, k, 16), computed once."""
-    return horner_dilatation_sup(random_qr_map(seed, k, 16), spec)
+def test_node_maximum_alone_is_not_an_upper_bound():
+    # the sec(pi d / 2N) factor of k_upper is needed: the 1024 nodes miss
+    # the maximum of |omega| by more than rounding on some corpus maps
+    misses = [dense_max(m.omega) - float(np.abs(circle_values(m.omega, None, 1.0, 1024)).max())
+              for m in (random_qr_map(s, 0.5, 16) for s in range(10))]
+    assert max(misses) > 1e-7
 
 
-BATCH_CORPUS = [(seed, k) for seed in range(50) for k in (0.0, 0.1, 0.3, 0.5)]
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 16])
-@pytest.mark.parametrize("spec", [SUP_GRID_SPEC, CORPUS_DILATATION_GRID],
-                         ids=["sup-grid", "corpus-grid"])
-def test_dilatation_sups_match_horner_search(spec, chunk):
-    # chunks mix k, so k = 0 maps (no search) sit between searched ones
-    for start in range(0, len(BATCH_CORPUS), chunk):
-        part = BATCH_CORPUS[start: start + chunk]
-        reports = dilatation_sups([random_qr_map(s, k, 16) for s, k in part], spec)
-        assert len(reports) == len(part)
-        for (seed, k), rep in zip(part, reports):
-            ref, grid = horner_reference(spec, seed, k)
-            assert rep.grid == grid, (seed, k)
-            assert abs(rep.k_hat - ref) <= 1e-15, (seed, k)
-            assert rep.K_hat == (1.0 + rep.k_hat) / (1.0 - rep.k_hat)
+def test_zeros_of_g_prime_are_zeros_of_h_prime():
+    # seed 100 at k = 0.5: the truncated construction had |h'| = 4.3e-4 at
+    # a zero of g' in the disk; now h' = omega g' up to rounding there
+    m = random_qr_map(100, 0.5, 16)
+    roots = np.roots(m.g_prime.coeffs[::-1])
+    roots = roots[np.abs(roots) <= 1.0]
+    assert roots.size >= 5
+    rounding = 4 * 64 * EPS * m.omega.coeff_abs_sum() * m.g_prime.coeff_abs_sum()
+    hp = np.abs(m.h_prime(roots))
+    assert np.all(hp <= np.abs(m.omega(roots)) * np.abs(m.g_prime(roots)) + rounding)
+    assert float(np.min(jacobian(m, disk_grid(128, 1024)))) >= -rounding
 
 
 class TestMakeQrMap:
@@ -273,6 +188,21 @@ class TestMakeQrMap:
         with pytest.raises(TruncationOverflow):
             make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries.zero(), 65)
 
+    def test_l1_norm_above_one_needs_the_certificate(self):
+        # |0.4 (1 + z - z^2)| peaks at 0.4 sqrt 5 (z = i) below its l1 norm 1.2
+        F, omega = ComplexSeries((1.0, 0.3)), ComplexSeries((0.4, 0.4, -0.4))
+        m = make_qr_map(F, omega)
+        assert omega.coeff_abs_sum() > 1.0
+        assert 0.4 * np.sqrt(5.0) <= m.k_declared == dilatation_sup(m).k_upper < 0.8948
+        with pytest.raises(DomainError, match="may reach 1"):
+            make_qr_map(F, ComplexSeries((0.6, 0.6)))
+
+    def test_omega_degree_leaves_room_for_g_prime(self):
+        omega = ComplexSeries(np.full(64, 0.01))  # degree 63, the cap 64 minus one
+        assert make_qr_map(ComplexSeries((1.0, 0.3)), omega).g_prime.degree == 0
+        with pytest.raises(TruncationOverflow, match="no degree for g'"):
+            make_qr_map(ComplexSeries((1.0, 0.3)), omega, 63)
+
     def test_imaginary_F0_rejected(self):
         with pytest.raises(DomainError):
             make_qr_map(ComplexSeries((1j, 0.5)), ComplexSeries.zero())
@@ -284,15 +214,19 @@ class TestMakeQrMap:
         # Im f(0) = 0 and h(0) = 0 by construction
         assert m.h.coeffs[0] == 0j
         assert abs(m.v(0j)) == 0.0
-        # g + h re-expands to a degree-16 polynomial: the construction
-        # cancels every coefficient beyond the degree of F
-        total = (m.g + m.h).coeffs
-        assert all(abs(c) < 1e-12 for c in total[17:])
-        # |h'| <= k |g'| pointwise up to the truncation tail
+        # g + h = F(0) + int (1 + omega) P with P = g', up to rounding
+        P = m.g_prime
+        want = (ComplexSeries.constant(m.g.coeffs[0])
+                + ((ComplexSeries.constant(1.0) + m.omega) * P).antiderivative())
+        total = m.g + m.h
+        scale = (1.0 + m.omega.coeff_abs_sum()) * P.coeff_abs_sum()
+        assert total.degree == want.degree == 64
+        assert np.max(np.abs(total.coeffs - want.coeffs)) <= 1e-15 * scale
+        # |h'| <= k |g'| pointwise, up to rounding
         z = disk_grid(16, 64)
         hp = np.abs(m.h_prime(z))
         gp = np.abs(m.g_prime(z))
-        assert np.all(hp <= k * gp + 1e-10)
+        assert np.all(hp <= k * gp + 1e-13)
 
     def test_g_plus_h_equals_F_exactly(self):
         F = ComplexSeries((1.0, 0.5, -0.25))
@@ -315,6 +249,23 @@ class TestRandomQrMap:
         m = random_qr_map(0, 0.0)
         assert m.h.is_zero()
         assert m.u(0j) > 0
+
+    def test_positivity_is_certified(self, monkeypatch):
+        # a construction whose g + h leaves the coefficient budget is refused
+        import hqz.planar as planar
+        real = planar.make_qr_map
+        monkeypatch.setattr(planar, "make_qr_map", lambda F, omega, degree: real(
+            ComplexSeries(np.concatenate(([F.coeffs[0]], 3.0 * F.coeffs[1:]))), omega, degree))
+        refused = 0
+        for seed in range(10):
+            try:
+                m = random_qr_map(seed, 0.3)
+            except DomainError as exc:
+                assert "by the coefficient l1 norm, below the margin 0.05" in str(exc)
+                refused += 1
+            else:
+                assert float(m.u(disk_grid(32, 128)).min()) >= 0.05
+        assert 0 < refused < 10
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)
@@ -380,7 +331,12 @@ class TestSerialization:
         back = map_from_json(text)
         assert back.g.coeffs.tolist() == m.g.coeffs.tolist()
         assert back.h.coeffs.tolist() == m.h.coeffs.tolist()
+        assert back.omega.coeffs.tolist() == m.omega.coeffs.tolist()
         assert back.k_declared == m.k_declared
+        assert dilatation_sup(back) == dilatation_sup(m)
+        # a map without omega serializes without the key
+        plain = map_from_json(map_to_json(strip_example(2)))
+        assert plain.omega is None and '"omega"' not in map_to_json(plain)
 
     def test_serialization_is_deterministic(self):
         m = random_qr_map(5, 0.3)

@@ -135,11 +135,11 @@ class TestVerifyT3:
             verify_T3_affine(AffineBallMap(n=3, c=1.0, a=1.5), q)
 
 
-def per_seed_fuzz(seeds: int, k: float, degree: int, q) -> FuzzSummary:
+def per_seed_fuzz(seeds: int, k: float, degree: int, q, margin: float = 0.05) -> FuzzSummary:
     """fuzz_search as one verify_T2 per seed, each measuring its own K."""
     worst, best, witness = math.inf, 0.0, ""
     for seed in range(seeds):
-        m = random_qr_map(seed, k, degree)
+        m = random_qr_map(seed, k, degree, margin)
         rep = verify_T2(m, 1.0, q, dilatation_grid=CORPUS_DILATATION_GRID)
         worst = min(worst, rep.margin)
         if rep.lhs / rep.rhs > best:
@@ -150,7 +150,6 @@ def per_seed_fuzz(seeds: int, k: float, degree: int, q) -> FuzzSummary:
 class TestFuzzSearch:
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5])
     def test_batches_match_per_seed_verification(self, k, q_fast):
-        # 35 seeds: two full batches and a partial one
         got = fuzz_search(35, k, 16, q_fast)
         want = per_seed_fuzz(35, k, 16, q_fast)
         assert got.seeds == want.seeds
@@ -159,12 +158,14 @@ class TestFuzzSearch:
         assert got.witness == want.witness
 
     def test_failing_batch_raises_the_per_seed_error(self, q_fast):
-        # at degree 40 the truncated corpus maps are not quasiregular
+        # a positivity margin of 0.95 leaves seed 3 (c0 < 0.95) no budget,
+        # after seeds 0-2 have been verified
         with pytest.raises(HqzError) as want:
-            per_seed_fuzz(5, 0.5, 40, q_fast)
+            per_seed_fuzz(5, 0.5, 16, q_fast, 0.95)
         with pytest.raises(type(want.value)) as got:
-            fuzz_search(5, 0.5, 40, q_fast)
+            fuzz_search(5, 0.5, 16, q_fast, positivity_margin=0.95)
         assert str(got.value) == str(want.value)
+        assert fuzz_search(3, 0.5, 16, q_fast, positivity_margin=0.95).seeds == 3
 
     def test_empty_corpus_vacuous(self, q_fast):
         s = fuzz_search(0, 0.3, 16, q_fast)
