@@ -1,3 +1,6 @@
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hqz import (ComplexSeries, DomainError, HypothesisViolation,
                  jacobian, make_qr_map, map_from_json, map_to_json,
                  random_qr_map, strip_example)
 from hqz.series import circle_values
-from hqz.theorems import CORPUS_DILATATION_GRID
+from hqz.theorems import CORPUS_DILATATION_GRID, fuzz_search, verify_T2
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -122,6 +125,24 @@ class TestDilatation:
         with pytest.raises(DomainError, match="omega is not h'/g'"):
             PlanarHarmonicMap(g=m.g, h=m.h, omega=m.omega + ComplexSeries((0.0, 0.0, 1e-10)))
 
+    def test_batch_raises_the_first_failing_map(self, q_fast):
+        # verifying a batch map by map stops at the first map whose
+        # dilatation cannot be certified, with dilatation_sup's own error
+        good = random_qr_map(3, 0.3, 16)
+        unknown = PlanarHarmonicMap(g=ComplexSeries((1.0, 1.0)), h=ComplexSeries((0.0, 0.1)))
+        # g' = 1, h' = 2z: |h'/g'| reaches 2 on the circle
+        expanding = PlanarHarmonicMap(g=ComplexSeries((1.0, 1.0)),
+                                      h=ComplexSeries((0.0, 0.0, 1.0)),
+                                      omega=ComplexSeries((0.0, 2.0)))
+        for batch in ([good, expanding, unknown], [good, unknown, expanding, good]):
+            with pytest.raises(HypothesisViolation) as alone:
+                dilatation_sup(batch[1])
+            with pytest.raises(HypothesisViolation) as batched:
+                for m in batch:
+                    verify_T2(m, 1.0, q_fast)
+            assert str(batched.value) == str(alone.value)
+        assert "no omega" in str(alone.value)
+
 
 def dense_max(omega: ComplexSeries, n: int = 1 << 16) -> float:
     """max of |omega| at n uniform angles of the unit circle, by Horner."""
@@ -141,6 +162,32 @@ def test_dilatation_sup_matches_horner_search(spec, k):
         assert ref <= rep.k_upper <= m.omega.coeff_abs_sum() <= m.k_declared, (seed, k)
         assert rep.K_hat == (1.0 + rep.k_hat) / (1.0 - rep.k_hat)
         assert rep.nodes == (0 if k == 0.0 else 1024)
+
+
+@lru_cache(maxsize=None)
+def horner_reference(seed: int, k: float) -> float:
+    """dense_max of the omega of random_qr_map(seed, k, 16), computed once."""
+    return dense_max(random_qr_map(seed, k, 16).omega)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+@SPECS
+def test_dilatation_sups_match_horner_search(spec, chunk, q_fast):
+    # a fuzz batch of chunk seeds checks each map at K(k_upper), whichever
+    # spec certifies it, and every k_upper is above the Horner maximum
+    for k in (0.0, 0.1, 0.3, 0.5):
+        worst, best = math.inf, 0.0
+        for seed in range(chunk):
+            m = random_qr_map(seed, k, 16)
+            sup = dilatation_sup(m, spec)
+            ref = horner_reference(seed, k)
+            assert ref - 1e-12 <= sup.k_hat <= sup.k_upper, (seed, k)
+            assert ref <= sup.k_upper <= m.k_declared, (seed, k)
+            rep = verify_T2(m, 1.0, q_fast, dilatation_grid=spec)
+            assert rep.params["K"] == (1.0 + sup.k_upper) / (1.0 - sup.k_upper), (seed, k)
+            worst, best = min(worst, rep.margin), max(best, rep.lhs / rep.rhs)
+        got = fuzz_search(chunk, k, 16, q_fast)
+        assert (got.seeds, got.worst_margin, got.best_ratio) == (chunk, worst, best), k
 
 
 def test_node_maximum_alone_is_not_an_upper_bound():
