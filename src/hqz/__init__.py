@@ -19,7 +19,7 @@ from .errors import (ConfigError, DomainError, EmptyCorpus, HqzError,
 from .functionals import (MeanReport, calderon_norms, calderon_ratio_estimate,
                           calderon_square, circle_mean_p, entropy_u_report,
                           hardy_norm_estimate, poisson_extend_circle,
-                          poisson_kernel, zygmund_plus)
+                          poisson_kernel)
 from .gamma import log_gamma
 from .laplacian import (LaplacianAuditResult, audit_laplacians,
                         disk_green_identity, laplacian_abs_f, laplacian_ulogu,
@@ -49,5 +49,5 @@ __all__ = [
     "phi_scan_argmax", "poisson_extend_circle", "poisson_kernel",
     "random_qr_map", "random_series", "ratio_limit_scan", "strip_example",
     "ulogplus_mean", "verify_T1", "verify_T2", "verify_T2_strip",
-    "verify_T3_affine", "zygmund_plus",
+    "verify_T3_affine",
 ]

@@ -3,10 +3,11 @@
     hqz <scenario> [--key=value ...] [--config PATH] [--out PATH] [--format csv|jsonl]
 
 One subcommand per verifiable claim; every scenario runs with zero
-configuration, writes one table, prints a single PASS/FAIL line against
-its acceptance thresholds, and exits 0 iff PASS.  A plain-text key=value
-config file can seed the options and command-line flags override it; the
-environment variable HQZ_SEED overrides the seed count from either.
+configuration, writes one table, prints a single PASS/FAIL line that
+names each acceptance criterion that fails, and exits 0 iff PASS.  A
+plain-text key=value config file can seed the options and command-line
+flags override it; the environment variable HQZ_SEED overrides the seed
+count from either.
 Unknown scenarios or keys are rejected (exit 2); unwritable output paths
 exit 3.  Floats are formatted with 17 significant digits so rerunning a
 configuration reproduces the output byte for byte.
@@ -141,7 +142,7 @@ def parse_args(argv: list[str]) -> RunConfig:
                              ("r", lambda v: 0 < v <= 1, "in (0, 1]"),
                              ("degree", lambda v: 1 <= v < DEGREE_CAP,
                               f"in [1, {DEGREE_CAP - 1}], below the degree cap {DEGREE_CAP}"),
-                             ("c1c2", lambda v: v > 0, "positive")):
+                             ("c1c2", lambda v: 0 < v < math.inf, "positive and finite")):
         if key in merged and not valid(merged[key]):
             raise ConfigError(f"{key} must be {want}, got {merged[key]!r}")
     try:  # keys not given keep the defaults of QuadratureSpec and RunConfig
@@ -184,7 +185,8 @@ def write_rows(header: list[str], rows: list[dict], path: str, fmt: str) -> None
 
 
 # ---------------------------------------------------------------------------
-# scenario implementations: each returns (rows, passed, detail)
+# scenario implementations: each returns (rows, criteria, detail), criteria
+# naming each condition that must hold, written so that a NaN fails it
 # ---------------------------------------------------------------------------
 
 #: columns of the tables that --seeds=0 leaves without rows
@@ -200,7 +202,6 @@ def _default(value, fallback):
 def run_reproduce_sharpness_3d(cfg: RunConfig):
     q = cfg.quadrature
     rows = []
-    ok = True
     for m in (2, 5, 10, 20, 50, 100):
         fam = AffineBallMap(n=3, c=float(m * m), a=float(m))
         x = X_of(fam, q)
@@ -208,18 +209,15 @@ def run_reproduce_sharpness_3d(cfg: RunConfig):
         two_y = 2.0 * Y_of(fam, q)
         rows.append({"m": m, "X": x, "phi": ph, "phi_gap": abs(ph - 1.0 / 3.0),
                      "two_Y": two_y, "cross_check": abs(ph - two_y)})
-        if m in (2, 5, 10) and abs(x - 1.0 / 3.0) > 1e-8:
-            ok = False
-        if abs(ph - two_y) > 1e-7:
-            ok = False
-    gaps = [row["phi_gap"] for row in rows if row["m"] in (10, 20, 50, 100)]
-    if not all(b < a for a, b in zip(gaps[:-1], gaps[1:])):
-        ok = False
-    if abs(phi_of_m(100.0) - 1.0 / 3.0) >= 1e-3:
-        ok = False
+    gaps = [row["phi_gap"] for row in rows if row["m"] >= 10]
+    criteria = {"|X - 1/3| <= 1e-8 at m = 2, 5, 10":
+                all(abs(r["X"] - 1.0 / 3.0) <= 1e-8 for r in rows if r["m"] <= 10),
+                "|phi - 2Y| <= 1e-7": all(r["cross_check"] <= 1e-7 for r in rows),
+                "phi gap decreases over m = 10..100": all(b < a for a, b in zip(gaps, gaps[1:])),
+                "|phi(100) - 1/3| < 1e-3": rows[-1]["phi_gap"] < 1e-3}
     detail = (f"max |X - 1/3| = {max(abs(r['X'] - 1/3) for r in rows):.2e}, "
               f"|phi(100) - 1/3| = {rows[-1]['phi_gap']:.2e}")
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_reproduce_ratio_limit(cfg: RunConfig):
@@ -231,9 +229,10 @@ def run_reproduce_ratio_limit(cfg: RunConfig):
     rows = [{"n": r.n, "a": r.a, "X": r.X, "Y": r.Y, "ratio": r.ratio,
              "target": r.target, "deviation": r.deviation} for r in scan]
     devs = [r.deviation for r in scan]
-    ok = devs[-1] < 0.05 and all(b < a for a, b in zip(devs[:-1], devs[1:]))
+    criteria = {"final deviation < 5%": devs[-1] < 0.05,
+                "deviations decrease": all(b < a for a, b in zip(devs, devs[1:]))}
     detail = f"final X/Y = {scan[-1].ratio:.6f} vs target {n - 1} (dev {devs[-1]:.2%})"
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_reproduce_strip(cfg: RunConfig):
@@ -246,15 +245,14 @@ def run_reproduce_strip(cfg: RunConfig):
         values.append(rep.lhs)
         rows.append({"n": n, "h1_norm": rep.lhs, "gap": rep.margin,
                      "gap_envelope": rep.params["gap_envelope"]})
-    ok = all(v < 1.0 for v in values)
-    ok = ok and all(b > a for a, b in zip(values[:-1], values[1:]))
-    if n_max >= 32:
-        ok = ok and (1.0 - values[31]) < 2.0 / 33.0
-    ok = ok and abs(values[0] - 2.0 / math.pi) < 1e-9
+    criteria = {"every norm < 1": all(v < 1.0 for v in values),
+                "norms increase": all(b > a for a, b in zip(values, values[1:])),
+                "gap(32) < 2/33": n_max < 32 or (1.0 - values[31]) < 2.0 / 33.0,
+                "|norm(1) - 2/pi| < 1e-9": abs(values[0] - 2.0 / math.pi) < 1e-9}
     detail = (f"norms in [{values[0]:.6f}, {values[-1]:.6f}], all < 1, "
               f"gap(32) = {1.0 - values[31]:.6f}" if n_max >= 32 else
               f"norms in [{values[0]:.6f}, {values[-1]:.6f}]")
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def _h_corpus(seeds: int, degree: int) -> list[tuple[str, ComplexSeries]]:
@@ -279,11 +277,11 @@ def run_calderon_estimate(cfg: RunConfig):
         c2_lb = max(c2_lb, ng / nh)
     rows.append({"member": "max", "norm_H": math.nan, "norm_GH": math.nan,
                  "ratio_H_over_GH": c1_lb, "ratio_GH_over_H": c2_lb})
-    baseline = math.sqrt(2.0)
-    ok = (math.isfinite(c1_lb) and math.isfinite(c2_lb)
-          and c1_lb >= baseline - 1e-9 and c2_lb >= 1.0 / baseline - 1e-9)
+    c1_floor, c2_floor = math.sqrt(2.0) - 1e-9, 1.0 / math.sqrt(2.0) - 1e-9
+    criteria = {"c1 >= sqrt(2) - 1e-9, finite": math.isfinite(c1_lb) and c1_lb >= c1_floor,
+                "c2 >= 1/sqrt(2) - 1e-9, finite": math.isfinite(c2_lb) and c2_lb >= c2_floor}
     detail = f"c1 lower bound {c1_lb:.6f}, c2 lower bound {c2_lb:.6f} over {seeds} series"
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_verify_t1(cfg: RunConfig):
@@ -294,66 +292,61 @@ def run_verify_t1(cfg: RunConfig):
     c1_lb, c2_lb = calderon_ratio_estimate(corpus, q)
     c1c2 = _default(cfg.c1c2, c1_lb * c2_lb)
     rows = []
-    ok = math.isfinite(c1c2) and c1c2 > 0
     for seed in range(min(seeds, 20)):
         m = random_qr_map(seed, k, cfg.degree)
         rep = verify_T1(m, cfg.r, c1c2, q)
         rows.append(dict(zip(T1_COLUMNS, (seed, k, rep.lhs, rep.rhs, rep.margin,
                                           rep.quad_error,
                                           rep.params["empirical_constant"]))))
-        if rep.margin < -rep.quad_error:
-            ok = False
+    criteria = {"c1c2 finite and positive": math.isfinite(c1c2) and c1c2 > 0,
+                "margin >= -quad_error": all(r["margin"] >= -r["quad_error"] for r in rows)}
     detail = (f"c1c2 = {c1c2:.6f}; min margin = {min(r['margin'] for r in rows):.6f}"
               if rows else "empty corpus, vacuous PASS")
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_verify_t2(cfg: RunConfig):
     seeds = _default(cfg.seeds, 200)
     q = cfg.quadrature
     rows = []
-    ok = True
-    worst = math.inf
     for k in (0.0, 0.1, 0.3, 0.5):
         summary = fuzz_search(seeds, k, cfg.degree, q, r=cfg.r)
         rows.append({"k": k, "seeds": summary.seeds,
                      "worst_margin": summary.worst_margin,
                      "best_ratio": summary.best_ratio})
-        worst = min(worst, summary.worst_margin)
-        if summary.seeds > 0 and summary.worst_margin < -1e-9:
-            ok = False
+    worst = min(r["worst_margin"] for r in rows)
     constant = PlanarHarmonicMap(g=ComplexSeries.constant(1.0),
                                  h=ComplexSeries.zero())
     degenerate = verify_T2(constant, 1.0, q, K=1.0)
     rows.append({"k": 0.0, "seeds": 0, "worst_margin": degenerate.margin,
                  "best_ratio": degenerate.lhs / degenerate.rhs})
-    if degenerate.margin != 0.0:
-        ok = False
+    criteria = {"worst margin >= -1e-9": all(r["worst_margin"] >= -1e-9
+                                             for r in rows if r["seeds"] > 0),
+                "degenerate margin == 0": degenerate.margin == 0.0}
     detail = f"worst margin over corpus = {worst!r}; degenerate margin = {degenerate.margin!r}"
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_verify_t3(cfg: RunConfig):
     q = cfg.quadrature
     rows = []
-    ok = True
     for m in (2.0, 5.0, 10.0):
         rep = verify_T3_affine(AffineBallMap(n=3, c=m * m, a=m), q)
         rows.append({"family": "m", "n": 3, "param": m, "lhs_X": rep.lhs,
                      "rhs": rep.rhs, "margin": rep.margin,
                      "ratio": rep.lhs / rep.rhs})
-        if rep.margin < -1e-9:
-            ok = False
+    deviations = []
     for n in range(2, 9):
         rep = verify_T3_affine(AffineBallMap(n=n, c=1.0, a=0.01), q)
         ratio = rep.lhs / rep.params["Y"]
         rows.append({"family": "a", "n": n, "param": 0.01, "lhs_X": rep.lhs,
                      "rhs": rep.rhs, "margin": rep.margin,
                      "ratio": ratio / (n - 1)})
-        if rep.margin < -1e-9 or abs(ratio - (n - 1)) / (n - 1) >= 0.05:
-            ok = False
+        deviations.append(abs(ratio - (n - 1)) / (n - 1))
+    criteria = {"margin >= -1e-9": all(r["margin"] >= -1e-9 for r in rows),
+                "a-family X/Y within 5% of n - 1": all(d < 0.05 for d in deviations)}
     detail = f"min margin = {min(r['margin'] for r in rows):.3e}"
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_fuzz(cfg: RunConfig):
@@ -364,20 +357,19 @@ def run_fuzz(cfg: RunConfig):
              "worst_margin": summary.worst_margin,
              "best_ratio": summary.best_ratio,
              "witness": summary.witness}]
-    ok = summary.seeds == 0 or summary.worst_margin >= -1e-9
+    criteria = {"worst margin >= -1e-9": summary.seeds == 0 or summary.worst_margin >= -1e-9}
     if summary.seeds == 0:
         detail = "empty corpus, vacuous PASS"
     else:
         detail = (f"worst margin {summary.worst_margin:.3e}, "
                   f"best ratio {summary.best_ratio:.6f} over {seeds} seeds")
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_laplacian_audit(cfg: RunConfig):
     seeds = _default(cfg.seeds, 40)
     k = _default(cfg.k, 0.3)
     rows = []
-    ok = True
     radii = (0.25, 0.55, 0.8)
     angles = [2.0 * math.pi * j / 5 for j in range(5)]
     points = [r * complex(math.cos(t), math.sin(t)) for r in radii for t in angles]
@@ -391,12 +383,13 @@ def run_laplacian_audit(cfg: RunConfig):
         rows.append(dict(zip(AUDIT_COLUMNS, (seed, k, len(audit.rows), audit.skipped,
                                              audit.max_rel_abs_f, audit.max_rel_ulogu,
                                              ratio, bound))))
-        if not (audit.max_rel_abs_f <= 1e-5 and audit.max_rel_ulogu <= 1e-5 and ratio <= bound):
-            ok = False  # written so that a NaN fails
+    criteria = {"FD deviations <= 1e-5": all(r["max_rel_abs_f"] <= 1e-5
+                                             and r["max_rel_ulogu"] <= 1e-5 for r in rows),
+                "ratio <= K^2 (1 + 1e-9)": all(r["max_ratio"] <= r["K2_bound"] for r in rows)}
     worst = max((max(r["max_rel_abs_f"], r["max_rel_ulogu"]) for r in rows), default=0.0)
     detail = (f"worst FD relative deviation {worst:.2e} over {seeds} maps"
               if rows else "empty corpus, vacuous PASS")
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 def run_green_audit(cfg: RunConfig):
@@ -412,9 +405,10 @@ def run_green_audit(cfg: RunConfig):
     rows.append({"case": "ball_calibration_x2", "residual": res3, "threshold": 1e-10})
     res4 = ball_green_identity_n3(AffineBallMap(n=3, c=4.0, a=2.0), q)
     rows.append({"case": "ball_m2_family", "residual": res4, "threshold": 1e-4})
-    ok = all(abs(r["residual"]) < r["threshold"] for r in rows)
+    criteria = {f"|residual| < threshold at {r['case']}": abs(r["residual"]) < r["threshold"]
+                for r in rows}
     detail = "; ".join(f"{r['case']}={r['residual']:.2e}" for r in rows)
-    return rows, ok, detail
+    return rows, criteria, detail
 
 
 RUNNERS = {
@@ -437,14 +431,15 @@ EMPTY_TABLE_COLUMNS = {"verify-t1": T1_COLUMNS, "laplacian-audit": AUDIT_COLUMNS
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a scenario, write its table, print one PASS/FAIL line."""
-    rows, passed, detail = RUNNERS[cfg.scenario](cfg)
+    """Execute a scenario, write its table, print one PASS/FAIL line; it
+    passes iff every criterion holds, and a FAIL line names those that fail."""
+    rows, criteria, detail = RUNNERS[cfg.scenario](cfg)
     path = cfg.output_path or f"{cfg.scenario}.{cfg.format}"
     header = list(rows[0]) if rows else list(EMPTY_TABLE_COLUMNS[cfg.scenario])
     write_rows(header, rows, path, cfg.format)
-    status = "PASS" if passed else "FAIL"
-    print(f"[{status}] {cfg.scenario}: {detail} -> {path}")
-    return 0 if passed else 1
+    failing = "".join(f"{name} fails; " for name, holds in criteria.items() if not holds)
+    print(f"[{'FAIL' if failing else 'PASS'}] {cfg.scenario}: {failing}{detail} -> {path}")
+    return 1 if failing else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,8 +3,8 @@
 Integral means M_p(r, f), the h^1 norm estimate for polynomial data, the
 two entropy-type functionals
 
-    zygmund_plus:     (1/2pi) int |u| log+ |u| dt      (log+ x = max(log x, 0))
-    entropy_u_report: (1/2pi) int  u  log  u  dt       (requires u > 0)
+    zygmund_plus_report: (1/2pi) int |u| log+ |u| dt   (log+ x = max(log x, 0))
+    entropy_u_report:    (1/2pi) int  u  log  u  dt    (requires u > 0)
 
 with u = Re f, the Poisson extension on the disk, and the radial square
 function
@@ -97,14 +97,10 @@ def _log_plus(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def zygmund_plus(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> float:
-    """(1/2pi) int |u(r e^it)| log+ |u(r e^it)| dt for u = Re f."""
-    value, _, _ = zygmund_plus_report(m, r, q)
-    return value
-
-
 def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
                         q: QuadratureSpec) -> tuple[float, float, int]:
+    """((1/2pi) int |u(r e^it)| log+ |u(r e^it)| dt, est_error, nodes) for
+    u = Re f."""
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
     value, err, nodes, _ = refined_circle_mean(

@@ -43,6 +43,11 @@ from .series import circle_values, horner, stacked
 #: modulus floor below which the 1/|f| closed form is refused
 TAU_F = 1e-8
 
+#: the disk grid of laplacian_ratio_sup: circles of radius j / RATIO_GRID_RADII,
+#: j = 1 .. RATIO_GRID_RADII, at RATIO_GRID_ANGLES uniform angles each
+RATIO_GRID_RADII = 32
+RATIO_GRID_ANGLES = 256
+
 #: dyadic panel depth for the log(r/rho) radial weight; the mass of
 #: -s log s below 2^-18 is ~1e-10, far below the residual targets
 LOG_PANEL_DEPTH = 18
@@ -102,22 +107,19 @@ def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
     return float(_lap_ulogu(f, gp, hp))
 
 
-def laplacian_ratio_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> float:
+def laplacian_ratio_sup(m: PlanarHarmonicMap) -> float:
     """max over the disk grid of lap|f| / lap(u log u).
 
-    The grid is z = 0 and the circles of radius j / radial_nodes at
-    circle_nodes uniform angles, where f, g' and h' come from one
-    ``circle_values`` call each.
+    The grid is z = 0 and the RATIO_GRID_RADII circles at RATIO_GRID_ANGLES
+    angles; f, g' and h' come from one ``circle_values`` call each.
     Both Laplacians vanish together only where g' = h' = 0; those 0/0
     points (e.g. constant maps) contribute 0 by convention.  Requires
     u > 0 and |f| > TAU_F on the whole grid.
     """
-    spec = grid if grid is not None else QuadratureSpec(circle_nodes=256,
-                                                        radial_nodes=32)
-    radii = np.arange(1, spec.radial_nodes + 1) / spec.radial_nodes
+    radii = np.arange(1, RATIO_GRID_RADII + 1) / RATIO_GRID_RADII
 
     def on_grid(s, t=None):  # h(0) = 0, so s + conj(t) is s.coeffs[0] at z = 0
-        return np.append(s.coeffs[0], circle_values(s, t, radii, spec.circle_nodes))
+        return np.append(s.coeffs[0], circle_values(s, t, radii, RATIO_GRID_ANGLES))
 
     f = on_grid(m.g, m.h)
     gp, hp = on_grid(m.g_prime), on_grid(m.h_prime)

@@ -38,7 +38,8 @@ class QuadratureSpec:
     circle_nodes:     starting node count for periodic trapezoid rules.
     radial_nodes:     starting node count for Gauss-Legendre rules.
     refinement_limit: maximum number of doublings before NoConvergence.
-    abs_tol:          stop refining once |change between levels| <= abs_tol.
+    abs_tol:          stop refining once |change between levels| <= abs_tol
+                      (positive and finite).
     """
 
     circle_nodes: int = 512
@@ -51,8 +52,8 @@ class QuadratureSpec:
             raise DomainError("node counts must be positive")
         if self.refinement_limit <= 0:
             raise DomainError("refinement_limit must be positive")
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
+        if not 0 < self.abs_tol < np.inf:
+            raise DomainError("abs_tol must be positive and finite")
 
 
 DEFAULT_SPEC = QuadratureSpec()

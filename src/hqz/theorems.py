@@ -130,18 +130,17 @@ def verify_T2_strip(n: int, q: QuadratureSpec) -> TheoremReport:
     )
 
 
-def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec,
-              K: float | None = None) -> TheoremReport:
+def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec) -> TheoremReport:
     """Non-sharp planar bound M_1 <= 2(6 pi e + 1) c1c2 K (1 + zygmund_plus).
 
     The square-function constants enter as the caller-supplied product
     c1c2; the report also carries the hypothesis-free empirical constant
-    lhs / (1 + zygmund_plus) for comparison with corpus estimates.  K and
-    quad_error are as in ``verify_T2``.
+    lhs / (1 + zygmund_plus) for comparison with corpus estimates.  K is
+    K(k_upper) of dilatation_sup, and quad_error is as in ``verify_T2``.
     """
     if c1c2 <= 0.0:
         raise HypothesisViolation("c1c2 must be positive")
-    K_val = _resolve_K(m, K, None)
+    K_val = _resolve_K(m, None, None)
     zp, zp_err, _ = zygmund_plus_report(m, r, q)
     lhs_rep = circle_mean_p(m, r, 1.0, q)
     rhs = T1_ENVELOPE * c1c2 * K_val * (1.0 + zp)

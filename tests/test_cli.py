@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
 
+import hqz.cli
 from hqz import dilatation_sup, map_from_json, random_qr_map
-from hqz.cli import RunConfig, main, parse_args
+from hqz.cli import SCENARIOS, RunConfig, main, parse_args
 from hqz.errors import ConfigError
 from hqz.quadrature import QuadratureSpec
 
@@ -90,8 +93,8 @@ class TestExitCodes:
                                       "--seeds=-5", "--n=-1", "--n=0", "--k=-0.5",
                                       "--k=1", "--r=2", "--r=0", "--r=nan",
                                       "--degree=-1", "--degree=0", "--degree=80",
-                                      "--degree=64",
-                                      "--c1c2=0"])
+                                      "--degree=64", "--c1c2=0", "--c1c2=inf",
+                                      "--abs_tol=inf"])
     def test_bad_input_exits_2(self, flag, tmp_path, capsys):
         code, out = run_cli(["fuzz", flag], tmp_path, "f.csv")
         assert code == 2
@@ -195,16 +198,13 @@ class TestScenarioRuns:
             assert float(r["max_rel_ulogu"]) < 1e-5
 
     def test_laplacian_audit_nan_deviation_fails(self, tmp_path, capsys, monkeypatch):
-        import dataclasses
-
-        import hqz.cli
-
         real = hqz.cli.audit_laplacians
         monkeypatch.setattr(hqz.cli, "audit_laplacians", lambda m, pts: dataclasses.replace(
             real(m, pts), max_rel_abs_f=float("nan")))
         code, _ = run_cli(["laplacian-audit", "--seeds=1"], tmp_path, "l.csv")
         assert code != 0
-        assert "[FAIL]" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith(
+            "[FAIL] laplacian-audit: FD deviations <= 1e-5 fails; ")
 
     def test_calderon_small(self, tmp_path, capsys):
         code, out = run_cli(["calderon-estimate", "--seeds=5"], tmp_path, "c.csv")
@@ -231,3 +231,60 @@ class TestScenarioRuns:
         _, out = run_cli(["fuzz", "--seeds=0"], tmp_path, "h.csv")
         first = out.read_text().splitlines()[0]
         assert first == "seeds,k,worst_margin,best_ratio,witness"
+
+
+def spoiled(field, value):
+    """Replace ``field`` of a report by ``value``."""
+    return lambda rep, *args: dataclasses.replace(rep, **{field: value})
+
+
+#: scenario -> (the library call in hqz.cli to spoil, how to spoil its result
+#: given the result and the call's arguments, the criterion that must then
+#: fail, flags that keep the run short)
+SPOILED = {
+    "reproduce-sharpness-3d": ("X_of", lambda x, *args: x + 1e-6,
+                               "|X - 1/3| <= 1e-8 at m = 2, 5, 10", []),
+    "reproduce-ratio-limit": ("ratio_limit_scan",
+                              lambda scan, *args: [*scan[:-1], dataclasses.replace(
+                                  scan[-1], deviation=0.06)],
+                              "final deviation < 5%", []),
+    "reproduce-strip": ("verify_T2_strip",
+                        lambda rep, n, q: dataclasses.replace(rep, lhs=rep.lhs + 1e-8)
+                        if n == 1 else rep,
+                        "|norm(1) - 2/pi| < 1e-9", ["--n=4"]),
+    "verify-t1": ("verify_T1", spoiled("margin", math.nan), "margin >= -quad_error",
+                  ["--seeds=1"]),
+    "verify-t2": ("fuzz_search", spoiled("worst_margin", math.nan), "worst margin >= -1e-9",
+                  ["--seeds=1"]),
+    "verify-t3": ("verify_T3_affine", spoiled("margin", -1e-6), "margin >= -1e-9", []),
+    "fuzz": ("fuzz_search", spoiled("worst_margin", -1e-6), "worst margin >= -1e-9",
+             ["--seeds=1"]),
+    "laplacian-audit": ("laplacian_ratio_sup", lambda ratio, m: math.inf,
+                        "ratio <= K^2 (1 + 1e-9)", ["--seeds=1"]),
+    "green-audit": ("ball_green_calibration", lambda res, q: 1e-9,
+                    "|residual| < threshold at ball_calibration_x2", []),
+    "calderon-estimate": ("calderon_norms", lambda norms, H, q: (norms[0], 10.0 * norms[1]),
+                          "c1 >= sqrt(2) - 1e-9, finite", ["--seeds=1"]),
+}
+
+
+class TestGate:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_a_failing_criterion_is_named(self, scenario, tmp_path, capsys, monkeypatch):
+        # a scenario added without a case here fails on the lookup
+        name, spoil, criterion, flags = SPOILED[scenario]
+        real = getattr(hqz.cli, name)
+        monkeypatch.setattr(hqz.cli, name, lambda *args, **kwargs: spoil(
+            real(*args, **kwargs), *args))
+        code, out = run_cli([scenario, *flags], tmp_path, "x.csv")
+        assert code == 1
+        line = capsys.readouterr().out
+        assert line.startswith(f"[FAIL] {scenario}: ") and f"{criterion} fails; " in line
+        assert out.exists() and len(out.read_text().splitlines()) > 1
+
+    def test_an_unfounded_constant_fails_t1(self, tmp_path, capsys):
+        code, out = run_cli(["verify-t1", "--seeds=2", "--c1c2=1e-6"], tmp_path, "o.csv")
+        assert code == 1
+        assert capsys.readouterr().out.startswith(
+            "[FAIL] verify-t1: margin >= -quad_error fails; c1c2 = 0.000001; min margin = ")
+        assert out.exists()

@@ -79,7 +79,7 @@ class TestVerifyT2Strip:
 
 class TestVerifyT1:
     def test_constant_map_margin_positive(self, q):
-        rep = verify_T1(analytic(0.5), 1.0, 0.01, q, K=1.0)
+        rep = verify_T1(analytic(0.5), 1.0, 0.01, q)
         assert rep.lhs == pytest.approx(0.5, abs=1e-12)
         assert rep.params["zygmund_plus"] == 0.0
         assert rep.margin > 0.0
@@ -96,13 +96,13 @@ class TestVerifyT1:
         # envelope A ||u log+ u|| + B with A = 1, B = 6 pi e
         for seed in range(5):
             m = random_qr_map(seed, 0.0)
-            rep = verify_T1(m, 1.0, 1.0, q_fast, K=1.0)
+            rep = verify_T1(m, 1.0, 1.0, q_fast)
             envelope = rep.params["zygmund_plus"] + 6.0 * math.pi * math.e
             assert rep.lhs <= envelope
 
     def test_rejects_nonpositive_constant(self, q):
         with pytest.raises(HypothesisViolation):
-            verify_T1(analytic(0.5), 1.0, 0.0, q, K=1.0)
+            verify_T1(analytic(0.5), 1.0, 0.0, q)
 
 
 class TestVerifyT3:
