@@ -268,13 +268,13 @@ def run_calderon_estimate(cfg: RunConfig):
     seeds = _default(cfg.seeds, 100)
     q = cfg.quadrature
     rows = []
-    c1_lb, c2_lb = 0.0, 0.0
     for label, H in _h_corpus(seeds, cfg.degree):
         nh, ng = calderon_norms(H, q)
         rows.append({"member": label, "norm_H": nh, "norm_GH": ng,
                      "ratio_H_over_GH": nh / ng, "ratio_GH_over_H": ng / nh})
-        c1_lb = max(c1_lb, nh / ng)
-        c2_lb = max(c2_lb, ng / nh)
+    # np.max keeps a NaN ratio, so the finite criteria below see it
+    c1_lb, c2_lb = (float(np.max([r[key] for r in rows]))
+                    for key in ("ratio_H_over_GH", "ratio_GH_over_H"))
     rows.append({"member": "max", "norm_H": math.nan, "norm_GH": math.nan,
                  "ratio_H_over_GH": c1_lb, "ratio_GH_over_H": c2_lb})
     c1_floor, c2_floor = math.sqrt(2.0) - 1e-9, 1.0 / math.sqrt(2.0) - 1e-9

@@ -12,15 +12,19 @@ function
     G[H](z) = ( int_0^1 |H'(rho z)|^2 (1 - rho) d rho )^(1/2)
 
 whose L1 comparison constants against ||H||_1 are estimated empirically
-from a corpus.  Circle integrals use the periodic trapezoid rule with
-doubling refinement (``quadrature.refined_circle_mean``) on values from
-the FFT circle engine (``series.circle_values``); |f| is merely piecewise
-smooth where f vanishes, so the refinement-based error control is not
-optional.
+from a corpus.  Circle integrals of smooth integrands use the periodic
+trapezoid rule with doubling refinement (``quadrature.refined_circle_mean``)
+on values from the FFT circle engine (``series.circle_values``); |f| is
+merely piecewise smooth where f vanishes, so the refinement-based error
+control is not optional.  |u| log+ |u| has a corner wherever |u| crosses
+1, which caps the trapezoid rule at second order, so ``zygmund_plus_report``
+finds those crossings and integrates each arc between them by
+Gauss-Legendre instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,8 +34,8 @@ from .errors import (DomainError, EmptyCorpus, KernelBlowup,
                      MonotonicityViolation, NonpositiveRealPart)
 from .planar import PlanarHarmonicMap
 from .quadrature import (QuadratureSpec, Sampler, circle_angles, gauss_legendre,
-                         refined_circle_mean)
-from .series import ComplexSeries, circle_values
+                         refine, refined_circle_mean)
+from .series import ComplexSeries, circle_values, horner
 
 #: evaluation points closer to the boundary than this are rejected by the
 #: Poisson quadrature
@@ -39,6 +43,17 @@ POISSON_FLOOR = 1e-2
 
 #: dyadic radius grid used as the monotonicity cross-check in the norm estimate
 HARDY_RADII = tuple(1.0 - 2.0 ** -j for j in range(1, 7))
+
+#: zygmund_plus stops splitting a grid interval that may hide a crossing
+#: pair once its worst-case share of the mean is below this fraction of
+#: abs_tol, and adds that share to est_error instead
+UNRESOLVED_SHARE = 2.0 ** -20
+
+#: Newton on a crossing stops at a step this small (radians): the
+#: integrand vanishes there, so a root error d moves the mean by O(u' d^2)
+NEWTON_STEP = 1e-12
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -97,16 +112,145 @@ def _log_plus(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _guarded_intervals(Fr: np.ndarray, u: np.ndarray, abs_tol: float):
+    """Split the grid intervals of u until none can hide a crossing pair.
+
+    u holds the values of u(t) = Re sum_j Fr_j e^(ijt) at the n uniform
+    angles.  |u''| <= B2 = sum_j j^2 |Fr_j|, so on an interval of width w
+    u lies within B2 w^2 / 8 of the chord through its end values; where
+    both ends are farther than that from the levels +-1, each level is
+    crossed at most once, and exactly where its sign changes.  Intervals
+    that fail this test are halved (one Horner call per pass for all of
+    them) until their worst case, a set of width w on which |u| is within
+    B2 w^2 / 8 of 1, weighs below UNRESOLVED_SHARE * abs_tol.
+
+    Returns (left ends, widths, u at left ends, u at right ends, the
+    summed worst cases of the intervals kept unresolved, evaluations).
+    """
+    j = np.arange(Fr.size)
+    b2 = float(np.sum(j * j * np.abs(Fr)))
+    n = u.size
+    t, w, ua, ub = circle_angles(n), np.full(n, 2.0 * np.pi / n), u, np.roll(u, -1)
+    kept, unresolved, evaluations = [], 0.0, 0
+    while t.size:
+        slack = b2 * w * w / 8.0
+        near = np.minimum(np.abs(np.abs(ua) - 1.0), np.abs(np.abs(ub) - 1.0)) <= slack
+        x = 1.0 + slack
+        worst = w * x * np.log(x) / (2.0 * np.pi)
+        accept = near & (worst <= UNRESOLVED_SHARE * abs_tol)
+        unresolved += float(worst[accept].sum())
+        split = near & ~accept
+        kept.append((t[~split], w[~split], ua[~split], ub[~split]))
+        t, w, ua, ub = t[split], 0.5 * w[split], ua[split], ub[split]
+        if t.size:
+            um = horner(Fr, np.exp(1j * (t + w))).real
+            evaluations += um.size
+            t, w = np.concatenate((t, t + w)), np.concatenate((w, w))
+            ua, ub = np.concatenate((ua, um)), np.concatenate((um, ub))
+    t, w, ua, ub = (np.concatenate(col) for col in zip(*kept))
+    return t, w, ua, ub, unresolved, evaluations
+
+
+def _crossings(Fr: np.ndarray, t, w, ua, ub,
+               rounding: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every t where u = +-1, sorted, with whether |u| > 1 just after it.
+
+    The brackets are the intervals on which u - 1 or u + 1 changes sign;
+    each root starts at the chord's zero and takes safeguarded Newton
+    steps, u and u' from one stacked Horner call per step, with a step
+    that leaves the shrinking bracket replaced by bisection.  A root
+    stops at a step of at most NEWTON_STEP or where |u - c| is within u's
+    ``rounding``.  Returns (roots, outside after each root, evaluations).
+    """
+    brackets = []
+    for c in (1.0, -1.0):
+        sa, sb = ua > c, ub > c
+        br = sa != sb
+        brackets.append((np.full(int(br.sum()), c), t[br], t[br] + w[br], ua[br] - c,
+                         ub[br] - c, sb[br] if c > 0 else ~sb[br]))
+    c, a, b, fa, fb, after = (np.concatenate(col) for col in zip(*brackets))
+    start = a.copy()
+    root = a + (b - a) * fa / (fa - fb)
+    rows = np.stack((Fr, 1j * np.arange(Fr.size) * Fr))
+    left_pos = fa > 0.0
+    active = np.arange(root.size)
+    evaluations = 0
+    while active.size:
+        u, du = horner(rows, np.exp(1j * root[active])).real
+        evaluations += active.size
+        phi = u - c[active]
+        same = (phi > 0.0) == left_pos[active]
+        a[active] = np.where(same, root[active], a[active])
+        b[active] = np.where(same, b[active], root[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = phi / du
+        new = root[active] - step
+        inside = (new >= a[active]) & (new <= b[active])
+        settled = np.abs(phi) <= rounding
+        root[active] = np.where(settled, root[active],
+                                np.where(inside, new, 0.5 * (a[active] + b[active])))
+        done = settled | (inside & (np.abs(step) <= NEWTON_STEP)) | (
+            b[active] - a[active] <= NEWTON_STEP)
+        active = active[~done]
+    order = np.lexsort((root, start))  # brackets in circle order: ties keep it
+    return root[order], after[order], evaluations
+
+
 def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
                         q: QuadratureSpec) -> tuple[float, float, int]:
     """((1/2pi) int |u(r e^it)| log+ |u(r e^it)| dt, est_error, nodes) for
-    u = Re f."""
+    u = Re f = Re (g + h); nodes counts the evaluations of u.
+
+    One ``circle_values`` call samples u at N = the next power of two
+    >= max(circle_nodes, 8 (deg F + 1)) angles, F = g + h, and
+    ``_guarded_intervals`` makes sure that no crossing of |u| = 1 hides
+    between two samples.  Without a crossing the mean is 0 if |u| < 1
+    everywhere, and else the refined trapezoid mean of smooth |u| log |u|.
+    Otherwise ``_crossings`` locates each crossing and every arc where
+    |u| > 1 is cut into panels of width at most 2 pi / (deg F + 1) and
+    integrated by Gauss-Legendre, refined from 8 nodes per panel by
+    ``quadrature.refine``: |u| log |u| is analytic on each arc, so two
+    agreeing levels bound the error.  est_error adds the worst case of
+    the intervals the guard left unresolved and, to a nonzero mean, the
+    rounding of u, at most 2 (deg F + 1 + log2 N) eps B0 with
+    B0 = sum_j |F_j| r^j >= |u|, times sup (1 + log |u|).
+    """
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
-    value, err, nodes, _ = refined_circle_mean(
-        _map_sampler(m, r, lambda f: _log_plus(np.abs(f.real))), q,
-        context="zygmund_plus")
-    return value, err, nodes
+    F = (m.g + m.h).coeffs
+    if not np.isfinite(F).all():  # the guard's bound on u'' would be infinite
+        raise DomainError("zygmund_plus needs finite coefficients")
+    Fr = F * r ** np.arange(F.size)
+    n = 1 << (max(q.circle_nodes, 8 * F.size) - 1).bit_length()
+    u = circle_values(m.g, m.h, r, n).real
+    b0 = float(np.abs(Fr).sum())
+    rounding = 2.0 * (F.size + math.log2(n)) * _EPS * b0
+    t, w, ua, ub, unresolved, splits = _guarded_intervals(Fr, u, q.abs_tol)
+    roots, outside, polish = _crossings(Fr, t, w, ua, ub, rounding)
+    evaluations = n + splits + polish
+    if roots.size == 0 and abs(u[0]) <= 1.0:
+        return 0.0, unresolved, evaluations
+    floor = unresolved + rounding * (1.0 + math.log(max(b0, 1.0)))
+    if roots.size == 0:
+        value, err, nodes, _ = refined_circle_mean(
+            _map_sampler(m, r, lambda f: _log_plus(np.abs(f.real))), q, context="zygmund_plus")
+        return value, err + floor, evaluations + nodes
+    ends = np.append(roots[1:], roots[0] + 2.0 * np.pi)
+    width = 2.0 * np.pi / F.size
+    cuts = [np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+            for lo, hi in zip(roots[outside], ends[outside])]
+    lo = np.concatenate([c[:-1] for c in cuts])[:, None]
+    hi = np.concatenate([c[1:] for c in cuts])[:, None]
+
+    def level(nodes: int) -> float:
+        nonlocal evaluations
+        s, wts = gauss_legendre(nodes, lo, hi)
+        v = np.abs(horner(Fr, np.exp(1j * s)).real)
+        evaluations += v.size
+        return float(np.sum(wts * v * np.log(v))) / (2.0 * np.pi)
+
+    value, err, _, _ = refine(level, 8, q, "zygmund_plus")
+    return value, err + floor, evaluations
 
 
 def entropy_u_report(m: PlanarHarmonicMap, r: float,
@@ -213,14 +357,9 @@ def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
     """Empirical lower bounds for the two square-function comparison constants.
 
     Returns (max ||H||_1 / ||G[H]||_1, max ||G[H]||_1 / ||H||_1) over the
-    corpus; every H must satisfy H(0) = 0.
+    corpus, each NaN if any ratio is; every H must satisfy H(0) = 0.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("calderon_ratio_estimate needs a nonempty corpus")
-    c1_lb = 0.0
-    c2_lb = 0.0
-    for H in corpus:
-        nh, ng = calderon_norms(H, q)
-        c1_lb = max(c1_lb, nh / ng)
-        c2_lb = max(c2_lb, ng / nh)
-    return c1_lb, c2_lb
+    norms = np.array([calderon_norms(H, q) for H in corpus])
+    return float(np.max(norms[:, 0] / norms[:, 1])), float(np.max(norms[:, 1] / norms[:, 0]))

@@ -190,8 +190,9 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
     """Run the sharp planar verifier across the deterministic corpus.
 
     One ``verify_T2`` per seed, each with its certified K; the first
-    failing seed raises.  Returns the worst margin, the best lhs/rhs ratio
-    (tightness), and the serialized first map attaining that ratio.
+    failing seed raises.  Returns the worst margin (NaN once any margin is
+    NaN), the best lhs/rhs ratio (tightness), and the serialized first map
+    attaining that ratio.
     seeds = 0 yields the vacuous summary (infinite worst margin, zero best
     ratio, empty witness).
     """
@@ -199,7 +200,8 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
     for seed in range(seeds):
         m = random_qr_map(seed, k, degree, positivity_margin)
         rep = verify_T2(m, r, q, dilatation_grid=CORPUS_DILATATION_GRID)
-        worst = min(worst, rep.margin)
+        if math.isnan(rep.margin) or rep.margin < worst:  # a NaN margin sticks
+            worst = rep.margin
         if rep.lhs / rep.rhs > best:
             best, witness = rep.lhs / rep.rhs, m
     return FuzzSummary(seeds=seeds, worst_margin=worst, best_ratio=best,

@@ -288,3 +288,44 @@ class TestGate:
         assert capsys.readouterr().out.startswith(
             "[FAIL] verify-t1: margin >= -quad_error fails; c1c2 = 0.000001; min margin = ")
         assert out.exists()
+
+
+def nan_at_call(real, index, spoil):
+    """``real`` with its result spoiled by ``spoil`` on call number ``index``."""
+    calls = []
+
+    def planted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return spoil(out) if len(calls) == index else out
+    return planted
+
+
+class TestNanInstances:
+    def test_a_nan_margin_fails_fuzz(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hqz.theorems, "verify_T2", nan_at_call(
+            hqz.theorems.verify_T2, 2, lambda rep: dataclasses.replace(rep, margin=math.nan)))
+        code, out = run_cli(["fuzz", "--seeds=3"], tmp_path, "f.csv")
+        assert code == 1
+        assert capsys.readouterr().out.startswith(
+            "[FAIL] fuzz: worst margin >= -1e-9 fails; worst margin nan, ")
+        assert next(csv.DictReader(out.open()))["worst_margin"] == "nan"
+
+    def test_a_nan_ratio_fails_calderon_estimate(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hqz.cli, "calderon_norms", nan_at_call(
+            hqz.cli.calderon_norms, 2, lambda norms: (norms[0], math.nan)))
+        code, out = run_cli(["calderon-estimate", "--seeds=3"], tmp_path, "c.csv")
+        assert code == 1
+        assert capsys.readouterr().out.startswith(
+            "[FAIL] calderon-estimate: c1 >= sqrt(2) - 1e-9, finite fails; "
+            "c2 >= 1/sqrt(2) - 1e-9, finite fails; ")
+        last = list(csv.DictReader(out.open()))[-1]
+        assert (last["member"], last["ratio_H_over_GH"], last["ratio_GH_over_H"]) == (
+            "max", "nan", "nan")
+
+    def test_a_nan_ratio_fails_verify_t1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hqz.functionals, "calderon_norms", nan_at_call(
+            hqz.functionals.calderon_norms, 2, lambda norms: (norms[0], math.nan)))
+        code, _ = run_cli(["verify-t1", "--seeds=2"], tmp_path, "t.csv")
+        assert code == 1
+        assert "c1c2 finite and positive fails; " in capsys.readouterr().out

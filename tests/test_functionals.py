@@ -113,6 +113,10 @@ class TestZygmundPlus:
         assert zygmund_plus_report(analytic(2.0, 1.0), 1.0, q)[0] == pytest.approx(
             riemann_circle_mean(w), abs=1e-9)
 
+    def test_infinite_coefficient_rejected(self, q):
+        with pytest.raises(DomainError):
+            zygmund_plus_report(analytic(0.5, math.inf), 1.0, q)
+
     def test_nonnegative_on_corpus(self, q_fast):
         for seed in range(10):
             assert zygmund_plus_report(random_qr_map(seed, 0.5), 1.0, q_fast)[0] >= 0.0
@@ -264,6 +268,15 @@ class TestCalderonRatio:
     def test_nonzero_constant_rejected(self, q):
         with pytest.raises(DomainError):
             calderon_ratio_estimate([ComplexSeries((1.0, 1.0))], q)
+
+    def test_a_nan_ratio_propagates(self, q, monkeypatch):
+        import hqz.functionals as functionals
+        real = functionals.calderon_norms
+        monkeypatch.setattr(functionals, "calderon_norms", lambda H, q: (
+            (math.nan, 1.0) if H.degree == 2 else real(H, q)))
+        c1, c2 = calderon_ratio_estimate(
+            [ComplexSeries((0.0, 1.0)), ComplexSeries((0.0, 0.0, 1.0))], q)
+        assert math.isnan(c1) and math.isnan(c2)
 
 
 def test_frozen_m1_value(q):

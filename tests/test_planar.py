@@ -297,6 +297,15 @@ class TestRandomQrMap:
         assert m.h.is_zero()
         assert m.u(0j) > 0
 
+    def test_omega_is_checked_once(self, monkeypatch):
+        import hqz.planar as planar
+        checks = []
+        real = planar.PlanarHarmonicMap.__post_init__
+        monkeypatch.setattr(planar.PlanarHarmonicMap, "__post_init__",
+                            lambda self: (checks.append(self), real(self))[1])
+        m = random_qr_map(3, 0.3)
+        assert checks == [m] and m.k_declared == 0.3
+
     def test_positivity_is_certified(self, monkeypatch):
         # a construction whose g + h leaves the coefficient budget is refused
         import hqz.planar as planar
