@@ -2,25 +2,24 @@
 
 Constructs planar harmonic maps f = g + conj(h) with controlled
 dilatation and affine families on the unit ball, evaluates the circle and
-sphere functionals (integral means, entropy, log-plus means, Poisson
-extension, radial square function), checks the Green-representation
+sphere functionals (the mean of |f|, entropy, the Zygmund log-plus mean,
+Poisson extension, radial square function), checks the Green-representation
 identities, and verifies the sharp and non-sharp Zygmund-type bounds with
 explicit margins.
 """
 
-from .ball import (AffineBallMap, C_n, RatioRow, X_of, Y_of, axial_mean,
+from .ball import (AffineBallMap, RatioRow, X_of, Y_of, axial_mean,
                    ball_green_calibration, ball_green_identity_n3,
-                   laplacian_abs_affine, phi_of_m, ratio_limit_scan,
-                   ulogplus_mean)
+                   laplacian_abs_affine, phi_of_m, ratio_limit_scan)
 from .errors import (ConfigError, DomainError, EmptyCorpus, HqzError,
                      HypothesisViolation, KernelBlowup, MonotonicityViolation,
                      NoConvergence, NonpositiveRealPart, TruncationOverflow,
                      VanishingModulus)
-from .functionals import (MeanReport, calderon_norms, calderon_ratio_estimate,
+from .functionals import (calderon_norms, calderon_ratio_estimate,
                           calderon_square, circle_mean_p, entropy_u_report,
                           hardy_norm_estimate, poisson_extend_circle,
                           poisson_kernel)
-from .gamma import log_gamma
+from .gamma import C_n
 from .laplacian import (LaplacianAuditResult, audit_laplacians,
                         disk_green_identity, laplacian_abs_f, laplacian_ulogu,
                         laplacian_ratio_sup, phi_scan_argmax)
@@ -36,7 +35,7 @@ __all__ = [
     "AffineBallMap", "C_n", "ComplexSeries", "ConfigError", "DEGREE_CAP",
     "DilatationReport", "DomainError", "EmptyCorpus", "FuzzSummary",
     "HqzError", "HypothesisViolation", "KernelBlowup",
-    "LaplacianAuditResult", "MeanReport", "MonotonicityViolation",
+    "LaplacianAuditResult", "MonotonicityViolation",
     "NoConvergence", "NonpositiveRealPart", "PlanarHarmonicMap",
     "QuadratureSpec", "RatioRow", "TheoremReport", "TruncationOverflow",
     "VanishingModulus", "X_of", "Y_of", "audit_laplacians", "axial_mean",
@@ -44,10 +43,10 @@ __all__ = [
     "calderon_ratio_estimate", "calderon_square", "circle_mean_p",
     "dilatation_sup", "disk_green_identity", "entropy_u_report",
     "fuzz_search", "hardy_norm_estimate", "jacobian", "laplacian_abs_affine",
-    "laplacian_abs_f", "laplacian_ulogu", "laplacian_ratio_sup", "log_gamma",
+    "laplacian_abs_f", "laplacian_ulogu", "laplacian_ratio_sup",
     "make_qr_map", "map_from_json", "map_to_json", "phi_of_m",
     "phi_scan_argmax", "poisson_extend_circle", "poisson_kernel",
     "random_qr_map", "random_series", "ratio_limit_scan", "strip_example",
-    "ulogplus_mean", "verify_T1", "verify_T2", "verify_T2_strip",
+    "verify_T1", "verify_T2", "verify_T2_strip",
     "verify_T3_affine",
 ]

@@ -5,10 +5,11 @@ Every integrand that appears in the sharpness computations depends on
 position only through t, the angle to e1, so sphere means reduce to
 
     int_S p dsigma = C_n * int_0^pi sin^(n-2)(t) p(t) dt,
-    C_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)),
+    C_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2))   (``gamma.C_n``),
 
-with sigma the normalized sphere measure.  The affine family
-f(x) = c e1 + a x (1-quasiregular, since Df = a Id) gives
+with sigma the normalized sphere measure; ``axial_mean`` integrates it by
+Gauss-Legendre.  The affine family f(x) = c e1 + a x (1-quasiregular,
+since Df = a Id) gives
 
     |f| on the sphere       = sqrt(c^2 + a^2 + 2 a c cos t)
     u = f_1 on the sphere   = c + a cos t
@@ -32,10 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonpositiveRealPart, VanishingModulus
-from .gamma import log_gamma
+from .gamma import C_n
 from .quadrature import QuadratureSpec, gauss_legendre, refine
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -59,34 +58,20 @@ class AffineBallMap:
         return out
 
 
-def C_n(n: int) -> float:
-    """Normalization Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)) of the axial weight."""
-    if n < 2:
-        raise DomainError("dimension must be >= 2")
-    return math.exp(log_gamma(0.5 * n) - log_gamma(0.5 * (n - 1))) / _SQRT_PI
+def _axial_level(n: int, profile, nodes: int) -> float:
+    t, w = gauss_legendre(nodes, 0.0, math.pi)
+    vals = np.asarray(profile(t), dtype=float)
+    return C_n(n) * math.fsum((w * np.sin(t) ** (n - 2) * vals).tolist())
 
 
-def _axial_level(n: int, profile, nodes: int, pieces: tuple[float, ...]) -> float:
-    cn = C_n(n)
-    total = []
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        t, w = gauss_legendre(nodes, a, b)
-        vals = np.asarray(profile(t), dtype=float)
-        total.extend((w * np.sin(t) ** (n - 2) * vals).tolist())
-    return cn * math.fsum(total)
-
-
-def axial_mean(n: int, profile, q: QuadratureSpec,
-               split_at: tuple[float, ...] = ()) -> float:
+def axial_mean(n: int, profile, q: QuadratureSpec) -> float:
     """Mean over the unit sphere of a profile of the angle to e1.
 
-    Gauss-Legendre on [0, pi] (optionally split at interior kinks of the
-    profile) with compensated summation, doubled by ``refine``.
+    Gauss-Legendre on [0, pi] with compensated summation, doubled by
+    ``refine``.
     """
-    pieces = tuple(sorted({0.0, math.pi, *split_at}))
-    value, _, _, _ = refine(lambda nodes: _axial_level(n, profile, nodes, pieces),
-                            max(32, q.radial_nodes), q, "axial mean")
-    return value
+    return refine(lambda nodes: _axial_level(n, profile, nodes),
+                  max(32, q.radial_nodes), q, "axial mean")[0]
 
 
 def X_of(m: AffineBallMap, q: QuadratureSpec) -> float:
@@ -119,23 +104,6 @@ def Y_of(m: AffineBallMap, q: QuadratureSpec) -> float:
         return c * ((1.0 + x) * np.log1p(x) + x * logc)
 
     return axial_mean(m.n, profile, q)
-
-
-def ulogplus_mean(m: AffineBallMap, q: QuadratureSpec) -> float:
-    """mean over the sphere of u log+ u, splitting at the u = 1 kink."""
-    c, a = m.c, m.a
-    splits: tuple[float, ...] = ()
-    if abs(1.0 - c) < a:
-        splits = (math.acos((1.0 - c) / a),)
-
-    def profile(t: np.ndarray) -> np.ndarray:
-        u = c + a * np.cos(t)
-        out = np.zeros_like(u)
-        mask = u > 1.0
-        out[mask] = u[mask] * np.log(u[mask])
-        return out
-
-    return axial_mean(m.n, profile, q, split_at=splits)
 
 
 def phi_of_m(m: float) -> float:
@@ -215,8 +183,7 @@ def _ball3_volume_weighted(lap: Callable[[np.ndarray, np.ndarray], np.ndarray],
         vals = lap(rr, tt) * (rr - rr ** 2) * np.sin(tt)
         return 0.5 * float(math.fsum((ww * vals).ravel().tolist()))
 
-    value, _, _, _ = refine(level, max(24, q.radial_nodes), q, "3-ball volume integral")
-    return value
+    return refine(level, max(24, q.radial_nodes), q, "3-ball volume integral")[0]
 
 
 def ball_green_calibration(q: QuadratureSpec) -> float:

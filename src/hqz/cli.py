@@ -186,7 +186,8 @@ def write_rows(header: list[str], rows: list[dict], path: str, fmt: str) -> None
 
 # ---------------------------------------------------------------------------
 # scenario implementations: each returns (rows, criteria, detail), criteria
-# naming each condition that must hold, written so that a NaN fails it
+# naming each condition that must hold, written so that a NaN fails it; the
+# details take np.min and np.max, which keep a NaN where min and max drop it
 # ---------------------------------------------------------------------------
 
 #: columns of the tables that --seeds=0 leaves without rows
@@ -215,7 +216,7 @@ def run_reproduce_sharpness_3d(cfg: RunConfig):
                 "|phi - 2Y| <= 1e-7": all(r["cross_check"] <= 1e-7 for r in rows),
                 "phi gap decreases over m = 10..100": all(b < a for a, b in zip(gaps, gaps[1:])),
                 "|phi(100) - 1/3| < 1e-3": rows[-1]["phi_gap"] < 1e-3}
-    detail = (f"max |X - 1/3| = {max(abs(r['X'] - 1/3) for r in rows):.2e}, "
+    detail = (f"max |X - 1/3| = {np.max([abs(r['X'] - 1/3) for r in rows]):.2e}, "
               f"|phi(100) - 1/3| = {rows[-1]['phi_gap']:.2e}")
     return rows, criteria, detail
 
@@ -300,7 +301,7 @@ def run_verify_t1(cfg: RunConfig):
                                           rep.params["empirical_constant"]))))
     criteria = {"c1c2 finite and positive": math.isfinite(c1c2) and c1c2 > 0,
                 "margin >= -quad_error": all(r["margin"] >= -r["quad_error"] for r in rows)}
-    detail = (f"c1c2 = {c1c2:.6f}; min margin = {min(r['margin'] for r in rows):.6f}"
+    detail = (f"c1c2 = {c1c2:.6f}; min margin = {np.min([r['margin'] for r in rows]):.6f}"
               if rows else "empty corpus, vacuous PASS")
     return rows, criteria, detail
 
@@ -314,7 +315,7 @@ def run_verify_t2(cfg: RunConfig):
         rows.append({"k": k, "seeds": summary.seeds,
                      "worst_margin": summary.worst_margin,
                      "best_ratio": summary.best_ratio})
-    worst = min(r["worst_margin"] for r in rows)
+    worst = float(np.min([r["worst_margin"] for r in rows]))
     constant = PlanarHarmonicMap(g=ComplexSeries.constant(1.0),
                                  h=ComplexSeries.zero())
     degenerate = verify_T2(constant, 1.0, q, K=1.0)
@@ -345,7 +346,7 @@ def run_verify_t3(cfg: RunConfig):
         deviations.append(abs(ratio - (n - 1)) / (n - 1))
     criteria = {"margin >= -1e-9": all(r["margin"] >= -1e-9 for r in rows),
                 "a-family X/Y within 5% of n - 1": all(d < 0.05 for d in deviations)}
-    detail = f"min margin = {min(r['margin'] for r in rows):.3e}"
+    detail = f"min margin = {np.min([r['margin'] for r in rows]):.3e}"
     return rows, criteria, detail
 
 
@@ -386,9 +387,9 @@ def run_laplacian_audit(cfg: RunConfig):
     criteria = {"FD deviations <= 1e-5": all(r["max_rel_abs_f"] <= 1e-5
                                              and r["max_rel_ulogu"] <= 1e-5 for r in rows),
                 "ratio <= K^2 (1 + 1e-9)": all(r["max_ratio"] <= r["K2_bound"] for r in rows)}
-    worst = max((max(r["max_rel_abs_f"], r["max_rel_ulogu"]) for r in rows), default=0.0)
-    detail = (f"worst FD relative deviation {worst:.2e} over {seeds} maps"
-              if rows else "empty corpus, vacuous PASS")
+    detail = (f"worst FD relative deviation "
+              f"{np.max([[r['max_rel_abs_f'], r['max_rel_ulogu']] for r in rows]):.2e} "
+              f"over {seeds} maps" if rows else "empty corpus, vacuous PASS")
     return rows, criteria, detail
 
 

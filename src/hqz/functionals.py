@@ -1,7 +1,7 @@
 """Circle functionals on harmonic maps.
 
-Integral means M_p(r, f), the h^1 norm estimate for polynomial data, the
-two entropy-type functionals
+The integral mean M_1(r, f), the h^1 norm estimate for polynomial data,
+the two entropy-type functionals
 
     zygmund_plus_report: (1/2pi) int |u| log+ |u| dt   (log+ x = max(log x, 0))
     entropy_u_report:    (1/2pi) int  u  log  u  dt    (requires u > 0)
@@ -25,7 +25,6 @@ Gauss-Legendre instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,51 +55,36 @@ NEWTON_STEP = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class MeanReport:
-    r: float
-    p: float
-    value: float
-    nodes: int
-    est_error: float
-
-
 def _map_sampler(m: PlanarHarmonicMap, r: float, part) -> Sampler:
     """Sampler of part(f) on the circle of radius r, for refined_circle_mean."""
     return lambda n, shift: part(circle_values(m.g, m.h, r, n, shift))
 
 
-def circle_mean_p(m: PlanarHarmonicMap, r: float, p: float,
-                  q: QuadratureSpec) -> MeanReport:
-    """M_p(r, f) = ((1/2pi) int |f(r e^it)|^p dt)^(1/p) with refinement."""
+def circle_mean_p(m: PlanarHarmonicMap, r: float,
+                  q: QuadratureSpec) -> tuple[float, float, int]:
+    """(M_1(r, f) = (1/2pi) int |f(r e^it)| dt, est_error, nodes) with refinement."""
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
-    if p <= 0.0:
-        raise DomainError("exponent p must be positive")
-    # refine on the transformed value so est_error lives on the M_p scale
-    value, err, nodes, _ = refined_circle_mean(
-        _map_sampler(m, r, lambda f: np.abs(f) ** p), q,
-        context=f"M_p(r={r}, p={p})", transform=lambda mean: mean ** (1.0 / p))
-    return MeanReport(r=r, p=p, value=value, nodes=nodes, est_error=err)
+    return refined_circle_mean(_map_sampler(m, r, np.abs), q, context=f"M_1(r={r})")
 
 
-def hardy_norm_estimate(m: PlanarHarmonicMap, p: float, q: QuadratureSpec) -> MeanReport:
-    """sup over radii of M_p(r, f), reported as M_p(1, f), which it equals
+def hardy_norm_estimate(m: PlanarHarmonicMap,
+                        q: QuadratureSpec) -> tuple[float, float, int]:
+    """sup over radii of M_1(r, f), reported as M_1(1, f), which it equals
     for polynomial data.
 
-    The dyadic radius grid is evaluated as a cross-check: |f|^p is
+    The dyadic radius grid is evaluated as a cross-check: |f| is
     subharmonic, so the means must be nondecreasing in r up to quadrature
     error, and a decrease beyond tolerance raises MonotonicityViolation.
     """
-    if p < 1.0:
-        raise DomainError("hardy_norm_estimate requires p >= 1")
-    reports = [circle_mean_p(m, r, p, q) for r in HARDY_RADII + (1.0,)]
-    for lo, hi in zip(reports[:-1], reports[1:]):
-        slack = lo.est_error + hi.est_error + 1e-12
-        if hi.value < lo.value - slack:
+    radii = HARDY_RADII + (1.0,)
+    reports = [circle_mean_p(m, r, q) for r in radii]
+    for j, ((lo, lo_err, _), (hi, hi_err, _)) in enumerate(zip(reports, reports[1:])):
+        slack = lo_err + hi_err + 1e-12
+        if hi < lo - slack:
             raise MonotonicityViolation(
-                f"M_p decreased from {lo.value!r} (r={lo.r}) to {hi.value!r} "
-                f"(r={hi.r}) beyond tolerance {slack:.3e}")
+                f"M_1 decreased from {lo!r} (r={radii[j]}) to {hi!r} "
+                f"(r={radii[j + 1]}) beyond tolerance {slack:.3e}")
     return reports[-1]
 
 
@@ -232,7 +216,7 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
         return 0.0, unresolved, evaluations
     floor = unresolved + rounding * (1.0 + math.log(max(b0, 1.0)))
     if roots.size == 0:
-        value, err, nodes, _ = refined_circle_mean(
+        value, err, nodes = refined_circle_mean(
             _map_sampler(m, r, lambda f: _log_plus(np.abs(f.real))), q, context="zygmund_plus")
         return value, err + floor, evaluations + nodes
     ends = np.append(roots[1:], roots[0] + 2.0 * np.pi)
@@ -249,7 +233,7 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
         evaluations += v.size
         return float(np.sum(wts * v * np.log(v))) / (2.0 * np.pi)
 
-    value, err, _, _ = refine(level, 8, q, "zygmund_plus")
+    value, err, _ = refine(level, 8, q, "zygmund_plus")
     return value, err + floor, evaluations
 
 
@@ -267,9 +251,7 @@ def entropy_u_report(m: PlanarHarmonicMap, r: float,
                 f"min u = {u.min():.3e} <= 0 on the circle of radius {r}")
         return u * np.log(u)
 
-    value, err, nodes, _ = refined_circle_mean(_map_sampler(m, r, integrand), q,
-                                               context="entropy_u")
-    return value, err, nodes
+    return refined_circle_mean(_map_sampler(m, r, integrand), q, context="entropy_u")
 
 
 def poisson_kernel(x: complex, theta: np.ndarray) -> np.ndarray:
@@ -292,8 +274,7 @@ def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec) -> float:
         theta = circle_angles(n, shift)
         return poisson_kernel(x, theta) * np.asarray(boundary(theta), dtype=float)
 
-    value, _, _, _ = refined_circle_mean(integrand, q, context="poisson_extend_circle")
-    return value
+    return refined_circle_mean(integrand, q, context="poisson_extend_circle")[0]
 
 
 def _calderon_nodes(H: ComplexSeries) -> int:
@@ -343,10 +324,10 @@ def calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float]:
     def square_function(n: int, shift: bool) -> np.ndarray:
         return np.sqrt(np.maximum(circle_values(C, C_neg, 1.0, n, shift).real, 0.0))
 
-    norm_H, _, _, _ = refined_circle_mean(
+    norm_H, _, _ = refined_circle_mean(
         lambda n, shift: np.abs(circle_values(H, None, 1.0, n, shift)), q,
         context="||H||_1")
-    norm_GH, _, _, _ = refined_circle_mean(square_function, q, context="||G[H]||_1")
+    norm_GH, _, _ = refined_circle_mean(square_function, q, context="||G[H]||_1")
     if norm_H == 0.0 or norm_GH == 0.0:
         raise DomainError("the zero series has no norm ratio")
     return norm_H, norm_GH

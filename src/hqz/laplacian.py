@@ -156,8 +156,7 @@ def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
         return r * r * total
 
     floored = replace(q, abs_tol=max(q.abs_tol, 1e-12))
-    value, err, _, _ = refine(level, n_rad0, floored, "disk area integral")
-    return value, err
+    return refine(level, n_rad0, floored, "disk area integral")[:2]
 
 
 def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> float:
@@ -171,7 +170,7 @@ def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> fl
         raise VanishingModulus(
             f"min |f| = {af_min:.3e} on the closed disk of radius {r}")
 
-    boundary, _, _, _ = refined_circle_mean(
+    boundary, _, _ = refined_circle_mean(
         lambda n, shift: np.abs(circle_values(m.g, m.h, r, n, shift)), q,
         context="circle mean of |f|")
 

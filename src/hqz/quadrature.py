@@ -10,7 +10,7 @@ Two rules cover everything here:
 
 ``refine`` is the one doubling driver of every refined integral: it
 stops when the change between consecutive levels drops below ``abs_tol``
-and reports the last change as the error estimate.  Circle means run it
+and returns (value, est_error = the last change, nodes).  Circle means run it
 through ``refined_circle_mean``, whose levels evaluate the integrand only
 on the new odd half of the nodes.  Integrands are sampled through
 ``series.circle_values`` (one inverse FFT per circle) wherever they come
@@ -80,41 +80,36 @@ def circle_angles(n: int, shift: bool = False) -> np.ndarray:
 
 
 def refine(level: Callable[[int], float], n0: int, spec: QuadratureSpec,
-           context: str) -> tuple[float, float, int, int]:
+           context: str) -> tuple[float, float, int]:
     """Evaluate ``level(n)`` at n = n0, 2 n0, 4 n0, ... until the change
     between consecutive levels is <= ``spec.abs_tol``.
 
-    Returns (value, est_error = that change, nodes, levels = doublings);
-    raises NoConvergence past ``spec.refinement_limit`` doublings.
+    Returns (value, est_error = that change, nodes); raises NoConvergence
+    past ``spec.refinement_limit`` doublings.
     """
     n = n0
     prev = level(n)
-    for levels in range(1, spec.refinement_limit + 1):
+    for _ in range(spec.refinement_limit):
         n *= 2
         cur = level(n)
         err = abs(cur - prev)
         if err <= spec.abs_tol:
-            return cur, err, n, levels
+            return cur, err, n
         prev = cur
     raise NoConvergence(f"{context}: {n} nodes, last change {err:.3e} "
                         f"> abs_tol {spec.abs_tol:.3e}")
 
 
 def refined_circle_mean(sample: Sampler, spec: QuadratureSpec,
-                        context: str = "circle mean",
-                        transform: Callable[[float], float] = float,
-                        ) -> tuple[float, float, int, int]:
+                        context: str = "circle mean") -> tuple[float, float, int]:
     """Refine the periodic trapezoid mean of an integrand until stable.
 
     ``sample(n, shift)`` returns the integrand at ``circle_angles(n,
     shift)``.  The first level samples ``spec.circle_nodes`` angles; each
     doubling keeps the running mean and samples only the new odd half of
-    the nodes, which is the previous grid shifted by half a step.  The
-    stopping rule of ``refine`` compares ``transform`` of the means of
-    consecutive levels, so the error estimate lives on the scale of the
-    reported value.
+    the nodes, which is the previous grid shifted by half a step.
 
-    Returns (value, est_error, nodes, levels) as ``refine`` does.
+    Returns (value, est_error, nodes) as ``refine`` does.
     """
     n0 = spec.circle_nodes
     mean = float(np.mean(sample(n0, False)))
@@ -123,7 +118,7 @@ def refined_circle_mean(sample: Sampler, spec: QuadratureSpec,
         nonlocal mean
         if n > n0:
             mean = 0.5 * (mean + float(np.mean(sample(n // 2, True))))
-        return transform(mean)
+        return mean
 
     return refine(level, n0, spec, context)
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .ball import AffineBallMap, X_of, Y_of, ulogplus_mean
+from .ball import AffineBallMap, X_of, Y_of
 from .errors import HypothesisViolation, NonpositiveRealPart
 from .functionals import (circle_mean_p, entropy_u_report, hardy_norm_estimate,
                           zygmund_plus_report)
@@ -46,7 +46,6 @@ T1_ENVELOPE = 2.0 * (6.0 * math.pi * math.e + 1.0)
 
 @dataclass(frozen=True)
 class TheoremReport:
-    theorem_id: str
     params: Mapping[str, float]
     lhs: float
     rhs: float
@@ -93,7 +92,7 @@ def verify_T2(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
     K is K(k_upper) of dilatation_sup unless supplied.  quad_error adds
     the rounding of the stored h' to the quadrature estimates.
     """
-    v0 = float(m.v(0j))
+    v0 = m.f0().imag
     if abs(v0) > V0_TOL:
         raise HypothesisViolation(f"v(0) = {v0:.3e}, expected 0")
     K_val = _resolve_K(m, K, dilatation_grid)
@@ -101,16 +100,14 @@ def verify_T2(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
         ent, ent_err, _ = entropy_u_report(m, r, q)
     except NonpositiveRealPart as exc:
         raise HypothesisViolation(f"u must be positive on the circle: {exc}") from exc
-    lhs_rep = circle_mean_p(m, r, 1.0, q)
+    lhs, lhs_err, _ = circle_mean_p(m, r, q)
     rhs = K_val ** 2 * (math.exp(-1.0 + K_val ** -2) + ent)
-    quad_error = lhs_rep.est_error + K_val ** 2 * ent_err + _rounding_error(m, K_val ** 2)
+    quad_error = lhs_err + K_val ** 2 * ent_err + _rounding_error(m, K_val ** 2)
     return TheoremReport(
-        theorem_id="T2",
-        params={"K": K_val, "k": (K_val - 1.0) / (K_val + 1.0), "r": r,
-                "u0": float(m.u(0j)), "entropy": ent},
-        lhs=lhs_rep.value,
+        params={"K": K_val, "k": (K_val - 1.0) / (K_val + 1.0), "entropy": ent},
+        lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs_rep.value,
+        margin=rhs - lhs,
         quad_error=quad_error,
     )
 
@@ -119,14 +116,13 @@ def verify_T2_strip(n: int, q: QuadratureSpec) -> TheoremReport:
     """Strip bound: the map n/(n+1) + z/(n+1) has h^1 norm strictly below 1,
     with gap shrinking like 1/(n+1) (that envelope is reported as a param)."""
     m = strip_example(n)
-    rep = hardy_norm_estimate(m, 1.0, q)
+    norm, err, _ = hardy_norm_estimate(m, q)
     return TheoremReport(
-        theorem_id="T2_strip",
-        params={"n": float(n), "gap": 1.0 - rep.value, "gap_envelope": 2.0 / (n + 1.0)},
-        lhs=rep.value,
+        params={"gap_envelope": 2.0 / (n + 1.0)},
+        lhs=norm,
         rhs=1.0,
-        margin=1.0 - rep.value,
-        quad_error=rep.est_error,
+        margin=1.0 - norm,
+        quad_error=err,
     )
 
 
@@ -142,17 +138,16 @@ def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec) ->
         raise HypothesisViolation("c1c2 must be positive")
     K_val = _resolve_K(m, None, None)
     zp, zp_err, _ = zygmund_plus_report(m, r, q)
-    lhs_rep = circle_mean_p(m, r, 1.0, q)
+    lhs, lhs_err, _ = circle_mean_p(m, r, q)
     rhs = T1_ENVELOPE * c1c2 * K_val * (1.0 + zp)
-    quad_error = (lhs_rep.est_error + T1_ENVELOPE * c1c2 * K_val * zp_err
+    quad_error = (lhs_err + T1_ENVELOPE * c1c2 * K_val * zp_err
                   + _rounding_error(m, T1_ENVELOPE * c1c2 * K_val))
     return TheoremReport(
-        theorem_id="T1",
-        params={"K": K_val, "r": r, "c1c2": c1c2, "zygmund_plus": zp,
-                "empirical_constant": lhs_rep.value / (1.0 + zp)},
-        lhs=lhs_rep.value,
+        params={"K": K_val, "c1c2": c1c2, "zygmund_plus": zp,
+                "empirical_constant": lhs / (1.0 + zp)},
+        lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs_rep.value,
+        margin=rhs - lhs,
         quad_error=quad_error,
     )
 
@@ -160,23 +155,15 @@ def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec) ->
 def verify_T3_affine(m: AffineBallMap, q: QuadratureSpec) -> TheoremReport:
     """Ball inequality X(f) <= (n-1) Y(f) on the affine family (K = 1).
 
-    The rhs uses the quadrature entropy difference directly; when
-    |f(0)| = u(0) (always true here) the report also carries the
-    log-plus variant rhs (n-1)(exp(-1 + 1/(n-1)) + mean u log+ u).
+    The rhs uses the quadrature entropy difference Y directly.
     """
     if m.c <= m.a:
         raise HypothesisViolation(f"need c > a for positive u (c={m.c}, a={m.a})")
     x = X_of(m, q)
     y = Y_of(m, q)
     rhs = (m.n - 1) * y
-    nm1 = float(m.n - 1)
-    params = {"n": float(m.n), "c": m.c, "a": m.a, "Y": y,
-              "h1_norm": x + m.c,
-              "rhs_logplus": nm1 * (math.exp(-1.0 + 1.0 / nm1)
-                                    + ulogplus_mean(m, q))}
     return TheoremReport(
-        theorem_id="T3",
-        params=params,
+        params={"n": float(m.n), "c": m.c, "a": m.a, "Y": y},
         lhs=x,
         rhs=rhs,
         margin=rhs - x,

@@ -73,7 +73,7 @@ def test_criterion_03_ratio_limit():
 
 def test_criterion_04_strip_corollary():
     with budget("4 (strip bound)", 2.0):
-        values = [hardy_norm_estimate(strip_example(n), 1.0, Q).value
+        values = [hardy_norm_estimate(strip_example(n), Q)[0]
                   for n in range(1, 65)]
         assert all(v < 1.0 for v in values)
         assert all(b > a for a, b in zip(values[:-1], values[1:]))

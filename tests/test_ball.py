@@ -8,7 +8,7 @@ from hqz import (AffineBallMap, C_n, ComplexSeries,
                  VanishingModulus, X_of, Y_of, axial_mean,
                  ball_green_calibration, ball_green_identity_n3,
                  laplacian_abs_affine, laplacian_abs_f, phi_of_m,
-                 ratio_limit_scan, ulogplus_mean)
+                 ratio_limit_scan)
 
 
 def simpson_axial(n, profile, nodes=2 ** 18 + 1) -> float:
@@ -197,27 +197,6 @@ class TestBallGreen:
     def test_dimension_guard(self, q):
         with pytest.raises(DomainError):
             ball_green_identity_n3(AffineBallMap(n=4, c=4.0, a=2.0), q)
-
-
-class TestUlogplusMean:
-    def test_above_one_everywhere_matches_Y_shift(self, q):
-        # u = c + a cos t > 1 so log+ = log and the mean is Y + c log c
-        fam = AffineBallMap(n=3, c=4.0, a=2.0)
-        want = Y_of(fam, q) + 4.0 * math.log(4.0)
-        assert ulogplus_mean(fam, q) == pytest.approx(want, abs=1e-9)
-
-    def test_kink_split_against_oracle(self, q):
-        fam = AffineBallMap(n=3, c=1.0, a=0.5)
-
-        def prof(t):
-            u = 1.0 + 0.5 * np.cos(t)
-            out = np.zeros_like(u)
-            mask = u > 1.0
-            out[mask] = u[mask] * np.log(u[mask])
-            return out
-
-        assert ulogplus_mean(fam, q) == pytest.approx(
-            simpson_axial(3, prof), abs=1e-8)
 
 
 class TestAffineRatioBound:

@@ -323,6 +323,32 @@ class TestNanInstances:
         assert (last["member"], last["ratio_H_over_GH"], last["ratio_GH_over_H"]) == (
             "max", "nan", "nan")
 
+    @pytest.mark.parametrize("args, call, field, start, end", [
+        (["verify-t1", "--seeds=3"], "verify_T1", "margin",
+         "[FAIL] verify-t1: margin >= -quad_error fails; c1c2 = ", "; min margin = nan -> "),
+        (["verify-t2", "--seeds=1"], "fuzz_search", "worst_margin",
+         "[FAIL] verify-t2: worst margin >= -1e-9 fails; worst margin over corpus = nan; ",
+         "degenerate margin = 0.0 -> "),
+        (["verify-t3"], "verify_T3_affine", "margin",
+         "[FAIL] verify-t3: margin >= -1e-9 fails; min margin = nan -> ", ""),
+        (["laplacian-audit", "--seeds=2"], "audit_laplacians", "max_rel_ulogu",
+         "[FAIL] laplacian-audit: FD deviations <= 1e-5 fails; ",
+         "worst FD relative deviation nan over 2 maps -> "),
+        (["reproduce-sharpness-3d"], "X_of", None,
+         "[FAIL] reproduce-sharpness-3d: |X - 1/3| <= 1e-8 at m = 2, 5, 10 fails; "
+         "max |X - 1/3| = nan, ", "")],
+        ids=["verify-t1", "verify-t2", "verify-t3", "laplacian-audit", "reproduce-sharpness-3d"])
+    def test_a_fail_detail_shows_a_nan(self, args, call, field, start, end, tmp_path,
+                                       capsys, monkeypatch):
+        # the second instance (a report's field, or a plain value) is NaN:
+        # min and max would drop it from the detail
+        monkeypatch.setattr(hqz.cli, call, nan_at_call(getattr(hqz.cli, call), 2, lambda out: (
+            math.nan if field is None else dataclasses.replace(out, **{field: math.nan}))))
+        code, out = run_cli(args, tmp_path, "n.csv")
+        assert code == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith(start) and printed.endswith(f"{end}{out}\n")
+
     def test_a_nan_ratio_fails_verify_t1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(hqz.functionals, "calderon_norms", nan_at_call(
             hqz.functionals.calderon_norms, 2, lambda norms: (norms[0], math.nan)))

@@ -32,63 +32,51 @@ def riemann_circle_mean(f, n=2 ** 20) -> float:
 
 class TestCircleMeanP:
     def test_constant(self, q):
-        rep = circle_mean_p(analytic(1.0), 0.5, 1.0, q)
-        assert rep.value == pytest.approx(1.0, abs=1e-14)
-        rep = circle_mean_p(analytic(1.0), 0.9, 3.0, q)
-        assert rep.value == pytest.approx(1.0, abs=1e-14)
-
-    def test_monomial_p2(self, q):
-        rep = circle_mean_p(analytic(0.0, 1.0), 0.5, 2.0, q)
-        assert rep.value == pytest.approx(0.5, abs=1e-13)
+        assert circle_mean_p(analytic(1.0), 0.5, q)[0] == pytest.approx(1.0, abs=1e-14)
+        assert circle_mean_p(analytic(1.0), 0.9, q)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_one_plus_z_against_riemann_oracle(self, q):
         oracle = riemann_circle_mean(lambda t: np.abs(1.0 + np.exp(1j * t)))
-        rep = circle_mean_p(analytic(1.0, 1.0), 1.0, 1.0, q)
-        assert rep.value == pytest.approx(oracle, abs=1e-9)
-        assert rep.value == pytest.approx(4.0 / math.pi, abs=1e-9)
+        value = circle_mean_p(analytic(1.0, 1.0), 1.0, q)[0]
+        assert value == pytest.approx(oracle, abs=1e-9)
+        assert value == pytest.approx(4.0 / math.pi, abs=1e-9)
 
     def test_report_fields(self, q):
-        rep = circle_mean_p(analytic(1.0, 1.0), 0.5, 1.0, q)
-        assert rep.value >= 0.0
-        assert rep.est_error <= q.abs_tol
-        assert rep.nodes >= 2 * q.circle_nodes
+        value, est_error, nodes = circle_mean_p(analytic(1.0, 1.0), 0.5, q)
+        assert value >= 0.0
+        assert est_error <= q.abs_tol
+        assert nodes >= 2 * q.circle_nodes
 
     def test_domain_checks(self, q):
         with pytest.raises(DomainError):
-            circle_mean_p(analytic(1.0), 0.0, 1.0, q)
-        with pytest.raises(DomainError):
-            circle_mean_p(analytic(1.0), 0.5, -1.0, q)
+            circle_mean_p(analytic(1.0), 0.0, q)
 
 
 class TestHardyNorm:
     def test_constant(self, q):
-        assert hardy_norm_estimate(analytic(2.5), 1.0, q).value == pytest.approx(
+        assert hardy_norm_estimate(analytic(2.5), q)[0] == pytest.approx(
             2.5, abs=1e-13)
 
     def test_monomial(self, q):
-        assert hardy_norm_estimate(analytic(0.0, 1.0), 1.0, q).value == pytest.approx(
+        assert hardy_norm_estimate(analytic(0.0, 1.0), q)[0] == pytest.approx(
             1.0, abs=1e-12)
 
     def test_one_plus_z(self, q):
-        assert hardy_norm_estimate(analytic(1.0, 1.0), 1.0, q).value == pytest.approx(
+        assert hardy_norm_estimate(analytic(1.0, 1.0), q)[0] == pytest.approx(
             4.0 / math.pi, abs=1e-9)
 
     def test_means_nondecreasing_in_radius(self, q):
         # subharmonicity cross-check runs inside the estimator; also assert
         # directly on a dyadic radius sweep
         m = random_qr_map(2, 0.3)
-        values = [circle_mean_p(m, r, 1.0, q).value
+        values = [circle_mean_p(m, r, q)[0]
                   for r in (0.25, 0.5, 0.75, 0.9, 1.0)]
         assert all(b >= a - 1e-11 for a, b in zip(values[:-1], values[1:]))
-
-    def test_p_below_one_rejected(self, q):
-        with pytest.raises(DomainError):
-            hardy_norm_estimate(analytic(1.0), 0.5, q)
 
     def test_norm_dominates_f0(self, q):
         for seed in range(5):
             m = random_qr_map(seed, 0.3)
-            norm = hardy_norm_estimate(m, 1.0, q).value
+            norm = hardy_norm_estimate(m, q)[0]
             assert norm >= abs(m(0j)) - 1e-10
 
 
@@ -143,7 +131,7 @@ class TestEntropy:
         # x log x convex and mean of u over the circle equals u(0)
         for seed in range(8):
             m = random_qr_map(seed, 0.3)
-            u0 = float(m.u(0j))
+            u0 = float(m(0j).real)
             assert entropy_u_report(m, 1.0, q_fast)[0] >= u0 * math.log(u0) - 1e-9
 
 
@@ -213,8 +201,7 @@ def per_radius_square_norm(H: ComplexSeries, q: QuadratureSpec) -> float:
             acc += w_i * (vals.real ** 2 + vals.imag ** 2)
         return np.sqrt(acc)
 
-    value, _, _, _ = refined_circle_mean(square_function, q, context="reference")
-    return value
+    return refined_circle_mean(square_function, q, context="reference")[0]
 
 
 class TestCalderonNorms:
@@ -280,5 +267,5 @@ class TestCalderonRatio:
 
 
 def test_frozen_m1_value(q):
-    rep = circle_mean_p(analytic(1.0, 0.5), 1.0, 1.0, q)
-    assert rep.value == pytest.approx(M1_1_PLUS_HALF_Z, abs=1e-10)
+    assert circle_mean_p(analytic(1.0, 0.5), 1.0, q)[0] == pytest.approx(
+        M1_1_PLUS_HALF_Z, abs=1e-10)

@@ -1,39 +1,54 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from hqz import DomainError, log_gamma
+from hqz import C_n, DomainError
+
+#: pi to 50 digits, for the exact reference
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
 
 
 def test_known_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert math.exp(log_gamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert math.exp(log_gamma(1.5)) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
-    assert math.exp(log_gamma(5.0)) == pytest.approx(24.0, rel=1e-14)
+    assert C_n(2) == 1.0 / math.pi
+    assert C_n(3) == 0.5
+    assert C_n(4) == 2.0 / math.pi
+    assert C_n(5) == 0.75
 
 
 def test_against_libm_on_working_range():
-    # dense grid over [0.5, 64]: the range the sphere constants draw from
-    xs = np.linspace(0.5, 64.0, 20001)
-    worst = max(abs(log_gamma(float(x)) - math.lgamma(float(x)))
-                / max(1.0, abs(math.lgamma(float(x)))) for x in xs)
-    assert worst < 1e-13
+    # libm's lgamma(n/2) is near 78 at n = 64, where one ulp is 1.4e-14, so
+    # the reference itself is off by up to 1.5e-14 relative there (n = 62,
+    # against the exact value of test_half_integers); the tolerance covers that
+    for n in range(2, 65):
+        ref = math.exp(math.lgamma(n / 2) - math.lgamma((n - 1) / 2)) / math.sqrt(math.pi)
+        assert C_n(n) == pytest.approx(ref, rel=2e-14, abs=0.0)
+
+
+def gamma_over_sqrt_pi(k2: int) -> Fraction:
+    """Gamma(k2 / 2) / sqrt(pi)^(k2 odd) as an exact rational: (j-1)! at
+    k2 = 2j, and (2j)! / (4^j j!) at k2 = 2j + 1."""
+    j = k2 // 2
+    if k2 % 2 == 0:
+        return Fraction(math.factorial(j - 1))
+    return Fraction(math.factorial(2 * j), 4 ** j * math.factorial(j))
 
 
 def test_half_integers():
-    for n in range(1, 65):
-        x = 0.5 * n
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
-
-
-def test_reflection_branch():
-    assert log_gamma(0.25) == pytest.approx(math.lgamma(0.25), rel=1e-12)
+    # Gamma at the integers and half-integers n/2, (n-1)/2 in exact
+    # arithmetic; C_n is within two roundings of the exact value
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for n in range(2, 65):
+            ratio = gamma_over_sqrt_pi(n) / gamma_over_sqrt_pi(n - 1)
+            exact = Decimal(ratio.numerator) / Decimal(ratio.denominator)
+            if n % 2 == 0:  # Gamma((n-1)/2) carries the sqrt(pi) of the ratio
+                exact /= PI_50
+            assert abs(Decimal(C_n(n)) - exact) <= exact * Decimal(2.0 ** -51)
 
 
 def test_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-1.5)
+    for n in (1, 0, -3):
+        with pytest.raises(DomainError):
+            C_n(n)

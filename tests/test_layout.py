@@ -68,8 +68,8 @@ def outside_modules(tree: ast.Module) -> set[str]:
 
 
 class _Uses(ast.NodeVisitor):
-    """Every name and attribute read, with the definitions enclosing it, and
-    every call, keyed by the called name.  An attribute of a module outside
+    """Every name and attribute read, with the definitions enclosing it and
+    whether it is an attribute, and every call, keyed by the called name.  An attribute of a module outside
     hqz (``O.name`` after ``import oracles as O``) belongs to that module, so
     reading or calling it does not count as a use of an hqz definition."""
 
@@ -85,14 +85,14 @@ class _Uses(ast.NodeVisitor):
     visit_FunctionDef = visit_ClassDef = _enter
 
     def visit_Name(self, node):
-        self.refs.append((self.path, self.scope, node.id))
+        self.refs.append((self.path, self.scope, node.id, False))
 
     def _outside(self, node) -> bool:
         return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in self.outside
 
     def visit_Attribute(self, node):
         if not self._outside(node):
-            self.refs.append((self.path, self.scope, node.attr))
+            self.refs.append((self.path, self.scope, node.attr, True))
         self.generic_visit(node)
 
     def visit_Call(self, node):
@@ -113,13 +113,16 @@ def uses(paths: list[Path]) -> tuple[list, dict]:
 
 def unreferenced(defining: list[Path], using: list[Path]) -> list[str]:
     """Definitions in ``defining`` whose name no code in ``using`` reads
-    outside the definition itself."""
+    outside the definition itself; a method counts as read only through an
+    attribute (``x.name``), so a local variable of the same name hides nothing."""
     refs, _ = uses(using)
     found = []
     for path in defining:
         for qual, node in definitions(path):
-            if not any(name == qual[-1] and not (where == path and scope[:len(qual)] == qual)
-                       for where, scope, name in refs):
+            method = len(qual) == 2
+            if not any(name == qual[-1] and (attr or not method)
+                       and not (where == path and scope[:len(qual)] == qual)
+                       for where, scope, name, attr in refs):
                 found.append(f"{path.name}:{node.lineno}: {'.'.join(qual)}")
     return found
 
@@ -189,33 +192,45 @@ class Box:
     def __repr__(self):
         return "Box"
 
+    def size(self):
+        return 0
+
 
 def recurse(n, depth=0):
     return recurse(n - 1, depth + 1) if n else depth
 
 
+def measure(items):
+    size = len(items)
+    return size
+
+
 used(1, 2)
 Box().put(1)
 recurse(3)
+measure([])
 """
 
 
 def test_detects_an_unreferenced_definition(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(PLANTED)
-    # a string or a call from inside its own body does not count
+    # a string, a call from inside its own body or a local variable named
+    # like a method (size in measure) does not count
     assert unreferenced([path], [path]) == ["probe.py:5: only_recursive",
-                                            "probe.py:13: Box.unused_method"]
+                                            "probe.py:13: Box.unused_method",
+                                            "probe.py:19: Box.size"]
     caller = tmp_path / "caller.py"
     caller.write_text("from probe import Box, only_recursive\n"
-                      "Box().unused_method()\nonly_recursive(2)\n")
+                      "Box().unused_method()\nonly_recursive(2)\nBox().size()\n")
     assert unreferenced([path], [path, caller]) == []
     # an attribute of a module outside hqz is that module's own name;
     # one of an hqz module is a read
     oracles = tmp_path / "oracles_user.py"
     oracles.write_text("import some_oracles as O\nimport hqz.probe\n"
                        "O.only_recursive(2)\nhqz.probe.Box().unused_method()\n")
-    assert unreferenced([path], [path, oracles]) == ["probe.py:5: only_recursive"]
+    assert unreferenced([path], [path, oracles]) == ["probe.py:5: only_recursive",
+                                                     "probe.py:19: Box.size"]
 
 
 def test_detects_an_unset_optional_parameter(tmp_path):
@@ -273,7 +288,7 @@ def test_every_definition_serves_the_program():
         name for name, _ in REFERENCES]
     # and each reference still has a unit test that reads it
     refs, _ = uses([path for path in everything if path not in program])
-    read = {name for _, _, name in refs}
+    read = {name for _, _, name, _ in refs}
     assert [name for name, _ in REFERENCES if name.split(".")[-1] not in read] == []
 
 

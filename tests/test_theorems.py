@@ -65,16 +65,16 @@ class TestVerifyT2Strip:
     def test_unit_circle_mean_taken_once(self, q, monkeypatch):
         radii, real = [], functionals.circle_mean_p
 
-        def spy(m, r, p, spec):
+        def spy(m, r, spec):
             radii.append(r)
-            return real(m, r, p, spec)
+            return real(m, r, spec)
 
         monkeypatch.setattr(functionals, "circle_mean_p", spy)
         monkeypatch.setattr(theorems, "circle_mean_p", spy)
         rep = verify_T2_strip(5, q)
         assert radii.count(1.0) == 1
-        top = real(strip_example(5), 1.0, 1.0, q)
-        assert (rep.lhs, rep.quad_error) == (top.value, top.est_error)
+        value, est_error, _ = real(strip_example(5), 1.0, q)
+        assert (rep.lhs, rep.quad_error) == (value, est_error)
 
 
 class TestVerifyT1:
