@@ -15,7 +15,9 @@ The disk representation used downstream is
     |f(0)| = (1/2pi) int_{|z|=r} |f| |dz|
              - (1/2pi) iint_{|z|<r} lap|f| log(r/|z|) dx dy,
 
-valid when |f| is smooth on the closed disk of radius r (no zeros).
+valid when |f| is smooth on the closed disk of radius r (no zeros).  With
+|z| = r s the area term's kernel is r^2 (-s log s), the weight of one Gauss
+rule (``quadrature.log_weight_gauss``).
 
 The scalar analysis Phi(xi) = xi - lam * xi * log(xi) peaks at
 xi = exp(-1 + 1/lam) with maximum lam * exp(-1 + 1/lam); ``phi_scan_argmax``
@@ -36,8 +38,7 @@ import numpy as np
 
 from .errors import DomainError, NonpositiveRealPart, VanishingModulus
 from .planar import PlanarHarmonicMap
-from .quadrature import (QuadratureSpec, dyadic_panels, gauss_legendre, refine,
-                         refined_circle_mean)
+from .quadrature import QuadratureSpec, log_weight_gauss, refine, refined_circle_mean
 from .series import circle_values, horner, stacked
 
 #: modulus floor below which the 1/|f| closed form is refused
@@ -48,13 +49,10 @@ TAU_F = 1e-8
 RATIO_GRID_RADII = 32
 RATIO_GRID_ANGLES = 256
 
-#: dyadic panel depth for the log(r/rho) radial weight; the mass of
-#: -s log s below 2^-18 is ~1e-10, far below the residual targets
-LOG_PANEL_DEPTH = 18
-
-#: radii per ``rows`` call in the area rule: enough to amortize the FFT
-#: set-up, few enough that the arrays stay at 8 x angles values
-AREA_ROW_BLOCK = 8
+#: values per ``rows`` call of the area rule (one radius if a circle has
+#: more): one call per level through 16 radii x 512 angles, and bounded
+#: memory past that (a whole level per call raised green-ball's peak RSS 8 %)
+AREA_CALL_POINTS = 1 << 13
 
 #: significant digits of the decimal fallback stencil; its rounding,
 #: about 1e-40 / (12 h^2), stays far below the stencil's truncation error
@@ -136,24 +134,21 @@ def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
 
     ``rows(rho, n)`` returns F at the n uniform angles 2 pi k / n on the
     circles |z| = rho_i, one row per radius.  Polar form with rho = r s:
-    the radial factor -s log s is handled on a dyadic panel mesh
-    (Gauss-Legendre per panel, ``AREA_ROW_BLOCK`` radii per ``rows``
-    call), the angle by the periodic trapezoid rule; ``refine`` doubles
-    both, to an abs_tol of at least 1e-12.  Returns (value, est_error).
+    the radial factor -s log s is the weight of the n_rad-node Gauss rule
+    ``log_weight_gauss``, the angle goes by the periodic trapezoid rule
+    on n_ang0 n_rad / n_rad0 angles, ``AREA_CALL_POINTS`` values per
+    ``rows`` call; ``refine`` doubles n_rad, to an abs_tol of at least
+    1e-12.  Returns (value, est_error).
     """
-    panels = dyadic_panels(LOG_PANEL_DEPTH)
     n_rad0, n_ang0 = max(8, q.radial_nodes // 4), max(64, q.circle_nodes // 2)
 
     def level(n_rad: int) -> float:
+        s, w = log_weight_gauss(n_rad)
         n_ang = n_ang0 * (n_rad // n_rad0)
-        total = 0.0
-        for a, b in panels:
-            s, w = gauss_legendre(n_rad, a, b)
-            weights = -w * s * np.log(s)
-            for i in range(0, n_rad, AREA_ROW_BLOCK):
-                block = slice(i, i + AREA_ROW_BLOCK)
-                total += float(np.dot(weights[block], rows(r * s[block], n_ang).mean(axis=1)))
-        return r * r * total
+        step = max(1, AREA_CALL_POINTS // n_ang)
+        means = np.concatenate([rows(r * s[i:i + step], n_ang).mean(axis=1)
+                                for i in range(0, n_rad, step)])
+        return r * r * float(np.dot(w, means))
 
     floored = replace(q, abs_tol=max(q.abs_tol, 1e-12))
     return refine(level, n_rad0, floored, "disk area integral")[:2]

@@ -1,6 +1,9 @@
 """The doubling driver against from-scratch doubling rules: the circle
 rule on Horner values, and the hand-written Gauss-Legendre loops that the
-sphere, 3-ball volume and disk area rules ran before they shared the driver."""
+sphere and 3-ball volume rules ran before they shared the driver.  The
+Gauss rule of the weight -s log s against its exact moments and an
+independent construction, and the disk area rule against the dyadic panel
+rule it replaced."""
 
 import math
 
@@ -14,9 +17,10 @@ from hqz import (AffineBallMap, C_n, ComplexSeries, NoConvergence,
                  random_series)
 from hqz.ball import _ball3_volume_weighted
 from hqz.functionals import entropy_u_report, zygmund_plus_report
-from hqz.laplacian import disk_area_log_mean
-from hqz.quadrature import (circle_angles, dyadic_panels, gauss_legendre, refine,
-                            refined_circle_mean)
+from hqz.laplacian import _lap_abs_f, disk_area_log_mean
+from hqz.quadrature import (circle_angles, dyadic_panels, gauss_legendre,
+                            log_weight_gauss, refine, refined_circle_mean)
+from hqz.series import circle_values
 
 
 def scratch_rule(integrand, q):
@@ -234,6 +238,9 @@ def loop_ball3_volume(lap, q):
 
 
 def loop_disk_area(rows, r, q):
+    """The area rule that the log-weight Gauss rule replaced: n_rad
+    Gauss-Legendre nodes on each of 19 dyadic panels down to 2^-18, 8 radii
+    per ``rows`` call, doubled with the angles; (value, last change)."""
     def level(n_rad, n_ang):
         total = 0.0
         for a, b in dyadic_panels(18):
@@ -281,12 +288,94 @@ def test_ball_identities_equal_the_loops(q):
     assert ball_green_identity_n3(AffineBallMap(n=3, c=c, a=a), q) == want
 
 
-@pytest.mark.parametrize("power", [0, 2])
-def test_disk_area_equals_the_loop(q, power):
-    def rows(rho, n):
-        return np.repeat(rho[:, None] ** power, n, axis=1)
+def moment_errors(s, w):
+    """|sum_i w_i s_i^k (k+2)^2 - 1| for k < 2n: the relative errors of an
+    n-node rule on the moments 1/(k+2)^2 of -s log s on [0, 1]."""
+    k = np.arange(2 * s.size)
+    return np.abs((w * s ** k[:, None]).sum(axis=1) * (k + 2.0) ** 2 - 1.0)
 
-    assert disk_area_log_mean(rows, 0.9, q) == loop_disk_area(rows, 0.9, q)
+
+def legendre_moments(weight, n):
+    """int P_k(2s - 1) dlambda for k < 2n, from the closed forms of
+    int P_k(2s - 1) (-log s) ds = 1, (-1)^k / (k (k+1)) and, by
+    s P_k = ((k+1) P_(k+1) + k P_(k-1)) / (2 (2k+1)) + P_k / 2, of
+    int P_k(2s - 1) (-s log s) ds = 1/4, -1/36, (-1)^(k+1) / ((k-1) k (k+1) (k+2))."""
+    k = np.arange(2 * n, dtype=float)
+    with np.errstate(divide="ignore"):
+        if weight == "-log s":
+            nu = (-1.0) ** k / (k * (k + 1))
+            nu[0] = 1.0
+        else:
+            nu = -(-1.0) ** k / ((k - 1) * k * (k + 1) * (k + 2))
+            nu[:2] = 0.25, -1.0 / 36.0
+    return nu
+
+
+def chebyshev_gauss(nu, n):
+    """n-node Gauss rule from the moments ``nu`` of ``legendre_moments``:
+    the modified Chebyshev algorithm against the monic shifted Legendre
+    polynomials (s p_k = p_(k+1) + p_k / 2 + b_k p_(k-1)), then Golub-Welsch
+    (Gautschi, Orthogonal Polynomials, 2004, 2.1.7).  It shares no step with
+    ``log_weight_gauss`` but the final eigendecomposition."""
+    k = np.arange(2 * n, dtype=float)
+    b = k * k / (4.0 * (4.0 * k * k - 1.0))
+    sigma = nu * np.cumprod(np.append(1.0, k[1:] / (4.0 * k[1:] - 2.0)))  # monic: k!^2 / (2k)!
+    prev = np.zeros(2 * n)
+    alpha, beta = np.empty(n), np.empty(n)
+    alpha[0], beta[0] = 0.5 + sigma[1] / sigma[0], sigma[0]
+    for j in range(1, n):
+        l = np.arange(j, 2 * n - j)
+        cur = np.zeros(2 * n)
+        cur[l] = (sigma[l + 1] - (alpha[j - 1] - 0.5) * sigma[l] - beta[j - 1] * prev[l]
+                  + b[l] * sigma[l - 1])
+        alpha[j] = 0.5 + cur[j + 1] / cur[j] - sigma[j] / sigma[j - 1]
+        beta[j] = cur[j] / sigma[j - 1]
+        prev, sigma = sigma, cur
+    x, v = np.linalg.eigh(np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1))
+    return x, beta[0] * v[0] ** 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_log_weight_gauss_is_exact_through_degree_2n_minus_1(n):
+    s, w = log_weight_gauss(n)
+    assert s.shape == w.shape == (n,)
+    assert ((0.0 < s) & (s < 1.0)).all() and (w > 0.0).all()
+    assert moment_errors(s, w).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_log_weight_gauss_matches_the_modified_moment_rule(n):
+    s, w = log_weight_gauss(n)
+    s_ref, w_ref = chebyshev_gauss(legendre_moments("-s log s", n), n)
+    assert moment_errors(s_ref, w_ref).max() <= 1e-13
+    np.testing.assert_allclose(s, s_ref, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_the_moment_check_rejects_a_wrong_weight(n):
+    s, w = log_weight_gauss(n)
+    # the rule of -log s, and the right nodes with the factor s dropped
+    # from the weights: both integrate 1 to about 1, not to 1/4
+    s_log, w_log = chebyshev_gauss(legendre_moments("-log s", n), n)
+    assert moment_errors(s_log, w_log).max() > 1.0
+    assert moment_errors(s, w / s).max() > 1.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("k", [0.1, 0.3, 0.5])
+def test_disk_area_agrees_with_the_panel_rule(q, seed, k):
+    m = random_qr_map(seed, k)
+
+    def rows(rho, n):  # the lap|f| rows of disk_green_identity
+        return _lap_abs_f(circle_values(m.g, m.h, rho, n),
+                          circle_values(m.g_prime, None, rho, n),
+                          circle_values(m.h_prime, None, rho, n))
+
+    value, err = disk_area_log_mean(rows, 0.9, q)
+    want, _ = loop_disk_area(rows, 0.9, q)
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert err <= q.abs_tol
 
 
 STARVED = QuadratureSpec(refinement_limit=1, abs_tol=1e-30)
