@@ -24,14 +24,20 @@ xi = exp(-1 + 1/lam) with maximum lam * exp(-1 + 1/lam); ``phi_scan_argmax``
 finds the peak by a grid scan, independently of that closed form.
 
 The finite-difference audit checks both closed forms against a 5-point
-stencil: a vectorized 80-bit pass at every point, then stdlib ``decimal``
-at the few points where float rounding divided by h^2 hides the answer.
+stencil in float64, evaluated in difference form so that no difference of
+nearby values cancels: a Taylor shift gives f(z0 + d) - f(z0) directly,
+and |f| and u log u are differenced through
+|f| - |f0| = Re(df conj(f + f0)) / (|f| + |f0|) and
+u log u - u0 log u0 = du log u + u0 log1p(du / u0)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+section 1.7).
 """
 
 from __future__ import annotations
 
-import decimal
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -53,14 +59,6 @@ RATIO_GRID_ANGLES = 256
 #: more): one call per level through 16 radii x 512 angles, and bounded
 #: memory past that (a whole level per call raised green-ball's peak RSS 8 %)
 AREA_CALL_POINTS = 1 << 13
-
-#: significant digits of the decimal fallback stencil; its rounding,
-#: about 1e-40 / (12 h^2), stays far below the stencil's truncation error
-STENCIL_DIGITS = 40
-
-#: relative deviation up to which the 80-bit stencil certifies a point;
-#: points above it are re-differenced in ``decimal``
-CERTIFY_REL = 1e-6
 
 
 def _pieces(m: PlanarHarmonicMap, z):
@@ -219,53 +217,41 @@ class LaplacianAuditResult:
     skipped: int
 
 
-_STENCIL_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-_STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+#: nonzero offsets of the 5-point stencil, in steps h along x then y, and
+#: their weights; the centre weight -30 makes the weights sum to 0, so the
+#: stencil of the differences from the centre value needs no centre term
+_STENCIL_OFFSETS = np.array([-2, -1, 1, 2, -2j, -1j, 1j, 2j])
+_STENCIL_WEIGHTS = np.array([-1.0, 16.0, 16.0, -1.0] * 2)
 
 
-def _stencil_laplacians(m: PlanarHarmonicMap, pts: np.ndarray,
-                        h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both Laplacians at every point by the 80-bit stencil (~1e-10 absolute)."""
-    steps = _STENCIL_OFFSETS * h
-    z = np.concatenate([pts[:, None] + steps, pts[:, None] + 1j * steps], axis=1)
-    f = horner(stacked([m.g] if m.h.is_zero() else [m.g, m.h]), z.astype(np.clongdouble))
-    f = f[0] + np.conjugate(f[1:].sum(axis=0))
-    w = _STENCIL_WEIGHTS.astype(np.longdouble)
-    return tuple(((v[:, :5] @ w + v[:, 5:] @ w) / (12.0 * h * h)).astype(float)
-                 for v in (np.abs(f), f.real * np.log(f.real)))
+@lru_cache(maxsize=16)
+def _shift_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binomials C(j + m, j) and indices j + m for j, m < n, the binomial 0
+    where j + m >= n: row j of ``binom * a[..., index]`` holds the
+    coefficients of p^(j) / j! for p = sum a_k z^k (Taylor shift).  Built
+    on first use and cached per size."""
+    binom = np.array([[math.comb(j + m, j) if j + m < n else 0 for m in range(n)]
+                      for j in range(n)], dtype=float)
+    index = np.minimum(np.add.outer(np.arange(n), np.arange(n)), n - 1)
+    binom.setflags(write=False)
+    index.setflags(write=False)
+    return binom, index
 
 
-def _decimal_stencil(m: PlanarHarmonicMap, pts: np.ndarray, h: float) -> list[list[float]]:
-    """[lap|f|, lap(u log u)] at pts by the same stencil in ``decimal``.
+def _shift_order(coeffs: np.ndarray, radius: float, step: float) -> int:
+    """Order J >= 1 at which the Taylor shift of the rows of ``coeffs`` may
+    stop for centres |z0| <= radius and offsets |d| <= step.
 
-    Coefficients and h convert exactly; points and Horner steps on (re, im)
-    pairs round to STENCIL_DIGITS digits; sqrt and ln are correctly rounded.
+    With B_j(rho) = sum_k C(k, j) |a_k| rho^(k-j), the terms past J of
+    sum_j b_j d^j add up to at most step^(J+1) B_(J+1)(radius + step), as
+    C(k, j) <= C(k, J+1) C(k-J-1, j-J-1).  J is the first order where that
+    bound is below eps step B_1, the rounding of the first-order term.
+    Needs at least two coefficients per row.
     """
-    D = decimal.Decimal
-    with decimal.localcontext(decimal.Context(prec=STENCIL_DIGITS)):
-        coeffs = [[D(x) for c in pair for x in (c.real, c.imag)]
-                  for pair in stacked([m.g, m.h]).T[::-1].tolist()]
-        offsets = [int(k) * D(h) for k in _STENCIL_OFFSETS]
-        weights = [int(w) for w in _STENCIL_WEIGHTS] * 2
-
-        def f_at(x, y):  # (Re, Im) of g + conj(h) at x + iy
-            gr = gi = hr = hi = D(0)
-            for ar, ai, br, bi in coeffs:
-                gr, gi = gr * x - gi * y + ar, gr * y + gi * x + ai
-                hr, hi = hr * x - hi * y + br, hr * y + hi * x + bi
-            return gr + hr, gi - hi
-
-        def lap(values) -> float:
-            return float(sum(w * v for w, v in zip(weights, values)) / (12 * D(h) * D(h)))
-
-        out = [[], []]
-        for z in pts:
-            x0, y0 = +D(z.real), +D(z.imag)
-            row_x = [f_at(x0 + d, y0) for d in offsets]
-            f = row_x + [f_at(x0, y0 + d) if d else row_x[2] for d in offsets]
-            out[0].append(lap([(re * re + im * im).sqrt() for re, im in f]))
-            out[1].append(lap([re * re.ln() for re, _ in f]))
-    return out
+    binom, index = _shift_weights(coeffs.shape[-1])
+    bound = horner(binom * np.abs(coeffs).sum(axis=0)[index], radius + step).real
+    tail = step ** np.arange(2, bound.size + 1) * np.append(bound[2:], 0.0)
+    return 1 + int(np.argmax(tail <= np.finfo(float).eps * step * bound[1]))
 
 
 def _relative_deviation(closed: np.ndarray, fd: np.ndarray) -> np.ndarray:
@@ -280,29 +266,37 @@ def audit_laplacians(m: PlanarHarmonicMap, points: np.ndarray,
     """Compare closed-form Laplacians against stencil finite differences.
 
     Points where |f| <= floor or u <= floor are skipped (the closed forms
-    divide by them).  A vectorized 80-bit stencil runs first; any point it
-    cannot certify to ``CERTIFY_REL`` is re-differenced in ``decimal``,
-    where the stencil is truncation-limited instead of rounding-limited.
-    Relative differences are taken against max(|closed|, |fd|), 0/0 read
-    as 0; any other NaN reaches ``max_rel_*``.
+    divide by them).  One ``horner`` call on the binomial-weighted
+    coefficients gives b_j = p^(j)(z0) / j! for g and h at every point, to
+    the order ``_shift_order`` picks; b_0 and b_1 feed the closed forms and
+    df(d) = sum_(j>=1) b_j d^j the stencil, in the difference form of the
+    module docstring, all in float64.  Relative differences are taken
+    against max(|closed|, |fd|), 0/0 read as 0; any other NaN reaches
+    ``max_rel_*``.
     """
     pts = np.asarray(points, dtype=complex)
-    g, hz, gp, hp = horner(stacked([m.g, m.h, m.g_prime, m.h_prime]), pts)
-    f = g + np.conjugate(hz)
+    # a zero column past the last coefficient: b_1 (g', h') exists for constant maps
+    coeffs = np.pad(stacked([m.g] if m.h.is_zero() else [m.g, m.h]), ((0, 0), (0, 1)))
+    order = _shift_order(coeffs, float(np.abs(pts).max(initial=0.0)), 2.0 * h)
+    binom, index = _shift_weights(coeffs.shape[-1])
+    b = horner(binom[:order + 1] * coeffs[:, index[:order + 1]], pts)
+    f = b[0, 0] + np.conjugate(b[1:, 0].sum(axis=0))
     keep = (np.abs(f) > floor) & (f.real > floor)
-    pts, f, gp, hp = pts[keep], f[keep], gp[keep], hp[keep]
+    pts, b, f = pts[keep], b[..., keep], f[keep]
     skipped = int((~keep).sum())
     if pts.size == 0:
         return LaplacianAuditResult(rows=(), max_rel_abs_f=0.0,
                                     max_rel_ulogu=0.0, skipped=skipped)
     _check_domain(f, "at the audit points")
+    gp, hp = b[0, 1], b[1:, 1].sum(axis=0)
     closed = np.array([_lap_abs_f(f, gp, hp), _lap_ulogu(f, gp, hp)])
-    fd = np.array(_stencil_laplacians(m, pts, h))
+    delta = np.vander(_STENCIL_OFFSETS * h, order + 1, increasing=True)[:, 1:] @ b[:, 1:]
+    df = delta[0] + np.conjugate(delta[1:].sum(axis=0))  # (offsets, points)
+    f1, u = f + df, f.real
+    diffs = np.array([(df * np.conjugate(f1 + f)).real / (np.abs(f1) + np.abs(f)),
+                      df.real * np.log(f1.real) + u * np.log1p(df.real / u)])
+    fd = _STENCIL_WEIGHTS @ diffs / (12.0 * h * h)
     rel = _relative_deviation(closed, fd)
-    redo = np.flatnonzero(~(rel <= CERTIFY_REL).all(axis=0))
-    if redo.size:
-        fd[:, redo] = _decimal_stencil(m, pts[redo], h)
-        rel = _relative_deviation(closed, fd)
     columns = np.array([closed[0], fd[0], closed[1], fd[1], rel[0], rel[1]]).T
     rows = tuple(LaplacianAuditRow(z, *row) for z, row in zip(pts.tolist(), columns.tolist()))
     return LaplacianAuditResult(rows=rows, max_rel_abs_f=float(rel[0].max()),

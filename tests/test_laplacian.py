@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hqz import (ComplexSeries, NonpositiveRealPart, PlanarHarmonicMap,
                  phi_scan_argmax, random_qr_map)
 from hqz import laplacian
 from hqz.laplacian import disk_area_log_mean
+from hqz.series import horner, stacked
 
 #: the 15 audit points of acceptance criterion 6 and ``hqz laplacian-audit``
 AUDIT_POINTS = np.concatenate([r * np.exp(2j * np.pi * np.arange(5) / 5)
@@ -79,6 +81,19 @@ class TestAuditDeviations:
         assert res.rows[0].fd_abs_f == 0.0
         assert res.rows[0].rel_abs_f == 0.0
         assert res.max_rel_abs_f == 0.0
+        # the difference form gives df = 0 exactly, so lap(u log u) too
+        assert res.rows[0].fd_ulogu == 0.0
+        assert res.rows[0].rel_ulogu == 0.0
+        assert res.max_rel_ulogu == 0.0
+
+    def test_small_laplacians_need_the_difference_form(self):
+        # lap|f| and lap(u log u) are 5e-7 on f ~ 2: differencing float64
+        # values of |f| and u log u instead reads 16 % and 3 % off here
+        m = analytic(2.0, 1e-3)
+        res = audit_laplacians(m, np.array([0.3 + 0.1j]))
+        assert res.rows[0].closed_abs_f == pytest.approx(1e-6 / abs(2.0003 + 1e-4j), rel=1e-14)
+        assert res.max_rel_abs_f <= 1e-8
+        assert res.max_rel_ulogu <= 1e-8
 
     def test_other_nan_is_kept(self):
         with np.errstate(invalid="ignore"):  # inf / inf
@@ -90,52 +105,70 @@ class TestAuditDeviations:
         assert math.isnan(rel.max())
 
 
-def uncertified_points(m: PlanarHarmonicMap) -> np.ndarray:
-    """Kept audit points where the 80-bit stencil misses 1e-6 relative."""
-    f = m(AUDIT_POINTS)
-    pts = AUDIT_POINTS[(np.abs(f) > 0.1) & (f.real > 0.1)]
-    closed_a = np.array([laplacian_abs_f(m, z) for z in pts])
-    closed_u = np.array([laplacian_ulogu(m, z) for z in pts])
-    fd_a, fd_u = laplacian._stencil_laplacians(m, pts, 1e-4)
-    rel = np.maximum(np.abs(fd_a - closed_a) / np.abs(closed_a),
-                     np.abs(fd_u - closed_u) / np.abs(closed_u))
-    return pts[rel > 1e-6]
+def decimal_stencil(m: PlanarHarmonicMap, pts: np.ndarray, h: float = 1e-4,
+                    digits: int = 40) -> list[list[float]]:
+    """[lap|f|, lap(u log u)] at pts by the audit's 5-point stencil in ``decimal``.
+
+    Coefficients and h convert exactly; points and Horner steps on (re, im)
+    pairs round to ``digits`` digits; sqrt and ln are correctly rounded.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        coeffs = [[D(x) for c in pair for x in (c.real, c.imag)]
+                  for pair in stacked([m.g, m.h]).T[::-1].tolist()]
+        offsets = [k * D(h) for k in (-2, -1, 0, 1, 2)]
+        weights = [-1, 16, -30, 16, -1] * 2
+
+        def f_at(x, y):  # (Re, Im) of g + conj(h) at x + iy
+            gr = gi = hr = hi = D(0)
+            for ar, ai, br, bi in coeffs:
+                gr, gi = gr * x - gi * y + ar, gr * y + gi * x + ai
+                hr, hi = hr * x - hi * y + br, hr * y + hi * x + bi
+            return gr + hr, gi - hi
+
+        def lap(values) -> float:
+            return float(sum(w * v for w, v in zip(weights, values)) / (12 * D(h) * D(h)))
+
+        out = [[], []]
+        for z in pts:
+            x0, y0 = +D(z.real), +D(z.imag)
+            row_x = [f_at(x0 + d, y0) for d in offsets]
+            f = row_x + [f_at(x0, y0 + d) if d else row_x[2] for d in offsets]
+            out[0].append(lap([(re * re + im * im).sqrt() for re, im in f]))
+            out[1].append(lap([re * re.ln() for re, _ in f]))
+    return out
 
 
-class TestDecimalFallback:
+class TestDecimalOracle:
     """The maps the benchmark uses for its high-precision audit cases."""
 
     @pytest.fixture(params=[29, 7], scope="class")
-    def fallback_map(self, request):
+    def oracle_case(self, request):
         m = random_qr_map(request.param, 0.3, 16)
-        pts = uncertified_points(m)
+        res = audit_laplacians(m, AUDIT_POINTS)
+        pts = np.array([row.z for row in res.rows])
         assert pts.size > 0
-        return m, pts
+        return m, res, pts
 
-    def test_matches_closed_forms(self, fallback_map):
-        m, pts = fallback_map
-        res = audit_laplacians(m, pts)
-        assert len(res.rows) == pts.size
-        for row in res.rows:
-            assert row.fd_abs_f == pytest.approx(laplacian_abs_f(m, row.z), rel=1e-9)
-            assert row.fd_ulogu == pytest.approx(laplacian_ulogu(m, row.z), rel=1e-9)
-        assert max(res.max_rel_abs_f, res.max_rel_ulogu) <= 1e-9
+    def test_audit_matches_the_oracle(self, oracle_case):
+        m, res, pts = oracle_case
+        want_a, want_u = decimal_stencil(m, pts)
+        for row, a, u in zip(res.rows, want_a, want_u):
+            assert row.fd_abs_f == pytest.approx(a, rel=1e-7)
+            assert row.fd_ulogu == pytest.approx(u, rel=1e-7)
 
-    def test_rounding_is_not_the_limit(self, fallback_map, monkeypatch):
-        m, pts = fallback_map
-        at_40 = audit_laplacians(m, pts)
-        monkeypatch.setattr(laplacian, "STENCIL_DIGITS", 60)
-        at_60 = audit_laplacians(m, pts)
-        for a, b in zip(at_40.rows, at_60.rows):
-            assert abs(a.fd_abs_f - b.fd_abs_f) <= 1e-12 * abs(b.fd_abs_f)
-            assert abs(a.fd_ulogu - b.fd_ulogu) <= 1e-12 * abs(b.fd_ulogu)
+    def test_rounding_is_not_the_limit(self, oracle_case):
+        m, _, pts = oracle_case
+        at_40, at_60 = decimal_stencil(m, pts), decimal_stencil(m, pts, digits=60)
+        for a, b in zip(np.ravel(at_40), np.ravel(at_60)):
+            assert abs(a - b) <= 1e-12 * abs(b)
 
-    def test_does_not_import_mpmath(self):
+    def test_imports_neither_decimal_nor_mpmath(self):
         code = ("import sys, numpy as np, hqz\n"
                 "pts = np.concatenate([r * np.exp(2j * np.pi * np.arange(5) / 5)\n"
                 "                      for r in (0.25, 0.55, 0.8)])\n"
                 "hqz.audit_laplacians(hqz.random_qr_map(29, 0.3, 16), pts)\n"
-                "assert 'decimal' in sys.modules\n"
+                "assert 'decimal' not in sys.modules, 'decimal was imported'\n"
                 "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
         src = str(Path(hqz.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -143,6 +176,41 @@ class TestDecimalFallback:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
+
+
+class TestTaylorShift:
+    def test_rows_are_scaled_derivatives(self):
+        m = random_qr_map(3, 0.3)
+        binom, index = laplacian._shift_weights(m.g.coeffs.size)
+        b = horner(binom * m.g.coeffs[index], AUDIT_POINTS)
+        second = m.g.derivative().derivative()
+        np.testing.assert_array_equal(b[0], m.g(AUDIT_POINTS))
+        np.testing.assert_array_equal(b[1], m.g_prime(AUDIT_POINTS))
+        np.testing.assert_allclose(b[2], second(AUDIT_POINTS) / 2, rtol=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 7, 29])
+    def test_dropped_terms_stay_below_rounding(self, seed):
+        # the terms past the chosen order, from a full-length shift, against
+        # the rounding eps 2h B_1 of the first-order term
+        m = random_qr_map(seed, 0.3, 16)
+        coeffs = np.pad(stacked([m.g, m.h]), ((0, 0), (0, 1)))
+        step = 2e-4
+        order = laplacian._shift_order(coeffs, 0.8, step)
+        binom, index = laplacian._shift_weights(coeffs.shape[-1])
+        b = np.abs(horner(binom * coeffs[:, index], AUDIT_POINTS)).sum(axis=0)
+        dropped = (b[order + 1:] * step ** np.arange(order + 1, b.shape[0])[:, None]).sum(axis=0)
+        b1 = horner(binom[1] * np.abs(coeffs).sum(axis=0)[index[1]], 0.8 + step).real
+        assert 1 <= order < 16
+        assert dropped.max() <= np.finfo(float).eps * step * b1
+
+    def test_full_shift_changes_only_rounding(self, monkeypatch):
+        m = random_qr_map(29, 0.3, 16)
+        short = audit_laplacians(m, AUDIT_POINTS)
+        monkeypatch.setattr(laplacian, "_shift_order", lambda coeffs, r, s: coeffs.shape[-1] - 1)
+        full = audit_laplacians(m, AUDIT_POINTS)
+        for a, b in zip(short.rows, full.rows):
+            assert a.fd_abs_f == pytest.approx(b.fd_abs_f, rel=1e-9)
+            assert a.fd_ulogu == pytest.approx(b.fd_ulogu, rel=1e-9)
 
 
 def disk_grid(n_radii: int, n_angles: int) -> np.ndarray:
