@@ -16,16 +16,15 @@ from .errors import (ConfigError, DomainError, EmptyCorpus, HqzError,
                      NoConvergence, NonpositiveRealPart, TruncationOverflow,
                      VanishingModulus)
 from .functionals import (calderon_norms, calderon_ratio_estimate,
-                          calderon_square, circle_mean_p, entropy_u_report,
-                          hardy_norm_estimate, poisson_extend_circle,
-                          poisson_kernel)
+                          calderon_square, circle_mean_p, hardy_norm_estimate,
+                          poisson_extend_circle, poisson_kernel)
 from .gamma import C_n
 from .laplacian import (LaplacianAuditResult, audit_laplacians,
                         disk_green_identity, laplacian_abs_f, laplacian_ulogu,
                         laplacian_ratio_sup, phi_scan_argmax)
 from .planar import (DilatationReport, PlanarHarmonicMap, dilatation_sup,
-                     jacobian, make_qr_map, map_from_json, map_to_json,
-                     random_qr_map, strip_example)
+                     dilatation_upper, jacobian, make_qr_map, map_from_json,
+                     map_to_json, random_qr_map, strip_example)
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (FuzzSummary, TheoremReport, fuzz_search, verify_T1,
@@ -41,7 +40,7 @@ __all__ = [
     "VanishingModulus", "X_of", "Y_of", "audit_laplacians", "axial_mean",
     "ball_green_calibration", "ball_green_identity_n3", "calderon_norms",
     "calderon_ratio_estimate", "calderon_square", "circle_mean_p",
-    "dilatation_sup", "disk_green_identity", "entropy_u_report",
+    "dilatation_sup", "dilatation_upper", "disk_green_identity",
     "fuzz_search", "hardy_norm_estimate", "jacobian", "laplacian_abs_affine",
     "laplacian_abs_f", "laplacian_ulogu", "laplacian_ratio_sup",
     "make_qr_map", "map_from_json", "map_to_json", "phi_of_m",

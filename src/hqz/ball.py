@@ -70,7 +70,7 @@ def axial_mean(n: int, profile, q: QuadratureSpec) -> float:
     Gauss-Legendre on [0, pi] with compensated summation, doubled by
     ``refine``.
     """
-    return refine(lambda nodes: _axial_level(n, profile, nodes),
+    return refine(lambda nodes, _: _axial_level(n, profile, nodes),
                   max(32, q.radial_nodes), q, "axial mean")[0]
 
 
@@ -175,7 +175,7 @@ def _ball3_volume_weighted(lap: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tensor Gauss-Legendre rule converges spectrally under ``refine``.
     c_3 = 1/(4 pi) combines with the 2 pi azimuthal factor to an overall 1/2.
     """
-    def level(nodes: int) -> float:
+    def level(nodes: int, _) -> float:
         rho, wr = gauss_legendre(nodes, 0.0, 1.0)
         t, wt = gauss_legendre(nodes, 0.0, math.pi)
         rr, tt = np.meshgrid(rho, t, indexing="ij")

@@ -3,8 +3,8 @@
 The integral mean M_1(r, f), the h^1 norm estimate for polynomial data,
 the two entropy-type functionals
 
-    zygmund_plus_report: (1/2pi) int |u| log+ |u| dt   (log+ x = max(log x, 0))
-    entropy_u_report:    (1/2pi) int  u  log  u  dt    (requires u > 0)
+    zygmund_plus_report:    (1/2pi) int |u| log+ |u| dt   (log+ x = max(log x, 0))
+    circle_mean_p, entropy: (1/2pi) int  u  log  u  dt    (requires u > 0)
 
 with u = Re f, the Poisson extension on the disk, and the radial square
 function
@@ -32,9 +32,9 @@ import numpy as np
 from .errors import (DomainError, EmptyCorpus, KernelBlowup,
                      MonotonicityViolation, NonpositiveRealPart)
 from .planar import PlanarHarmonicMap
-from .quadrature import (QuadratureSpec, Sampler, circle_angles, gauss_legendre,
-                         refine, refined_circle_mean)
-from .series import ComplexSeries, circle_values, horner
+from .quadrature import (QuadratureSpec, circle_angles, gauss_legendre, refine,
+                         refined_circle_mean)
+from .series import ComplexSeries, circle_values, horner, stacked
 
 #: evaluation points closer to the boundary than this are rejected by the
 #: Poisson quadrature
@@ -55,17 +55,34 @@ NEWTON_STEP = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
-def _map_sampler(m: PlanarHarmonicMap, r: float, part) -> Sampler:
-    """Sampler of part(f) on the circle of radius r, for refined_circle_mean."""
-    return lambda n, shift: part(circle_values(m.g, m.h, r, n, shift))
+def circle_mean_p(maps: Sequence[PlanarHarmonicMap], r: float, q: QuadratureSpec,
+                  entropy: bool = False) -> tuple[list, list, int]:
+    """M_1(r, f) = (1/2pi) int |f(r e^it)| dt of each map, and with
+    ``entropy`` also (1/2pi) int u log u dt of u = Re f from the same samples.
 
-
-def circle_mean_p(m: PlanarHarmonicMap, r: float,
-                  q: QuadratureSpec) -> tuple[float, float, int]:
-    """(M_1(r, f) = (1/2pi) int |f(r e^it)| dt, est_error, nodes) with refinement."""
+    The maps are one stack of ``refined_circle_mean``: each level samples
+    f on every row still refining by one ``circle_values`` call, and each
+    mean stops at its own level.  Returns (values, est_errors, nodes): one
+    M_1 per map, or one [M_1, mean u log u] pair per map with ``entropy``,
+    and the samples of f over all maps.  With ``entropy`` every sample of u
+    must be positive, or NonpositiveRealPart; the mean may be negative.
+    """
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
-    return refined_circle_mean(_map_sampler(m, r, np.abs), q, context=f"M_1(r={r})")
+    G, H = stacked([m.g for m in maps]), stacked([m.h for m in maps])
+
+    def sample(n: int, shift: bool, rows) -> np.ndarray:
+        f = circle_values(G[rows], H[rows], r, n, shift)
+        if not entropy:
+            return np.abs(f)
+        u = f.real
+        if (u <= 0.0).any():
+            raise NonpositiveRealPart(
+                f"min u = {u.min():.3e} <= 0 on the circle of radius {r}")
+        return np.stack((np.abs(f), u * np.log(u)), axis=1)
+
+    return refined_circle_mean(sample, q, context=f"M_1(r={r})"
+                               + (" and mean u log u" if entropy else ""))
 
 
 def hardy_norm_estimate(m: PlanarHarmonicMap,
@@ -78,7 +95,8 @@ def hardy_norm_estimate(m: PlanarHarmonicMap,
     error, and a decrease beyond tolerance raises MonotonicityViolation.
     """
     radii = HARDY_RADII + (1.0,)
-    reports = [circle_mean_p(m, r, q) for r in radii]
+    reports = [(value, err, nodes)
+               for [value], [err], nodes in (circle_mean_p([m], r, q) for r in radii)]
     for j, ((lo, lo_err, _), (hi, hi_err, _)) in enumerate(zip(reports, reports[1:])):
         slack = lo_err + hi_err + 1e-12
         if hi < lo - slack:
@@ -185,11 +203,12 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
     """((1/2pi) int |u(r e^it)| log+ |u(r e^it)| dt, est_error, nodes) for
     u = Re f = Re (g + h); nodes counts the evaluations of u.
 
-    One ``circle_values`` call samples u at N = the next power of two
-    >= max(circle_nodes, 8 (deg F + 1)) angles, F = g + h, and
-    ``_guarded_intervals`` makes sure that no crossing of |u| = 1 hides
-    between two samples.  Without a crossing the mean is 0 if |u| < 1
-    everywhere, and else the refined trapezoid mean of smooth |u| log |u|.
+    u is sampled at N = n0 2^j angles, the least with j >= 1 and
+    N >= 8 (deg F + 1), F = g + h, n0 = circle_nodes, by interleaving the
+    first levels of the trapezoid rule, and ``_guarded_intervals`` makes
+    sure that no crossing of |u| = 1 hides between two samples.  Without a
+    crossing the mean is 0 if |u| < 1 everywhere, and else the refined
+    trapezoid mean of smooth |u| log |u|, which reuses those levels.
     Otherwise ``_crossings`` locates each crossing and every arc where
     |u| > 1 is cut into panels of width at most 2 pi / (deg F + 1) and
     integrated by Gauss-Legendre, refined from 8 nodes per panel by
@@ -205,8 +224,16 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
     if not np.isfinite(F).all():  # the guard's bound on u'' would be infinite
         raise DomainError("zygmund_plus needs finite coefficients")
     Fr = F * r ** np.arange(F.size)
-    n = 1 << (max(q.circle_nodes, 8 * F.size) - 1).bit_length()
-    u = circle_values(m.g, m.h, r, n).real
+    g, h = m.g.coeffs, m.h.coeffs
+    # the grid interleaves the trapezoid's levels n0, then n0, 2 n0, ... N/2
+    # shifted, so the mean without a crossing starts from its samples
+    n0 = q.circle_nodes
+    levels = {(n0, False): circle_values(g, h, r, n0).real}
+    u = levels[n0, False]
+    while u.size < max(2 * n0, 8 * F.size):
+        levels[u.size, True] = circle_values(g, h, r, u.size, True).real
+        u = np.stack((u, levels[u.size, True]), axis=-1).reshape(-1)
+    n = u.size
     b0 = float(np.abs(Fr).sum())
     rounding = 2.0 * (F.size + math.log2(n)) * _EPS * b0
     t, w, ua, ub, unresolved, splits = _guarded_intervals(Fr, u, q.abs_tol)
@@ -216,9 +243,12 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
         return 0.0, unresolved, evaluations
     floor = unresolved + rounding * (1.0 + math.log(max(b0, 1.0)))
     if roots.size == 0:
-        value, err, nodes = refined_circle_mean(
-            _map_sampler(m, r, lambda f: _log_plus(np.abs(f.real))), q, context="zygmund_plus")
-        return value, err + floor, evaluations + nodes
+        def sample(k: int, shift: bool, rows) -> np.ndarray:
+            uk = levels.get((k, shift))
+            return _log_plus(np.abs(circle_values(g, h, r, k, shift).real if uk is None else uk))
+
+        value, err, nodes = refined_circle_mean(sample, q, context="zygmund_plus")
+        return value, err + floor, evaluations + max(nodes - n, 0)
     ends = np.append(roots[1:], roots[0] + 2.0 * np.pi)
     width = 2.0 * np.pi / F.size
     cuts = [np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
@@ -226,7 +256,7 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
     lo = np.concatenate([c[:-1] for c in cuts])[:, None]
     hi = np.concatenate([c[1:] for c in cuts])[:, None]
 
-    def level(nodes: int) -> float:
+    def level(nodes: int, _) -> float:
         nonlocal evaluations
         s, wts = gauss_legendre(nodes, lo, hi)
         v = np.abs(horner(Fr, np.exp(1j * s)).real)
@@ -235,23 +265,6 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
 
     value, err, _ = refine(level, 8, q, "zygmund_plus")
     return value, err + floor, evaluations
-
-
-def entropy_u_report(m: PlanarHarmonicMap, r: float,
-                     q: QuadratureSpec) -> tuple[float, float, int]:
-    """((1/2pi) int u log u dt, est_error, nodes); the mean may be negative;
-    requires u > 0 on the circle."""
-    if not 0.0 < r <= 1.0:
-        raise DomainError("radius must lie in (0, 1]")
-
-    def integrand(f: np.ndarray) -> np.ndarray:
-        u = f.real
-        if u.min() <= 0.0:
-            raise NonpositiveRealPart(
-                f"min u = {u.min():.3e} <= 0 on the circle of radius {r}")
-        return u * np.log(u)
-
-    return refined_circle_mean(_map_sampler(m, r, integrand), q, context="entropy_u")
 
 
 def poisson_kernel(x: complex, theta: np.ndarray) -> np.ndarray:
@@ -270,7 +283,7 @@ def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec) -> float:
     if 1.0 - abs(x) < POISSON_FLOOR:
         raise KernelBlowup(f"1 - |x| = {1.0 - abs(x):.3e} below floor {POISSON_FLOOR:.1e}")
 
-    def integrand(n: int, shift: bool) -> np.ndarray:
+    def integrand(n: int, shift: bool, rows) -> np.ndarray:
         theta = circle_angles(n, shift)
         return poisson_kernel(x, theta) * np.asarray(boundary(theta), dtype=float)
 
@@ -318,14 +331,14 @@ def calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float]:
     """
     if H.coeffs[0] != 0:
         raise DomainError("the series must satisfy H(0) = 0")
-    C = _square_function_series(H)
-    C_neg = ComplexSeries(np.concatenate(([0j], C.coeffs[1:])))  # c_0 is in C already
+    C = _square_function_series(H).coeffs
+    C_neg = np.concatenate(([0j], C[1:]))  # c_0 is in C already
 
-    def square_function(n: int, shift: bool) -> np.ndarray:
+    def square_function(n: int, shift: bool, rows) -> np.ndarray:
         return np.sqrt(np.maximum(circle_values(C, C_neg, 1.0, n, shift).real, 0.0))
 
     norm_H, _, _ = refined_circle_mean(
-        lambda n, shift: np.abs(circle_values(H, None, 1.0, n, shift)), q,
+        lambda n, shift, rows: np.abs(circle_values(H.coeffs, None, 1.0, n, shift)), q,
         context="||H||_1")
     norm_GH, _, _ = refined_circle_mean(square_function, q, context="||G[H]||_1")
     if norm_H == 0.0 or norm_GH == 0.0:

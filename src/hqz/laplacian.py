@@ -114,11 +114,11 @@ def laplacian_ratio_sup(m: PlanarHarmonicMap) -> float:
     """
     radii = np.arange(1, RATIO_GRID_RADII + 1) / RATIO_GRID_RADII
 
-    def on_grid(s, t=None):  # h(0) = 0, so s + conj(t) is s.coeffs[0] at z = 0
-        return np.append(s.coeffs[0], circle_values(s, t, radii, RATIO_GRID_ANGLES))
+    def on_grid(s, t=None):  # h(0) = 0, so s + conj(t) is s[0] at z = 0
+        return np.append(s[0], circle_values(s, t, radii, RATIO_GRID_ANGLES))
 
-    f = on_grid(m.g, m.h)
-    gp, hp = on_grid(m.g_prime), on_grid(m.h_prime)
+    f = on_grid(m.g.coeffs, m.h.coeffs)
+    gp, hp = on_grid(m.g_prime.coeffs), on_grid(m.h_prime.coeffs)
     _check_domain(f, "on the grid")
     num, den = _lap_abs_f(f, gp, hp), _lap_ulogu(f, gp, hp)
     ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
@@ -140,7 +140,7 @@ def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
     """
     n_rad0, n_ang0 = max(8, q.radial_nodes // 4), max(64, q.circle_nodes // 2)
 
-    def level(n_rad: int) -> float:
+    def level(n_rad: int, _) -> float:
         s, w = log_weight_gauss(n_rad)
         n_ang = n_ang0 * (n_rad // n_rad0)
         step = max(1, AREA_CALL_POINTS // n_ang)
@@ -157,20 +157,20 @@ def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> fl
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
     # probe |f| at 0 and on 48 circles of 256 angles out to radius r
-    probe = np.abs(circle_values(m.g, m.h, r * np.arange(1, 49) / 48, 256))
+    probe = np.abs(circle_values(m.g.coeffs, m.h.coeffs, r * np.arange(1, 49) / 48, 256))
     af_min = min(float(probe.min()), abs(m.f0()))
     if af_min <= TAU_F:
         raise VanishingModulus(
             f"min |f| = {af_min:.3e} on the closed disk of radius {r}")
 
     boundary, _, _ = refined_circle_mean(
-        lambda n, shift: np.abs(circle_values(m.g, m.h, r, n, shift)), q,
+        lambda n, shift, rows: np.abs(circle_values(m.g.coeffs, m.h.coeffs, r, n, shift)), q,
         context="circle mean of |f|")
 
     def lap(rho: np.ndarray, n: int) -> np.ndarray:
-        f = circle_values(m.g, m.h, rho, n)
-        gp = circle_values(m.g_prime, None, rho, n)
-        hp = circle_values(m.h_prime, None, rho, n)
+        f = circle_values(m.g.coeffs, m.h.coeffs, rho, n)
+        gp = circle_values(m.g_prime.coeffs, None, rho, n)
+        hp = circle_values(m.h_prime.coeffs, None, rho, n)
         return _lap_abs_f(f, gp, hp)
 
     area, _ = disk_area_log_mean(lap, r, q)

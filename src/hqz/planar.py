@@ -8,9 +8,10 @@ as g' = P, h' = omega P has sup over the disk of |h'/g'| equal to the
 maximum of |omega| on the unit circle, zeros of g' included (they are
 removable).  Everything here works on truncated power series, so
 construction and differentiation are exact up to rounding, and the only
-numerics live in ``dilatation_sup``: one FFT of omega on the circle and a
-Newton polish give the lower bound k_lower, and the sampled maximum times
-the Ehlich-Zeller factor the upper bound k_upper.
+numerics are the dilatation bounds: the sampled maximum of |omega| on the
+circle times the Ehlich-Zeller factor gives the upper bound k_upper
+(``dilatation_upper``, one FFT for all omegas of one degree), and a Newton
+polish of the samples the lower bound k_hat (``dilatation_sup``).
 
 ``make_qr_map`` builds such a map with g + h close to a prescribed F, which
 is how the fuzz corpus realizes positive real part and a dilatation of
@@ -24,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -110,32 +112,90 @@ class DilatationReport:
     nodes: int
 
 
-def _omega_bounds(omega: ComplexSeries, floor: int = 0) -> tuple[float, float, int]:
-    """(k_lower, k_upper, N) bracketing max over |z| = 1 of |omega|.
+def _omega_upper(rows: np.ndarray, floor: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """(k_upper, |omega| samples, N) for stacked omegas of one degree d:
+    k_upper >= max over |z| = 1 of |omega| for each row.
 
-    One ``circle_values`` call samples omega at N = 64 * 2^ceil(log2 d)
-    uniform angles (at least ``floor``), d = deg omega.  Every sample that
-    is a local maximum and could lie under the maximum is polished by
-    Newton steps on |omega(e^(it))|^2, and k_lower is the largest |omega|
-    reached.  e^(-idt/2) omega(e^(it)) has frequencies in [-d/2, d/2], so
-    at distance s from the maximum M, |omega| >= M cos(d s / 2) (Ehlich &
-    Zeller 1964), and a node lies within pi / N of it: k_upper is the
-    smaller of the l1 norm and the node maximum times sec(pi d / 2N), each
-    rounded up by its evaluation's rounding bound.
+    One ``circle_values`` call samples every row at N = 64 * 2^ceil(log2 d)
+    uniform angles (at least ``floor``).  e^(-idt/2) omega(e^(it)) has
+    frequencies in [-d/2, d/2], so at distance s from the maximum M,
+    |omega| >= M cos(d s / 2) (Ehlich & Zeller 1964), and a node lies
+    within pi / N of it: k_upper is the smaller of the l1 norm and the
+    node maximum times sec(pi d / 2N), each rounded up by its
+    evaluation's rounding bound.
     """
-    w0 = omega.trimmed()
-    a, d = w0.coeffs, w0.degree
+    d = rows.shape[-1] - 1
     n = max(64 << max(d - 1, 0).bit_length(), floor)
-    vals = np.abs(circle_values(w0, None, 1.0, n))
-    l1 = float(np.abs(a).sum())
-    cos = math.cos(math.pi * d / (2 * n))
-    top = float(vals.max())
+    vals = np.abs(circle_values(rows, None, 1.0, n))
+    l1 = np.abs(rows).sum(axis=-1)
     # FFT rounding (Higham, section 24.1) bounds every sample to this
     fft_error = 3.0 * math.log2(n) * math.sqrt(n) * _EPS * l1
-    upper = min(l1 * (1.0 + (d + 2) * _EPS), (top + fft_error) / cos)
+    upper = np.minimum(l1 * (1.0 + (d + 2) * _EPS),
+                       (vals.max(axis=-1) + fft_error) / math.cos(math.pi * d / (2 * n)))
+    return upper, vals, n
+
+
+def _certified_omega(m: PlanarHarmonicMap) -> ComplexSeries | None:
+    """m's trimmed omega, None when k = 0 is exact (h = 0 or omega = 0), or
+    HypothesisViolation when h != 0 and the map carries no omega."""
+    if m.omega is None and not m.h.is_zero():
+        raise HypothesisViolation("h' != 0 and the map carries no omega = h'/g', so its "
+                                  "dilatation cannot be certified (build it with make_qr_map)")
+    if m.omega is None or m.omega.is_zero():
+        return None
+    return m.omega.trimmed()
+
+
+def _below_one(upper: float) -> float:
+    if upper >= 1.0:
+        raise HypothesisViolation(
+            f"dilatation bound {upper:.6f} >= 1: map is not certified sense-preserving QR")
+    return upper
+
+
+def dilatation_upper(maps: Sequence[PlanarHarmonicMap],
+                     grid: QuadratureSpec | None = None) -> list[float]:
+    """k_upper >= sup over the disk of |h'/g'| for each map, the upper end
+    of ``dilatation_sup``'s bracket without its Newton polish.
+
+    The omegas of one degree share one ``circle_values`` call, at no fewer
+    circle nodes than the spec's circle_nodes; a map with k = 0 exact gets
+    0.  Raises HypothesisViolation for the first map that cannot be
+    certified or whose bound is not below 1.
+    """
+    floor = 0 if grid is None else grid.circle_nodes
+    omegas = [_certified_omega(m) for m in maps]
+    upper = [0.0] * len(maps)
+    by_size = {}
+    for i, w in enumerate(omegas):
+        if w is not None:
+            by_size.setdefault(w.coeffs.size, []).append(i)
+    for idx in by_size.values():
+        bounds, _, _ = _omega_upper(np.stack([omegas[i].coeffs for i in idx]), floor)
+        for i, bound in zip(idx, bounds.tolist()):
+            upper[i] = bound
+    return [_below_one(bound) for bound in upper]
+
+
+def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> DilatationReport:
+    """Certified bracket [k_hat, k_upper] of sup over the disk of |h'/g'|.
+
+    k_upper is ``dilatation_upper``'s.  Every sample of omega that is a
+    local maximum and could lie under the maximum is polished by Newton
+    steps on |omega(e^(it))|^2, and k_hat is the largest |omega| reached.
+    A map with h = 0 (or omega = 0) has k = 0 exactly and needs no samples.
+    Raises HypothesisViolation as ``dilatation_upper`` does.
+    """
+    w0 = _certified_omega(m)
+    if w0 is None:
+        return DilatationReport(k_hat=0.0, K_hat=1.0, k_upper=0.0, nodes=0)
+    a, d = w0.coeffs, w0.degree
+    (upper,), (vals,), n = _omega_upper(a[None], 0 if grid is None else grid.circle_nodes)
+    upper = _below_one(float(upper))
+    cos = math.cos(math.pi * d / (2 * n))
     j = np.arange(d + 1)
     w1, w2 = ComplexSeries(1j * j * a), ComplexSeries(-(j * j) * a)  # d/dt, d^2/dt^2 of w0(e^(it))
-    lower = top
+    lower = top = float(vals.max())
     for i in np.flatnonzero(vals >= top * cos).tolist():
         if vals[i - 1] > vals[i] or vals[(i + 1) % n] > vals[i]:
             continue  # not a local maximum of the samples
@@ -147,29 +207,8 @@ def _omega_bounds(omega: ComplexSeries, floor: int = 0) -> tuple[float, float, i
             if curve < 0.0:  # Newton on d/dt |omega|^2 = 0, at most half a node step
                 t -= max(-math.pi / n, min(math.pi / n, slope / curve))
         lower = max(lower, abs(w0(cmath.exp(1j * t))))
-    return lower, upper, n
-
-
-def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> DilatationReport:
-    """Certified bracket [k_hat, k_upper] of sup over the disk of |h'/g'|.
-
-    With omega on the map the bracket is ``_omega_bounds`` of omega, at
-    no fewer circle nodes than the spec's circle_nodes.  A map with h = 0
-    (or omega = 0) has k = 0 exactly and needs no samples.  A map with
-    h != 0 and no omega cannot be certified and raises HypothesisViolation,
-    as does a bracket that does not stay below 1.
-    """
-    if m.omega is None and not m.h.is_zero():
-        raise HypothesisViolation("h' != 0 and the map carries no omega = h'/g', so its "
-                                  "dilatation cannot be certified (build it with make_qr_map)")
-    if m.omega is None or m.omega.is_zero():
-        return DilatationReport(k_hat=0.0, K_hat=1.0, k_upper=0.0, nodes=0)
-    lower, upper, nodes = _omega_bounds(m.omega, 0 if grid is None else grid.circle_nodes)
-    if upper >= 1.0:
-        raise HypothesisViolation(
-            f"dilatation bound {upper:.6f} >= 1: map is not certified sense-preserving QR")
     return DilatationReport(k_hat=lower, K_hat=(1.0 + lower) / (1.0 - lower),
-                            k_upper=upper, nodes=nodes)
+                            k_upper=upper, nodes=n)
 
 
 def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
@@ -186,7 +225,7 @@ def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
 
     Requires F(0) real, d_P >= 0 (else TruncationOverflow) and sup |omega|
     < 1: certified by the l1 norm of omega, or else by the k_upper of
-    ``_omega_bounds``, which then becomes k_declared.
+    ``_omega_upper``, which then becomes k_declared.
     """
     if truncation_degree > DEGREE_CAP:
         raise TruncationOverflow(
@@ -202,7 +241,7 @@ def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
                                  f"below {truncation_degree}")
     k_decl = omega.coeff_abs_sum()
     if k_decl >= 1.0:
-        k_decl = _omega_bounds(omega)[1]
+        k_decl = float(_omega_upper(omega.coeffs[None])[0][0])
         if k_decl >= 1.0:
             raise DomainError(f"sup |omega| may reach 1 on the circle (bound {k_decl:.4f})")
     one_plus = ComplexSeries.constant(1.0) + omega

@@ -9,16 +9,17 @@ Two kinds of rule cover everything here:
   -s log s on [0, 1] (``log_weight_gauss``) for the disk area term's log kernel.
 
 ``refine`` is the one doubling driver of every refined integral: it
-stops when the change between consecutive levels drops below ``abs_tol``
-and returns (value, est_error = the last change, nodes).  Circle means run it
-through ``refined_circle_mean``, whose levels evaluate the integrand only
-on the new odd half of the nodes.  Integrands are sampled through
-``series.circle_values`` (one inverse FFT per circle) wherever they come
-from a series.
+stops each mean of a stack when its change between consecutive levels
+drops below ``abs_tol`` and returns (value, est_error = the last change,
+nodes).  Circle means run it through ``refined_circle_mean``, whose
+levels evaluate the integrands only on the new odd half of the nodes.
+Integrands are sampled through ``series.circle_values`` (one inverse FFT
+per circle) wherever they come from a series.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,8 +28,13 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence
 
-#: sample(n, shift) -> integrand values at circle_angles(n, shift)
-Sampler = Callable[[int, bool], np.ndarray]
+#: level(n, rows) -> the means at n nodes of the stack rows that ``rows``
+#: selects (see refine)
+Level = Callable[[int, object], object]
+
+#: sample(n, shift, rows) -> integrand values at circle_angles(n, shift) of
+#: the stack rows that ``rows`` selects (see refined_circle_mean)
+Sampler = Callable[[int, bool, object], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -79,48 +85,86 @@ def circle_angles(n: int, shift: bool = False) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(n) + 0.5 * shift) / n
 
 
-def refine(level: Callable[[int], float], n0: int, spec: QuadratureSpec,
-           context: str) -> tuple[float, float, int]:
-    """Evaluate ``level(n)`` at n = n0, 2 n0, 4 n0, ... until the change
-    between consecutive levels is <= ``spec.abs_tol``.
+def refine(level: Level, n0: int, spec: QuadratureSpec, context: str) -> tuple:
+    """Evaluate ``level(n, rows)`` at n = n0, 2 n0, 4 n0, ... until each of
+    its means changes by <= ``spec.abs_tol`` between consecutive levels.
 
-    Returns (value, est_error = that change, nodes); raises NoConvergence
-    past ``spec.refinement_limit`` doublings.
+    ``level`` returns a float for one mean, or for a stack an array whose
+    first axis is its rows, holding the rows that ``rows`` selects: ``...``
+    while all of them refine, else an index array.
+    Each mean stops at the first level that changes it by <= abs_tol, and
+    a row is evaluated until its last mean stops, and no further, so a
+    row's means are the same bits whatever rows share its stack.
+
+    Returns (values, est_errors = the last changes, nodes): a float each
+    for one mean, nested lists of the stack's shape otherwise, with nodes
+    the n of each row's last level, summed over the rows.  Raises
+    NoConvergence naming the first mean still moving past
+    ``spec.refinement_limit`` doublings.
     """
     n = n0
-    prev = level(n)
+    first = level(n, ...)
+    shape = getattr(first, "shape", ())  # () for one mean
+    if 0 in shape:  # a stack of no rows
+        return [], [], 0
+    prev = np.reshape(first, (shape[0], -1)).tolist() if shape else [[float(first)]]
+    errors = [[math.inf] * len(row) for row in prev]
+    nodes = [n] * len(prev)
+    live = list(range(len(prev)))
     for _ in range(spec.refinement_limit):
         n *= 2
-        cur = level(n)
-        err = abs(cur - prev)
-        if err <= spec.abs_tol:
-            return cur, err, n
-        prev = cur
+        out = level(n, ... if len(live) == len(prev) else np.array(live, dtype=np.intp))
+        cur = np.reshape(out, (len(live), -1)).tolist() if shape else [[float(out)]]
+        moving = []
+        for i, new in zip(live, cur):
+            nodes[i] = n
+            value, err, still = prev[i], errors[i], False
+            for p, v in enumerate(new):
+                if not err[p] <= spec.abs_tol:  # NaN keeps moving
+                    err[p], value[p] = abs(v - value[p]), v
+                    still = still or not err[p] <= spec.abs_tol
+            if still:
+                moving.append(i)
+        live = moving
+        if not live:
+            if not shape:
+                return prev[0][0], errors[0][0], n
+            return (np.array(prev).reshape(shape).tolist(),
+                    np.array(errors).reshape(shape).tolist(), sum(nodes))
+    err = next(e for e in errors[live[0]] if not e <= spec.abs_tol)
     raise NoConvergence(f"{context}: {n} nodes, last change {err:.3e} "
                         f"> abs_tol {spec.abs_tol:.3e}")
 
 
+def _mean(values: np.ndarray) -> np.ndarray:
+    """np.mean over the last axis, bit for bit, without its dispatch."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
+
+
 def refined_circle_mean(sample: Sampler, spec: QuadratureSpec,
-                        context: str = "circle mean") -> tuple[float, float, int]:
-    """Refine the periodic trapezoid mean of an integrand until stable.
+                        context: str = "circle mean") -> tuple:
+    """``refine`` the periodic trapezoid means of integrands on the circle.
 
-    ``sample(n, shift)`` returns the integrand at ``circle_angles(n,
-    shift)``.  The first level samples ``spec.circle_nodes`` angles; each
-    doubling keeps the running mean and samples only the new odd half of
-    the nodes, which is the previous grid shifted by half a step.
-
-    Returns (value, est_error, nodes) as ``refine`` does.
+    ``sample(n, shift, rows)`` returns the integrands at
+    ``circle_angles(n, shift)``, the last axis the angle, of the rows that
+    ``rows`` selects as ``refine``'s levels do: shape (n,) for one mean,
+    or (rows, ..., n) for a stack.  The first level samples
+    ``spec.circle_nodes`` angles; each doubling keeps the running means
+    and samples only the new odd half of the nodes, which is the previous
+    grid shifted by half a step.  Returns what ``refine`` returns, so
+    nodes counts the angles sampled over all rows.
     """
-    n0 = spec.circle_nodes
-    mean = float(np.mean(sample(n0, False)))
+    means = None
 
-    def level(n: int) -> float:
-        nonlocal mean
-        if n > n0:
-            mean = 0.5 * (mean + float(np.mean(sample(n // 2, True))))
-        return mean
+    def level(n: int, rows) -> np.ndarray:
+        nonlocal means
+        if means is None:
+            means = np.asarray(_mean(sample(n, False, rows)))  # 0-d for one mean
+        else:
+            means[rows] = 0.5 * (means[rows] + _mean(sample(n // 2, True, rows)))
+        return means[rows]
 
-    return refine(level, n0, spec, context)
+    return refine(level, spec.circle_nodes, spec, context)
 
 
 @lru_cache(maxsize=16)

@@ -9,10 +9,10 @@ construction carries no quadrature error at all.
 
 There are two ways to evaluate: ``horner`` takes rows of coefficients
 (``stacked`` pads series to one length) to arbitrary arrays of points,
-and ``circle_values`` gives g + conj(h) at uniform angles on circles by
-one inverse FFT per circle.  ``ComplexSeries.__call__`` is ``horner`` on
-arrays and a Python loop on one point.  Every circle functional goes
-through ``circle_values``.
+and ``circle_values`` takes rows of coefficients, or radii, to g + conj(h)
+at uniform angles on circles by one inverse FFT per circle.
+``ComplexSeries.__call__`` is ``horner`` on arrays and a Python loop on
+one point.  Every circle functional goes through ``circle_values``.
 """
 
 from __future__ import annotations
@@ -89,26 +89,34 @@ class ComplexSeries:
         return ComplexSeries(self.coeffs[: nonzero[-1] + 1 if nonzero.size else 1])
 
     def __add__(self, other: "ComplexSeries") -> "ComplexSeries":
-        return ComplexSeries(stacked([self, other]).sum(axis=0))
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(max(a.size, b.size), dtype=complex)
+        out[: a.size] = a
+        out[: b.size] += b
+        return ComplexSeries(out)
 
     def __mul__(self, other: "ComplexSeries") -> "ComplexSeries":
         return ComplexSeries(np.convolve(self.coeffs, other.coeffs))
 
     def reciprocal(self, degree: int) -> "ComplexSeries":
-        """Coefficient recursion for 1/self, truncated at ``degree``:
-        inv_n = -(a_1 inv_(n-1) + ... + a_j inv_(n-j)) / a_0, j = min(n, deg).
+        """1/self truncated at ``degree``, by Newton doubling x <- x (2 - a x)
+        from x = 1/a_0: each step doubles the number of correct coefficients.
 
-        Requires a nonvanishing constant term.
+        ``a`` is zero-padded to degree + 1 coefficients, so a series shorter
+        than the truncation and degree 0 take the same steps.  Requires a
+        nonvanishing constant term.
         """
-        a0, tail = complex(self.coeffs[0]), self.coeffs[:0:-1]  # tail: a_deg, ..., a_1
-        if a0 == 0:
+        if self.coeffs[0] == 0:
             raise DomainError("reciprocal needs a nonzero constant term")
-        inv = np.zeros(degree + 1, dtype=complex)
-        inv[0] = 1.0 / a0
-        for n in range(1, degree + 1):
-            j = min(n, self.degree)
-            inv[n] = -complex(tail[tail.size - j:].dot(inv[n - j: n])) / a0
-        return ComplexSeries(inv)
+        a = np.zeros(degree + 1, dtype=complex)
+        a[: self.coeffs.size] = self.coeffs[: degree + 1]
+        x = np.array([1.0 / complex(a[0])])
+        while x.size <= degree:
+            m = min(2 * x.size, degree + 1)
+            e = -np.convolve(a[:m], x)[:m]
+            e[0] += 2.0
+            x = np.convolve(x, e)[:m]
+        return ComplexSeries(x)
 
     def coeff_abs_sum(self) -> float:
         """l1 norm of the coefficients; bounds sup over the closed disk."""
@@ -138,27 +146,31 @@ def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def circle_values(g: ComplexSeries, h: ComplexSeries | None, r, n: int,
+def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,
                   shift: bool = False) -> np.ndarray:
     """g(z) + conj(h(z)) at z = r e^(i t_k), t_k = 2 pi (k + shift/2) / n.
 
+    ``g`` and ``h`` are coefficient arrays (last axis the power): one
+    series each, on one circle or on an array of radii ``r``, or stacked
+    rows of series (h with g's rows) on one circle.  The result holds one
+    row of n values per radius or per row: shape (n,) for one series on
+    one circle.
+
     In coefficients this is sum_j g_j (r e^(i t))^j + sum_j conj(h_j)
     (r e^(-i t))^j: the g part fills the nonnegative frequencies and the
-    conj(h) part the nonpositive ones of a single inverse FFT.  A
+    conj(h) part the nonpositive ones of a single inverse FFT per row.  A
     coefficient whose index is at least n is added in at index j mod n,
     which is exact on the grid, so any n >= 1 works.  With ``shift`` the
     angles move by half a step, through the twist e^(+-i j pi / n) of the
-    coefficients.  ``r`` may be a scalar (result shape (n,)) or a 1-D
-    array of radii (one row of n values per radius).
+    coefficients.
     """
     r = np.asarray(r, dtype=float)
-    buf = np.zeros(r.shape + (n,), dtype=complex)
-    for s, sign in ((g, 1), (h, -1)):
-        if s is None:
+    buf = np.zeros((r.shape if g.ndim == 1 else g.shape[:-1]) + (n,), dtype=complex)
+    for c, sign in ((g, 1), (h, -1)):
+        if c is None:
             continue
-        c = s.coeffs if sign > 0 else np.conjugate(s.coeffs)
-        j = np.arange(len(c))
-        c = c * r[..., None] ** j
+        j = np.arange(c.shape[-1])
+        c = (c if sign > 0 else np.conjugate(c)) * r[..., None] ** j
         if shift:
             c = c * np.exp(sign * 1j * np.pi / n * j)
         if len(j) > n:  # fold index j onto j mod n

@@ -21,23 +21,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .ball import AffineBallMap, X_of, Y_of
-from .errors import HypothesisViolation, NonpositiveRealPart
-from .functionals import (circle_mean_p, entropy_u_report, hardy_norm_estimate,
-                          zygmund_plus_report)
-from .planar import (PlanarHarmonicMap, dilatation_sup, map_to_json,
+from .errors import HqzError, HypothesisViolation, NonpositiveRealPart
+from .functionals import circle_mean_p, hardy_norm_estimate, zygmund_plus_report
+from .planar import (PlanarHarmonicMap, dilatation_upper, map_to_json,
                      random_qr_map, strip_example)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 #: tolerance for the v(0) = 0 hypothesis; constructions satisfy it exactly
 V0_TOL = 1e-12
 
-#: the grid fuzz_search hands dilatation_sup; only its circle_nodes is read,
+#: the grid fuzz_search hands dilatation_upper; only its circle_nodes is read,
 #: as a floor on the certificate's nodes, which corpus maps exceed anyway
 CORPUS_DILATATION_GRID = QuadratureSpec(circle_nodes=256, radial_nodes=24,
                                         refinement_limit=3, abs_tol=1e-9)
+
+#: fuzz_search verifies its maps in stacks of at most this many, so its
+#: memory does not grow with the number of seeds
+FUZZ_CHUNK = 64
 
 #: the classical-theorem envelope constant 2 (6 pi e + 1) appearing in the
 #: non-sharp bound
@@ -61,15 +64,14 @@ class FuzzSummary:
     witness: str
 
 
-def _resolve_K(m: PlanarHarmonicMap, K: float | None,
-               dilatation_grid: QuadratureSpec | None) -> float:
-    """K as given, else K(k_upper) of the certified dilatation."""
+def _resolve_K(maps: Sequence[PlanarHarmonicMap], K: float | None,
+               dilatation_grid: QuadratureSpec | None) -> list[float]:
+    """K as given for every map, else K(k_upper) of each certified dilatation."""
     if K is not None:
         if K < 1.0:
             raise HypothesisViolation("K must be >= 1")
-        return float(K)
-    k = dilatation_sup(m, dilatation_grid).k_upper
-    return (1.0 + k) / (1.0 - k)
+        return [float(K)] * len(maps)
+    return [(1.0 + k) / (1.0 - k) for k in dilatation_upper(maps, dilatation_grid)]
 
 
 def _rounding_error(m: PlanarHarmonicMap, weight: float) -> float:
@@ -84,32 +86,48 @@ def _rounding_error(m: PlanarHarmonicMap, weight: float) -> float:
     return d * (1.0 + weight * (2.0 + 2.0 * abs(math.log(d)) + max(math.log(B), 0.0)))
 
 
+def _t2_report(m: PlanarHarmonicMap, K: float, mean_abs_f: float, mean_abs_f_err: float,
+               ent: float, ent_err: float) -> TheoremReport:
+    """One map's sharp-bound report from its K and its two circle means."""
+    rhs = K ** 2 * (math.exp(-1.0 + K ** -2) + ent)
+    return TheoremReport(
+        params={"K": K, "k": (K - 1.0) / (K + 1.0), "entropy": ent},
+        lhs=mean_abs_f,
+        rhs=rhs,
+        margin=rhs - mean_abs_f,
+        quad_error=mean_abs_f_err + K ** 2 * ent_err + _rounding_error(m, K ** 2),
+    )
+
+
+def _verify_T2_stack(maps: Sequence[PlanarHarmonicMap], r: float, q: QuadratureSpec,
+                     K: float | None,
+                     dilatation_grid: QuadratureSpec | None) -> list[TheoremReport]:
+    """``verify_T2`` of every map as one stack: one dilatation FFT per
+    omega degree, one circle sampling per level for M_1 and the entropy.
+    Each report is the one ``verify_T2`` gives for its map alone."""
+    for m in maps:
+        v0 = m.f0().imag
+        if abs(v0) > V0_TOL:
+            raise HypothesisViolation(f"v(0) = {v0:.3e}, expected 0")
+    Ks = _resolve_K(maps, K, dilatation_grid)
+    try:
+        values, errors, _ = circle_mean_p(maps, r, q, entropy=True)
+    except NonpositiveRealPart as exc:
+        raise HypothesisViolation(f"u must be positive on the circle: {exc}") from exc
+    return [_t2_report(m, K_val, lhs, lhs_err, ent, ent_err)
+            for m, K_val, (lhs, ent), (lhs_err, ent_err) in zip(maps, Ks, values, errors)]
+
+
 def verify_T2(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
               K: float | None = None,
               dilatation_grid: QuadratureSpec | None = None) -> TheoremReport:
     """Sharp planar bound for positive real part and v(0) = 0.
 
-    K is K(k_upper) of dilatation_sup unless supplied.  quad_error adds
-    the rounding of the stored h' to the quadrature estimates.
+    K is K(k_upper) of the certified dilatation unless supplied.
+    quad_error adds the rounding of the stored h' to the quadrature
+    estimates.  This is the one-map stack of ``fuzz_search``.
     """
-    v0 = m.f0().imag
-    if abs(v0) > V0_TOL:
-        raise HypothesisViolation(f"v(0) = {v0:.3e}, expected 0")
-    K_val = _resolve_K(m, K, dilatation_grid)
-    try:
-        ent, ent_err, _ = entropy_u_report(m, r, q)
-    except NonpositiveRealPart as exc:
-        raise HypothesisViolation(f"u must be positive on the circle: {exc}") from exc
-    lhs, lhs_err, _ = circle_mean_p(m, r, q)
-    rhs = K_val ** 2 * (math.exp(-1.0 + K_val ** -2) + ent)
-    quad_error = lhs_err + K_val ** 2 * ent_err + _rounding_error(m, K_val ** 2)
-    return TheoremReport(
-        params={"K": K_val, "k": (K_val - 1.0) / (K_val + 1.0), "entropy": ent},
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        quad_error=quad_error,
-    )
+    return _verify_T2_stack([m], r, q, K, dilatation_grid)[0]
 
 
 def verify_T2_strip(n: int, q: QuadratureSpec) -> TheoremReport:
@@ -132,13 +150,14 @@ def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec) ->
     The square-function constants enter as the caller-supplied product
     c1c2; the report also carries the hypothesis-free empirical constant
     lhs / (1 + zygmund_plus) for comparison with corpus estimates.  K is
-    K(k_upper) of dilatation_sup, and quad_error is as in ``verify_T2``.
+    K(k_upper) of the certified dilatation, and quad_error is as in
+    ``verify_T2``.
     """
     if c1c2 <= 0.0:
         raise HypothesisViolation("c1c2 must be positive")
-    K_val = _resolve_K(m, None, None)
+    [K_val] = _resolve_K([m], None, None)
     zp, zp_err, _ = zygmund_plus_report(m, r, q)
-    lhs, lhs_err, _ = circle_mean_p(m, r, q)
+    [lhs], [lhs_err], _ = circle_mean_p([m], r, q)
     rhs = T1_ENVELOPE * c1c2 * K_val * (1.0 + zp)
     quad_error = (lhs_err + T1_ENVELOPE * c1c2 * K_val * zp_err
                   + _rounding_error(m, T1_ENVELOPE * c1c2 * K_val))
@@ -176,20 +195,37 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
                 positivity_margin: float = 0.05) -> FuzzSummary:
     """Run the sharp planar verifier across the deterministic corpus.
 
-    One ``verify_T2`` per seed, each with its certified K; the first
-    failing seed raises.  Returns the worst margin (NaN once any margin is
-    NaN), the best lhs/rhs ratio (tightness), and the serialized first map
-    attaining that ratio.
+    Seeds go in chunks of FUZZ_CHUNK.  Each map is built alone by
+    ``random_qr_map``, and a chunk is verified as one stack, whose reports
+    are those ``verify_T2`` gives each map alone, with its certified K.
+    The first seed that fails to build or verify raises, after the seeds
+    before it are verified, as one ``verify_T2`` per seed would.  Returns
+    the worst margin (NaN once any margin is NaN), the best lhs/rhs ratio
+    (tightness), and the serialized first map attaining that ratio.
     seeds = 0 yields the vacuous summary (infinite worst margin, zero best
     ratio, empty witness).
     """
     worst, best, witness = math.inf, 0.0, None
-    for seed in range(seeds):
-        m = random_qr_map(seed, k, degree, positivity_margin)
-        rep = verify_T2(m, r, q, dilatation_grid=CORPUS_DILATATION_GRID)
-        if math.isnan(rep.margin) or rep.margin < worst:  # a NaN margin sticks
-            worst = rep.margin
-        if rep.lhs / rep.rhs > best:
-            best, witness = rep.lhs / rep.rhs, m
+    for start in range(0, seeds, FUZZ_CHUNK):
+        maps, failure = [], None
+        for seed in range(start, min(start + FUZZ_CHUNK, seeds)):
+            try:
+                maps.append(random_qr_map(seed, k, degree, positivity_margin))
+            except HqzError as exc:
+                failure = exc
+                break
+        try:
+            reports = _verify_T2_stack(maps, r, q, None, CORPUS_DILATATION_GRID)
+        except HqzError:
+            for m in maps:  # raise the error of the first map that fails alone
+                _verify_T2_stack([m], r, q, None, CORPUS_DILATATION_GRID)
+            raise
+        for m, rep in zip(maps, reports):
+            if math.isnan(rep.margin) or rep.margin < worst:  # a NaN margin sticks
+                worst = rep.margin
+            if rep.lhs / rep.rhs > best:
+                best, witness = rep.lhs / rep.rhs, m
+        if failure is not None:
+            raise failure
     return FuzzSummary(seeds=seeds, worst_margin=worst, best_ratio=best,
                        witness="" if witness is None else map_to_json(witness))

@@ -303,8 +303,10 @@ def nan_at_call(real, index, spoil):
 
 class TestNanInstances:
     def test_a_nan_margin_fails_fuzz(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(hqz.theorems, "verify_T2", nan_at_call(
-            hqz.theorems.verify_T2, 2, lambda rep: dataclasses.replace(rep, margin=math.nan)))
+        # fuzz_search verifies its seeds as one stack, whose per-map reports
+        # _t2_report builds in seed order: the second is seed 1's
+        monkeypatch.setattr(hqz.theorems, "_t2_report", nan_at_call(
+            hqz.theorems._t2_report, 2, lambda rep: dataclasses.replace(rep, margin=math.nan)))
         code, out = run_cli(["fuzz", "--seeds=3"], tmp_path, "f.csv")
         assert code == 1
         assert capsys.readouterr().out.startswith(

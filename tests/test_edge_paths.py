@@ -14,7 +14,7 @@ def test_circle_mean_no_convergence():
     starved = QuadratureSpec(circle_nodes=16, radial_nodes=8,
                              refinement_limit=1, abs_tol=1e-30)
     with pytest.raises(NoConvergence):
-        circle_mean_p(m, 1.0, starved)
+        circle_mean_p([m], 1.0, starved)
 
 
 def test_config_scenario_mismatch(tmp_path):

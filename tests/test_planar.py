@@ -193,7 +193,8 @@ def test_dilatation_sups_match_horner_search(spec, chunk, q_fast):
 def test_node_maximum_alone_is_not_an_upper_bound():
     # the sec(pi d / 2N) factor of k_upper is needed: the 1024 nodes miss
     # the maximum of |omega| by more than rounding on some corpus maps
-    misses = [dense_max(m.omega) - float(np.abs(circle_values(m.omega, None, 1.0, 1024)).max())
+    misses = [dense_max(m.omega)
+              - float(np.abs(circle_values(m.omega.coeffs, None, 1.0, 1024)).max())
               for m in (random_qr_map(s, 0.5, 16) for s in range(10))]
     assert max(misses) > 1e-7
 

@@ -16,7 +16,7 @@ from hqz import (AffineBallMap, C_n, ComplexSeries, NoConvergence,
                  calderon_norms, circle_mean_p, random_qr_map,
                  random_series)
 from hqz.ball import _ball3_volume_weighted
-from hqz.functionals import entropy_u_report, zygmund_plus_report
+from hqz.functionals import zygmund_plus_report
 from hqz.laplacian import _lap_abs_f, disk_area_log_mean
 from hqz.quadrature import (circle_angles, dyadic_panels, gauss_legendre,
                             log_weight_gauss, refine, refined_circle_mean)
@@ -123,17 +123,21 @@ def test_zygmund_plus_brackets_a_crossing_pair_between_two_nodes(q):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_entropy_matches_scratch_rule(q, seed):
     m = random_qr_map(seed, 0.3, 16)
-    value, _, nodes = entropy_u_report(m, 0.9, q)
+    # M_1 and the entropy come from one sampling of f, which runs until
+    # both means settle
+    [(m1, value)], _, nodes = circle_mean_p([m], 0.9, q, entropy=True)
     u = lambda t: horner_f(m, 0.9)(t).real
     ref, ref_nodes = scratch_rule(lambda t: u(t) * np.log(u(t)), q)
-    assert nodes == ref_nodes
+    ref_m1, m1_nodes = scratch_rule(lambda t: np.abs(horner_f(m, 0.9)(t)), q)
+    assert nodes == max(ref_nodes, m1_nodes)
     assert abs(value - ref) <= 1e-14
+    assert abs(m1 - ref_m1) <= 1e-14
 
 
 def test_circle_mean_p_matches_scratch_rule(q):
     # the rule runs to 4096 nodes
     m = PlanarHarmonicMap(g=ComplexSeries((1.0, 1.0)), h=random_qr_map(1, 0.3, 16).h)
-    value, _, nodes = circle_mean_p(m, 1.0, q)
+    [value], _, nodes = circle_mean_p([m], 1.0, q)
     ref, ref_nodes = scratch_rule(lambda t: np.abs(horner_f(m)(t)), q)
     assert nodes == ref_nodes
     assert abs(value - ref) <= 1e-14
@@ -151,7 +155,7 @@ def test_driver_levels_and_half_step_angles():
     q = QuadratureSpec(circle_nodes=8, refinement_limit=5, abs_tol=1e-12)
     seen = []
 
-    def sample(n, shift):
+    def sample(n, shift, rows):
         theta = circle_angles(n, shift)
         seen.append(theta)
         return np.cos(theta) ** 2
@@ -167,7 +171,7 @@ def test_driver_levels_and_half_step_angles():
 def test_driver_no_convergence_message():
     q = QuadratureSpec(circle_nodes=16, refinement_limit=2, abs_tol=1e-30)
     with pytest.raises(NoConvergence, match=r"^corner: 64 nodes, last change .* > abs_tol"):
-        refined_circle_mean(lambda n, s: np.abs(np.sin(circle_angles(n, s))), q,
+        refined_circle_mean(lambda n, s, rows: np.abs(np.sin(circle_angles(n, s))), q,
                             context="corner")
 
 
@@ -177,13 +181,13 @@ def test_entropy_rejects_nonpositive_u_at_odd_node_only():
     m = PlanarHarmonicMap(g=g, h=ComplexSeries.zero())
     q = QuadratureSpec(circle_nodes=8, refinement_limit=4)
     with pytest.raises(NonpositiveRealPart):
-        entropy_u_report(m, 1.0, q)
+        circle_mean_p([m], 1.0, q, entropy=True)
 
 
 def test_refine_doubles_from_n0_and_reports_the_last_change():
     seen = []
 
-    def level(n):
+    def level(n, _):
         seen.append(n)
         return 1.0 / n
 
@@ -195,7 +199,7 @@ def test_refine_doubles_from_n0_and_reports_the_last_change():
 
 def test_refine_no_convergence_message():
     with pytest.raises(NoConvergence) as exc:
-        refine(lambda n: 1.0 / n, 4, QuadratureSpec(refinement_limit=2, abs_tol=1e-30), "probe")
+        refine(lambda n, _: 1.0 / n, 4, QuadratureSpec(refinement_limit=2, abs_tol=1e-30), "probe")
     assert str(exc.value) == "probe: 16 nodes, last change 6.250e-02 > abs_tol 1.000e-30"
 
 
@@ -368,9 +372,9 @@ def test_disk_area_agrees_with_the_panel_rule(q, seed, k):
     m = random_qr_map(seed, k)
 
     def rows(rho, n):  # the lap|f| rows of disk_green_identity
-        return _lap_abs_f(circle_values(m.g, m.h, rho, n),
-                          circle_values(m.g_prime, None, rho, n),
-                          circle_values(m.h_prime, None, rho, n))
+        return _lap_abs_f(circle_values(m.g.coeffs, m.h.coeffs, rho, n),
+                          circle_values(m.g_prime.coeffs, None, rho, n),
+                          circle_values(m.h_prime.coeffs, None, rho, n))
 
     value, err = disk_area_log_mean(rows, 0.9, q)
     want, _ = loop_disk_area(rows, 0.9, q)

@@ -133,7 +133,7 @@ def test_circle_values_match_horner(n, r, with_h, shift):
     z = r * np.exp(1j * theta)
     horner = g(z) + (np.conjugate(h(z)) if with_h else 0.0)
     l1 = g.coeff_abs_sum() + (h.coeff_abs_sum() if with_h else 0.0)
-    got = circle_values(g, h, r, n, shift)
+    got = circle_values(g.coeffs, None if h is None else h.coeffs, r, n, shift)
     assert got.shape == (n,)
     assert np.abs(got - horner).max() <= 1e-13 * l1
 
@@ -142,12 +142,26 @@ def test_circle_values_rows_per_radius():
     g = random_series(3, 20, zero_constant=False)
     h = random_series(4, 20)
     radii = np.array([0.0, 0.25, 0.9])
-    rows = circle_values(g, h, radii, 16, shift=True)
+    rows = circle_values(g.coeffs, h.coeffs, radii, 16, shift=True)
     assert rows.shape == (3, 16)
     for rho, row in zip(radii, rows):
-        np.testing.assert_allclose(row, circle_values(g, h, rho, 16, shift=True),
+        np.testing.assert_allclose(row, circle_values(g.coeffs, h.coeffs, rho, 16, shift=True),
                                    rtol=0, atol=1e-14)
     np.testing.assert_allclose(rows[0], g.coeffs[0], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [16, 512])
+@pytest.mark.parametrize("shift", [False, True])
+def test_circle_values_rows_per_series_are_the_series_alone(n, shift):
+    # a stack of coefficient rows (zero-padded to one length, folded at
+    # n = 16) gives each row the bits of that series on its own
+    gs = [random_series(s, d, zero_constant=False) for s, d in ((1, 40), (2, 64), (3, 5))]
+    hs = [random_series(s + 10, d) for s, d in ((1, 64), (2, 20), (3, 64))]
+    rows = circle_values(stacked(gs), stacked(hs), 0.9, n, shift)
+    assert rows.shape == (3, n)
+    for g, h, row in zip(gs, hs, rows):
+        alone = circle_values(stacked([g]), stacked([h]), 0.9, n, shift)[0]
+        assert np.array_equal(row, alone)
 
 
 # the tuple-of-complexes arithmetic that the coefficient arrays replaced,

@@ -1,12 +1,16 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from hqz import functionals, theorems
+from hqz import QuadratureSpec, circle_mean_p, functionals, theorems
 from hqz import (AffineBallMap, ComplexSeries, FuzzSummary, HqzError,
                  HypothesisViolation, PlanarHarmonicMap, fuzz_search,
                  map_from_json, map_to_json, phi_of_m, random_qr_map, strip_example,
                  verify_T1, verify_T2, verify_T2_strip, verify_T3_affine)
+from hqz.quadrature import refined_circle_mean
+from hqz.series import circle_values
 from hqz.theorems import CORPUS_DILATATION_GRID
 
 # frozen oracle values (midpoint Riemann sums at 2^22 nodes, closed forms
@@ -73,7 +77,7 @@ class TestVerifyT2Strip:
         monkeypatch.setattr(theorems, "circle_mean_p", spy)
         rep = verify_T2_strip(5, q)
         assert radii.count(1.0) == 1
-        value, est_error, _ = real(strip_example(5), 1.0, q)
+        [value], [est_error], _ = real([strip_example(5)], 1.0, q)
         assert (rep.lhs, rep.quad_error) == (value, est_error)
 
 
@@ -147,6 +151,75 @@ def per_seed_fuzz(seeds: int, k: float, degree: int, q, margin: float = 0.05) ->
     return FuzzSummary(seeds=seeds, worst_margin=worst, best_ratio=best, witness=witness)
 
 
+def alone_means(m: PlanarHarmonicMap, r: float, q: QuadratureSpec):
+    """(M_1, mean u log u) of one map, each refined by itself: (value,
+    est_error, nodes) twice."""
+    def ulogu(n, shift, rows):
+        u = circle_values(m.g.coeffs, m.h.coeffs, r, n, shift).real
+        return u * np.log(u)
+
+    [m1], [m1_err], m1_nodes = circle_mean_p([m], r, q)
+    return (m1, m1_err, m1_nodes), refined_circle_mean(ulogu, q)
+
+
+class TestVerifyT2Stack:
+    """fuzz_search verifies a chunk of maps as one stack; each row must be
+    the report verify_T2 gives its map alone, bit for bit, with M_1 and the
+    entropy each stopping at its own level."""
+
+    def test_rows_settle_at_their_own_levels(self):
+        q16 = QuadratureSpec(circle_nodes=16)
+        maps = [random_qr_map(seed, 0.5, 16) for seed in range(50)]
+        rows = theorems._verify_T2_stack(maps, 1.0, q16, None, CORPUS_DILATATION_GRID)
+        levels, samples = Counter(), 0
+        for m, row in zip(maps, rows):
+            alone = verify_T2(m, 1.0, q16, dilatation_grid=CORPUS_DILATATION_GRID)
+            assert row == alone
+            (m1, m1_err, m1_nodes), (ent, ent_err, ent_nodes) = alone_means(m, 1.0, q16)
+            assert (row.lhs, row.params["entropy"]) == (m1, ent)
+            K = row.params["K"]
+            assert row.quad_error == (m1_err + K ** 2 * ent_err
+                                      + theorems._rounding_error(m, K ** 2))
+            levels[m1_nodes, ent_nodes] += 1
+            samples += max(m1_nodes, ent_nodes)
+        assert levels == {(256, 256): 28, (512, 256): 21, (512, 512): 1}
+        # a row is sampled until its last mean settles, and no further
+        assert circle_mean_p(maps, 1.0, q16, entropy=True)[2] == samples
+        summary = fuzz_search(50, 0.5, 16, q16)
+        assert summary == per_seed_fuzz(50, 0.5, 16, q16)
+
+    @pytest.mark.parametrize("degree, r", [(2, 1.0), (40, 1.0), (16, 0.9), (2, 0.9)])
+    def test_rows_are_the_maps_alone(self, degree, r, q_fast):
+        for q in (q_fast, QuadratureSpec(circle_nodes=16)):
+            maps = [random_qr_map(seed, 0.5, degree) for seed in range(20)]
+            rows = theorems._verify_T2_stack(maps, r, q, None, CORPUS_DILATATION_GRID)
+            for m, row in zip(maps, rows):
+                assert row == verify_T2(m, r, q, dilatation_grid=CORPUS_DILATATION_GRID)
+
+
+    @pytest.mark.parametrize("bad", [
+        # h != 0 and no omega: the stack finds this before it samples
+        PlanarHarmonicMap(g=ComplexSeries((1.0, 0.1)), h=ComplexSeries((0.0, 0.1))),
+        # u = 0.5 + cos t changes sign: the stack finds this at its first level
+        PlanarHarmonicMap(g=ComplexSeries((0.5, 1.0)), h=ComplexSeries.zero()),
+    ])
+    def test_stack_raises_the_first_maps_error(self, bad, monkeypatch):
+        # seed 0 fails to converge, which the stack finds only after its
+        # last level, so a failure of seed 1 surfaces first in the stack
+        q = QuadratureSpec(circle_nodes=16, refinement_limit=4)
+        real = theorems.random_qr_map
+        first = real(0, 0.5, 16)
+        with pytest.raises(HqzError) as want:
+            verify_T2(first, 1.0, q, dilatation_grid=CORPUS_DILATATION_GRID)
+        with pytest.raises(HypothesisViolation):
+            verify_T2(bad, 1.0, q, dilatation_grid=CORPUS_DILATATION_GRID)
+        monkeypatch.setattr(theorems, "random_qr_map",
+                            lambda seed, *args: bad if seed == 1 else real(seed, *args))
+        with pytest.raises(type(want.value)) as got:
+            fuzz_search(2, 0.5, 16, q)
+        assert str(got.value) == str(want.value)
+
+
 class TestFuzzSearch:
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.5])
     def test_batches_match_per_seed_verification(self, k, q_fast):
@@ -166,6 +239,39 @@ class TestFuzzSearch:
             fuzz_search(5, 0.5, 16, q_fast, positivity_margin=0.95)
         assert str(got.value) == str(want.value)
         assert fuzz_search(3, 0.5, 16, q_fast, positivity_margin=0.95).seeds == 3
+
+    @pytest.mark.parametrize("k, limit, margin, failing", [
+        # seed 0 does not converge in 3 doublings from 16 nodes, seed 1
+        # does, and seeds 2 and 3 (c0 < 1.3) cannot be built: the stack of
+        # seeds 0-1 raises seed 0's error before seed 2's
+        (0.1, 3, 1.3, "V.BB"),
+        # seeds 0, 2 and 4 fail to converge, each with its own last change,
+        # in one stack: the error is seed 0's
+        (0.5, 4, 0.05, "V.V.V."),
+        # seed 3 cannot be built, after seeds 0-2 are verified, and seed 4,
+        # which would not converge, is never reached
+        (0.5, 4, 0.95, "...BV"),
+    ])
+    def test_stack_raises_the_per_seed_error(self, k, limit, margin, failing):
+        q = QuadratureSpec(circle_nodes=16, refinement_limit=limit)
+        pattern = ""
+        for seed in range(len(failing)):
+            try:
+                m = random_qr_map(seed, k, 16, margin)
+            except HqzError:
+                pattern += "B"
+                continue
+            try:
+                verify_T2(m, 1.0, q, dilatation_grid=CORPUS_DILATATION_GRID)
+                pattern += "."
+            except HqzError:
+                pattern += "V"
+        assert pattern == failing
+        with pytest.raises(HqzError) as want:
+            per_seed_fuzz(len(failing), k, 16, q, margin)
+        with pytest.raises(type(want.value)) as got:
+            fuzz_search(len(failing), k, 16, q, positivity_margin=margin)
+        assert str(got.value) == str(want.value)
 
     def test_empty_corpus_vacuous(self, q_fast):
         s = fuzz_search(0, 0.3, 16, q_fast)
