@@ -62,8 +62,7 @@ AREA_CALL_POINTS = 1 << 13
 
 
 def _pieces(m: PlanarHarmonicMap, z):
-    f = m.g(z) + np.conjugate(m.h(z))
-    return f, m.g_prime(z), m.h_prime(z)
+    return m(z), m.g_prime(z), m.h_prime(z)
 
 
 def _lap_abs_f(f, gp, hp):

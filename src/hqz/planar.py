@@ -11,16 +11,16 @@ construction and differentiation are exact up to rounding, and the only
 numerics are the dilatation bounds: the sampled maximum of |omega| on the
 circle times the Ehlich-Zeller factor gives the upper bound k_upper
 (``dilatation_upper``, one FFT for all omegas of one degree), and a Newton
-polish of the samples the lower bound k_hat (``dilatation_sup``).
+polish of the samples the lower bound k_hat (``dilatation_sup``, one
+``horner`` call per step for all candidates).
 
-``make_qr_map`` builds such a map with g + h close to a prescribed F, which
-is how the fuzz corpus realizes positive real part and a dilatation of
-exactly max |omega|.
+``make_qr_map`` builds such a map, truncated at degree DEGREE_CAP, with
+g + h close to a prescribed F, which is how the fuzz corpus realizes
+positive real part and a dilatation of exactly max |omega|.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisViolation, TruncationOverflow
 from .quadrature import QuadratureSpec
-from .series import DEGREE_CAP, ComplexSeries, circle_values
+from .series import DEGREE_CAP, ComplexSeries, circle_values, horner
 
 #: Newton steps that polish each candidate maximum of |omega| on the circle:
 #: from within half a node step, two reach rounding level
@@ -182,7 +182,8 @@ def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> 
 
     k_upper is ``dilatation_upper``'s.  Every sample of omega that is a
     local maximum and could lie under the maximum is polished by Newton
-    steps on |omega(e^(it))|^2, and k_hat is the largest |omega| reached.
+    steps on |omega(e^(it))|^2, each one ``horner`` call on omega and its
+    two t-derivatives at all of them; k_hat is the largest |omega| reached.
     A map with h = 0 (or omega = 0) has k = 0 exactly and needs no samples.
     Raises HypothesisViolation as ``dilatation_upper`` does.
     """
@@ -192,53 +193,48 @@ def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> 
     a, d = w0.coeffs, w0.degree
     (upper,), (vals,), n = _omega_upper(a[None], 0 if grid is None else grid.circle_nodes)
     upper = _below_one(float(upper))
-    cos = math.cos(math.pi * d / (2 * n))
     j = np.arange(d + 1)
-    w1, w2 = ComplexSeries(1j * j * a), ComplexSeries(-(j * j) * a)  # d/dt, d^2/dt^2 of w0(e^(it))
-    lower = top = float(vals.max())
-    for i in np.flatnonzero(vals >= top * cos).tolist():
-        if vals[i - 1] > vals[i] or vals[(i + 1) % n] > vals[i]:
-            continue  # not a local maximum of the samples
-        t = 2.0 * math.pi * i / n
-        for _ in range(_NEWTON_STEPS):
-            z = cmath.exp(1j * t)
-            w, dw = w0(z).conjugate(), w1(z)
-            slope, curve = (w * dw).real, abs(dw) ** 2 + (w * w2(z)).real
-            if curve < 0.0:  # Newton on d/dt |omega|^2 = 0, at most half a node step
-                t -= max(-math.pi / n, min(math.pi / n, slope / curve))
-        lower = max(lower, abs(w0(cmath.exp(1j * t))))
+    rows = np.stack((a, 1j * j * a, -(j * j) * a))  # omega(e^(it)) and its d/dt, d^2/dt^2
+    top = float(vals.max())
+    peak = ((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+            & (vals >= top * math.cos(math.pi * d / (2 * n))))
+    t = 2.0 * math.pi * np.flatnonzero(peak) / n
+    for _ in range(_NEWTON_STEPS):
+        w, dw, d2w = horner(rows, np.exp(1j * t))
+        w = np.conjugate(w)
+        slope, curve = (w * dw).real, np.abs(dw) ** 2 + (w * d2w).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.clip(slope / curve, -math.pi / n, math.pi / n)
+        # Newton on d/dt |omega|^2 = 0, at most half a node step
+        t = np.where(curve < 0.0, t - step, t)
+    lower = float(np.abs(horner(a, np.exp(1j * t))).max(initial=top))
     return DilatationReport(k_hat=lower, K_hat=(1.0 + lower) / (1.0 - lower),
                             k_upper=upper, nodes=n)
 
 
-def make_qr_map(F: ComplexSeries, omega: ComplexSeries,
-                truncation_degree: int = DEGREE_CAP) -> PlanarHarmonicMap:
+def make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonicMap:
     """Harmonic map with g' = P, h' = omega P and g + h = F(0) + int (1 + omega) P.
 
-    P is F'/(1 + omega), expanded by the reciprocal recursion and truncated
-    at degree d_P = truncation_degree - 1 - deg omega, so that h' = omega P,
-    an exact coefficient product, stays below degree truncation_degree;
+    P is F'/(1 + omega), expanded by ``reciprocal`` and truncated at
+    degree d_P = DEGREE_CAP - 1 - deg omega, so that h' = omega P, an
+    exact coefficient product, stays below degree DEGREE_CAP;
     g = F(0) + int P and h = int h'.  The map carries omega, its
     dilatation is max over |z| = 1 of |omega|, and g + h is F up to the
     truncation tail of F'/(1 + omega), so Re f is Re F only up to that
     tail.
 
-    Requires F(0) real, d_P >= 0 (else TruncationOverflow) and sup |omega|
-    < 1: certified by the l1 norm of omega, or else by the k_upper of
-    ``_omega_upper``, which then becomes k_declared.
+    Requires F(0) real, deg omega < DEGREE_CAP so that d_P >= 0 (else
+    TruncationOverflow), and sup |omega| < 1: certified by the l1 norm of
+    omega, or else by the k_upper of ``_omega_upper``, which then becomes
+    k_declared.
     """
-    if truncation_degree > DEGREE_CAP:
-        raise TruncationOverflow(
-            f"requested degree {truncation_degree} exceeds cap {DEGREE_CAP}")
-    if truncation_degree < 1:
-        raise DomainError("truncation_degree must be >= 1")
     if abs(F.coeffs[0].imag) > 0:
         raise DomainError("F(0) must be real so that Im f(0) = 0")
     omega = omega.trimmed()
-    d_p = truncation_degree - 1 - omega.degree
+    d_p = DEGREE_CAP - 1 - omega.degree
     if d_p < 0:
         raise TruncationOverflow(f"deg omega = {omega.degree} leaves no degree for g' "
-                                 f"below {truncation_degree}")
+                                 f"below {DEGREE_CAP}")
     k_decl = omega.coeff_abs_sum()
     if k_decl >= 1.0:
         k_decl = float(_omega_upper(omega.coeffs[None])[0][0])
@@ -287,7 +283,7 @@ def random_qr_map(seed: int, k: float, degree: int = 16,
         target = float(rng.uniform(0.5, 1.0)) * k
         raw2 = raw2 * (target / np.abs(raw2).sum())
         omega = ComplexSeries(raw2)
-    m = make_qr_map(F, omega, DEGREE_CAP)
+    m = make_qr_map(F, omega)
     s = (m.g + m.h).coeffs
     low = s[0].real - float(np.abs(s[1:]).sum())
     if low < positivity_margin:

@@ -7,12 +7,12 @@ arithmetic up to the requested truncation degree.  This is the
 representation of every holomorphic piece in the package, so map
 construction carries no quadrature error at all.
 
-There are two ways to evaluate: ``horner`` takes rows of coefficients
-(``stacked`` pads series to one length) to arbitrary arrays of points,
-and ``circle_values`` takes rows of coefficients, or radii, to g + conj(h)
-at uniform angles on circles by one inverse FFT per circle.
-``ComplexSeries.__call__`` is ``horner`` on arrays and a Python loop on
-one point.  Every circle functional goes through ``circle_values``.
+There are two ways to evaluate, both in complex128: ``horner`` takes
+rows of coefficients (``stacked`` pads series to one length) to arbitrary
+points, and ``circle_values`` takes rows of coefficients, or radii, to
+g + conj(h) at uniform angles on circles by one inverse FFT per circle.
+``ComplexSeries.__call__`` is ``horner``, on one point as on an array.
+Every circle functional goes through ``circle_values``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 
-#: hard cap on truncation degrees accepted by series constructions
+#: truncation degree of the maps ``make_qr_map`` builds
 DEGREE_CAP = 64
 
 
@@ -52,13 +52,8 @@ class ComplexSeries:
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        """Horner evaluation; z may be a python complex or a numpy array."""
-        if isinstance(z, np.ndarray):
-            return horner(self.coeffs, z)
-        acc = 0j  # one point: python complexes beat numpy scalars
-        for c in reversed(self.coeffs.tolist()):
-            acc = acc * z + c
-        return acc
+        """``horner`` at z, a Python number or an array of points."""
+        return horner(self.coeffs, z)
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -133,14 +128,12 @@ def stacked(series: Sequence[ComplexSeries]) -> np.ndarray:
 
 
 def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Every polynomial of ``coeffs`` (last axis the power) at every z.
-
-    Runs in z's precision, at least complex128, so np.clongdouble points
-    keep their width; the result has shape coeffs.shape[:-1] + z.shape.
+    """Every polynomial of ``coeffs`` (last axis the power) at every z, in
+    complex128; the result has shape coeffs.shape[:-1] + z.shape.
     """
-    z = np.asarray(z)
+    z = np.asarray(z, dtype=complex)
     *rows, n = coeffs.shape
-    acc = np.zeros((*rows, *z.shape), dtype=np.result_type(z.dtype, complex))
+    acc = np.zeros((*rows, *z.shape), dtype=complex)
     for c in np.moveaxis(coeffs, -1, 0)[::-1].reshape((n, *rows) + (1,) * z.ndim):
         acc = acc * z + c
     return acc

@@ -1,3 +1,4 @@
+import cmath
 import math
 from functools import lru_cache
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from hqz import (ComplexSeries, DomainError, HypothesisViolation,
                  PlanarHarmonicMap, TruncationOverflow, dilatation_sup,
-                 jacobian, make_qr_map, map_from_json, map_to_json,
+                 dilatation_upper, jacobian, make_qr_map, map_from_json, map_to_json,
                  random_qr_map, strip_example)
-from hqz.series import circle_values
+from hqz.series import circle_values, horner
 from hqz.theorems import CORPUS_DILATATION_GRID, fuzz_search, verify_T2
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -43,6 +44,18 @@ class TestEvalMap:
         m = PlanarHarmonicMap(g=ComplexSeries((0.0, 1.0)),
                               h=ComplexSeries((0.0, 0.0, k / 2)))
         assert m(1.0) == pytest.approx(1.0 + k / 2)
+
+    def test_one_point_is_horner_of_a_0d_array(self):
+        # f at a Python number is g + conj(h) by the same complex128 Horner
+        # as on arrays, bit for bit
+        m = random_qr_map(3, 0.3)
+        rng = np.random.default_rng(11)
+        points = (rng.uniform(0, 1, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))).tolist()
+        for w in points + [0j, 0.5, 1j]:
+            z = np.asarray(w)
+            got = m(w)
+            assert isinstance(got, np.complex128)
+            assert got == horner(m.g.coeffs, z) + np.conjugate(horner(m.h.coeffs, z))
 
 
 #: dilatation_sup's own default (no floor on the nodes) and the corpus grid
@@ -190,6 +203,57 @@ def test_dilatation_sups_match_horner_search(spec, chunk, q_fast):
         assert (got.seeds, got.worst_margin, got.best_ratio) == (chunk, worst, best), k
 
 
+def python_horner(coeffs: list, z: complex) -> complex:
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def scalar_dilatation_sup(m: PlanarHarmonicMap, spec) -> tuple[float, float, int]:
+    """(k_hat, k_upper, nodes) by the per-candidate Newton loop in Python
+    complexes that dilatation_sup ran before its polish was stacked, kept
+    as a reference."""
+    a = m.omega.trimmed().coeffs
+    d, j = a.size - 1, np.arange(a.size)
+    n = max(64 << max(d - 1, 0).bit_length(), 0 if spec is None else spec.circle_nodes)
+    vals = np.abs(circle_values(a[None], None, 1.0, n))[0]
+    w0, w1, w2 = a.tolist(), (1j * j * a).tolist(), (-(j * j) * a).tolist()
+    cos = math.cos(math.pi * d / (2 * n))
+    lower = top = float(vals.max())
+    for i in np.flatnonzero(vals >= top * cos).tolist():
+        if vals[i - 1] > vals[i] or vals[(i + 1) % n] > vals[i]:
+            continue  # not a local maximum of the samples
+        t = 2.0 * math.pi * i / n
+        for _ in range(2):
+            z = cmath.exp(1j * t)
+            w, dw = python_horner(w0, z).conjugate(), python_horner(w1, z)
+            slope, curve = (w * dw).real, abs(dw) ** 2 + (w * python_horner(w2, z)).real
+            if curve < 0.0:
+                t -= max(-math.pi / n, min(math.pi / n, slope / curve))
+        lower = max(lower, abs(python_horner(w0, cmath.exp(1j * t))))
+    return lower, dilatation_upper([m], spec)[0], n
+
+
+@SPECS
+def test_stacked_polish_matches_the_scalar_loop(spec):
+    # corpus maps of degree 1 to 40 up to k = 0.9, three equal maxima of
+    # |0.3 + 0.2 z^3| between the nodes, and a constant omega, where every
+    # sample ties for the maximum
+    maps = [random_qr_map(seed, k, degree) for degree in (1, 2, 16, 40)
+            for k in (0.3, 0.9) for seed in range(15)]
+    F = ComplexSeries((1.0, 0.5))
+    maps += [make_qr_map(F, ComplexSeries((0.3, 0.0, 0.0, 0.2))),
+             make_qr_map(F, ComplexSeries.constant(0.3))]
+    for m in maps:
+        rep = dilatation_sup(m, spec)
+        k_hat, k_upper, nodes = scalar_dilatation_sup(m, spec)
+        assert abs(rep.k_hat - k_hat) <= 1e-14 * k_hat
+        assert (rep.k_upper, rep.nodes) == (k_upper, nodes)
+    assert dilatation_sup(maps[-2], spec).k_hat == pytest.approx(0.5, rel=1e-15)
+    assert dilatation_sup(maps[-1], spec).k_hat == pytest.approx(0.3, rel=1e-15)
+
+
 def test_node_maximum_alone_is_not_an_upper_bound():
     # the sec(pi d / 2N) factor of k_upper is needed: the 1024 nodes miss
     # the maximum of |omega| by more than rounding on some corpus maps
@@ -232,10 +296,6 @@ class TestMakeQrMap:
         u = np.real(m.g(z) + np.conjugate(m.h(z)))
         assert np.max(np.abs(u - (1.0 + 0.5 * z.real))) < 1e-12
 
-    def test_truncation_cap(self):
-        with pytest.raises(TruncationOverflow):
-            make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries.zero(), 65)
-
     def test_l1_norm_above_one_needs_the_certificate(self):
         # |0.4 (1 + z - z^2)| peaks at 0.4 sqrt 5 (z = i) below its l1 norm 1.2
         F, omega = ComplexSeries((1.0, 0.3)), ComplexSeries((0.4, 0.4, -0.4))
@@ -248,8 +308,8 @@ class TestMakeQrMap:
     def test_omega_degree_leaves_room_for_g_prime(self):
         omega = ComplexSeries(np.full(64, 0.01))  # degree 63, the cap 64 minus one
         assert make_qr_map(ComplexSeries((1.0, 0.3)), omega).g_prime.degree == 0
-        with pytest.raises(TruncationOverflow, match="no degree for g'"):
-            make_qr_map(ComplexSeries((1.0, 0.3)), omega, 63)
+        with pytest.raises(TruncationOverflow, match="no degree for g'"):  # degree 64
+            make_qr_map(ComplexSeries((1.0, 0.3)), ComplexSeries(np.full(65, 0.01)))
 
     def test_imaginary_F0_rejected(self):
         with pytest.raises(DomainError):
@@ -279,7 +339,7 @@ class TestMakeQrMap:
     def test_g_plus_h_equals_F_exactly(self):
         F = ComplexSeries((1.0, 0.5, -0.25))
         omega = ComplexSeries((0.1, 0.2j))
-        m = make_qr_map(F, omega, 32)
+        m = make_qr_map(F, omega)
         total = (m.g + m.h).coeffs
         for got, want in zip(total[:3], F.coeffs):
             assert got == pytest.approx(want, abs=1e-14)
@@ -311,8 +371,8 @@ class TestRandomQrMap:
         # a construction whose g + h leaves the coefficient budget is refused
         import hqz.planar as planar
         real = planar.make_qr_map
-        monkeypatch.setattr(planar, "make_qr_map", lambda F, omega, degree: real(
-            ComplexSeries(np.concatenate(([F.coeffs[0]], 3.0 * F.coeffs[1:]))), omega, degree))
+        monkeypatch.setattr(planar, "make_qr_map", lambda F, omega: real(
+            ComplexSeries(np.concatenate(([F.coeffs[0]], 3.0 * F.coeffs[1:]))), omega))
         refused = 0
         for seed in range(10):
             try:

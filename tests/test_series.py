@@ -20,14 +20,6 @@ def test_horner_identity_map():
     assert s(0.25 + 0.5j) == 0.25 + 0.5j
 
 
-def test_vectorized_eval_matches_scalar():
-    s = ComplexSeries((1.0, 2.0j, -0.5))
-    zs = np.array([0.1, 0.5j, -0.3 + 0.4j])
-    vec = s(zs)
-    for z, v in zip(zs, vec):
-        assert abs(s(complex(z)) - v) == 0.0
-
-
 def test_horner_matches_direct_sum():
     s = ComplexSeries((1.0, -2.0j, 0.5, 3.0))
     z = 0.3 - 0.2j
@@ -192,6 +184,13 @@ def tuple_antiderivative(a):
     return [0j] + [c / (j + 1) for j, c in enumerate(a)]
 
 
+def tuple_horner(a, z):
+    acc = 0j
+    for c in reversed(a):
+        acc = acc * z + c
+    return acc
+
+
 def l1(coeffs):
     return sum(abs(c) for c in coeffs)
 
@@ -254,20 +253,33 @@ def test_horner_equals_the_scalar_path():
         assert rows.shape == (len(series), *z.shape) and rows.dtype == np.complex128
         for s, row in zip(series, rows):
             assert (s(z) == row).all()  # zero padding changes no bit
-            scalar = np.array([s(complex(w)) for w in z.ravel()]).reshape(z.shape)
+            coeffs = s.coeffs.tolist()
+            scalar = np.array([tuple_horner(coeffs, w) for w in z.ravel().tolist()])
             # both within Horner's gamma_2n sum |c_j| |z|^j of the exact value
             bound = 4 * s.coeffs.size * EPS * np.polyval(np.abs(s.coeffs[::-1]), np.abs(z))
-            assert (np.abs(row - scalar) <= bound).all()
+            assert (np.abs(row - scalar.reshape(z.shape)) <= bound).all()
 
 
-def test_horner_keeps_clongdouble_precision():
+def test_one_point_is_horner_of_a_0d_array():
+    # a Python number goes through the same complex128 loop as an array,
+    # so it gets the same bits as that point inside any array
+    rng = np.random.default_rng(7)
+    points = (rng.uniform(0, 1, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))).tolist()
+    for s in (random_series(3, 64, zero_constant=False), random_series(4, 20),
+              ComplexSeries((1.0, 2.0j, -0.5))):
+        for w in points + [0.5, 2, 1j]:
+            got = s(w)
+            assert isinstance(got, np.complex128)
+            assert got == horner(s.coeffs, np.asarray(w))
+            assert got == s(np.array([w, 0.25]))[0]
+
+
+def test_horner_runs_in_complex128():
     z = np.array([2.0 ** -60, -(2.0 ** -61)], dtype=np.clongdouble)
     one_plus_z = ComplexSeries((1.0, 1.0)).coeffs
     got = horner(one_plus_z, z)
-    assert got.dtype == np.clongdouble
-    if np.finfo(np.longdouble).eps <= 2.0 ** -61:  # wider than a double
-        assert (got - 1 == z).all()
-    assert (horner(one_plus_z, z.astype(complex)) == 1.0).all()
+    assert got.dtype == np.complex128
+    assert (got == 1.0).all()  # 1 + 2^-60 rounds to 1 in a double
 
 
 def test_stacked_pads_rows_to_one_length():
