@@ -12,9 +12,11 @@ function
     G[H](z) = ( int_0^1 |H'(rho z)|^2 (1 - rho) d rho )^(1/2)
 
 whose L1 comparison constants against ||H||_1 are estimated empirically
-from a corpus.  Circle integrals of smooth integrands use the periodic
-trapezoid rule with doubling refinement (``quadrature.refined_circle_mean``)
-on values from the FFT circle engine (``series.circle_values``); |f| is
+from a corpus; ``calderon_norms`` takes that corpus in stacks of
+STACK_CHUNK series, one ``circle_values`` call per level for each norm.
+Circle integrals of smooth integrands use the periodic trapezoid rule
+with doubling refinement (``quadrature.refined_circle_mean``) on values
+from the FFT circle engine (``series.circle_values``); |f| is
 merely piecewise smooth where f vanishes, so the refinement-based error
 control is not optional.  |u| log+ |u| has a corner wherever |u| crosses
 1, which caps the trapezoid rule at second order, so ``zygmund_plus_report``
@@ -29,11 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, EmptyCorpus, KernelBlowup,
+from .errors import (DomainError, EmptyCorpus, HqzError, KernelBlowup,
                      MonotonicityViolation, NonpositiveRealPart)
 from .planar import PlanarHarmonicMap
-from .quadrature import (QuadratureSpec, circle_angles, gauss_legendre, refine,
-                         refined_circle_mean)
+from .quadrature import (STACK_CHUNK, QuadratureSpec, circle_angles, gauss_legendre,
+                         refine, refined_circle_mean)
 from .series import ComplexSeries, circle_values, horner, stacked
 
 #: evaluation points closer to the boundary than this are rejected by the
@@ -305,45 +307,79 @@ def calderon_square(H: ComplexSeries, z: complex) -> float:
     return float(np.sqrt(np.sum(w * (1.0 - rho) * (vals.real ** 2 + vals.imag ** 2))))
 
 
-def _square_function_series(H: ComplexSeries) -> ComplexSeries:
-    """Coefficients c_m, m >= 0, of G[H]^2 on the unit circle.
+def _square_function_series(corpus: Sequence[ComplexSeries]) -> np.ndarray:
+    """Coefficients c_m, m >= 0, of G[H]^2 on the unit circle: one zero-padded
+    row per series of the corpus.
 
     With H' = sum_j j a_j z^(j-1) and int_0^1 rho^(j+k-2) (1 - rho) d rho
     = 1/((j+k-1)(j+k)), G[H](e^it)^2 = sum_m c_m e^(imt) with
     c_m = sum_{j-k=m} j k a_j conj(a_k) / ((j+k-1)(j+k)), j, k >= 1.
     This is a Hermitian trigonometric polynomial: c_-m = conj(c_m).
+    The series of one length share one (rows x d x d) array of the terms
+    and one trace per diagonal: np.trace sums by pairs, so the length of a
+    diagonal, padding included, sets the bits of its sum.
     """
-    j = np.arange(1, len(H.coeffs))
-    b = j * H.coeffs[1:]
-    s = j[:, None] + j[None, :]
-    terms = np.outer(b, np.conjugate(b)) / ((s - 1) * s)  # row j, column k
-    return ComplexSeries([np.trace(terms, -m) for m in range(len(j))] or [0j])
+    sizes = np.array([H.coeffs.size for H in corpus])
+    A = stacked(corpus)
+    C = np.zeros((len(corpus), max(A.shape[1] - 1, 1)), dtype=complex)
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        j = np.arange(1, size)
+        b = j * A[rows, 1:size]
+        s = j[:, None] + j[None, :]
+        terms = b[:, :, None] * np.conjugate(b)[:, None, :] / ((s - 1) * s)  # row j, column k
+        for m in range(size - 1):
+            C[rows, m] = np.trace(terms, -m, axis1=1, axis2=2)
+    return C
 
 
-def calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float]:
-    """(||H||_1, ||G[H]||_1) on the unit circle, each by refined_circle_mean.
-
-    G[H]^2 on the circle is the Hermitian trigonometric polynomial of
-    ``_square_function_series``, so each level takes one ``circle_values``
-    call: its c_m, m >= 0, fill the nonnegative frequencies and their
-    conjugates the negative ones.  The real part, clipped at 0 against
-    rounding, gives G[H]^2.  H must satisfy H(0) = 0 and be nonzero.
-    """
-    if H.coeffs[0] != 0:
+def _calderon_stack(corpus: Sequence[ComplexSeries],
+                    q: QuadratureSpec) -> list[tuple[float, float]]:
+    """``calderon_norms`` of one stack of series."""
+    if any(H.coeffs[0] != 0 for H in corpus):
         raise DomainError("the series must satisfy H(0) = 0")
-    C = _square_function_series(H).coeffs
-    C_neg = np.concatenate(([0j], C[1:]))  # c_0 is in C already
+    A = stacked(corpus)
+    C = _square_function_series(corpus)
+    C_neg = C.copy()
+    C_neg[:, 0] = 0.0  # c_0 is in C already
 
     def square_function(n: int, shift: bool, rows) -> np.ndarray:
-        return np.sqrt(np.maximum(circle_values(C, C_neg, 1.0, n, shift).real, 0.0))
+        return np.sqrt(np.maximum(circle_values(C[rows], C_neg[rows], 1.0, n, shift).real, 0.0))
 
     norm_H, _, _ = refined_circle_mean(
-        lambda n, shift, rows: np.abs(circle_values(H.coeffs, None, 1.0, n, shift)), q,
+        lambda n, shift, rows: np.abs(circle_values(A[rows], None, 1.0, n, shift)), q,
         context="||H||_1")
     norm_GH, _, _ = refined_circle_mean(square_function, q, context="||G[H]||_1")
-    if norm_H == 0.0 or norm_GH == 0.0:
+    if 0.0 in norm_H or 0.0 in norm_GH:
         raise DomainError("the zero series has no norm ratio")
-    return norm_H, norm_GH
+    return list(zip(norm_H, norm_GH))
+
+
+def calderon_norms(corpus: Sequence[ComplexSeries],
+                   q: QuadratureSpec) -> list[tuple[float, float]]:
+    """(||H||_1, ||G[H]||_1) on the unit circle of each series H of the corpus.
+
+    Up to STACK_CHUNK series form one stack, whose two norms are two
+    stacked ``refined_circle_mean`` calls: each level samples |H| on every
+    row still refining by one ``circle_values`` call, and G[H]^2, the
+    Hermitian trigonometric polynomial of ``_square_function_series``, by
+    another, its c_m, m >= 0, filling the nonnegative frequencies and their
+    conjugates the negative ones.  The real part, clipped at 0 against
+    rounding, gives G[H]^2.  Each norm stops at its own level, so it is the
+    same bits as the norm of its series alone.  Every H must satisfy
+    H(0) = 0 and be nonzero; a stack that raises is rerun one series at a
+    time, so the error is that of the first series that fails alone.
+    """
+    norms = []
+    for start in range(0, len(corpus), STACK_CHUNK):
+        chunk = corpus[start:start + STACK_CHUNK]
+        try:
+            norms.extend(_calderon_stack(chunk, q))
+        except HqzError:
+            for H in chunk:  # raise the error of the first series that fails alone
+                _calderon_stack([H], q)
+            raise
+    return norms
 
 
 def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
@@ -351,9 +387,10 @@ def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
     """Empirical lower bounds for the two square-function comparison constants.
 
     Returns (max ||H||_1 / ||G[H]||_1, max ||G[H]||_1 / ||H||_1) over the
-    corpus, each NaN if any ratio is; every H must satisfy H(0) = 0.
+    norms of ``calderon_norms``, each NaN if any ratio is; every H must
+    satisfy H(0) = 0.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("calderon_ratio_estimate needs a nonempty corpus")
-    norms = np.array([calderon_norms(H, q) for H in corpus])
+    norms = np.array(calderon_norms(corpus, q))
     return float(np.max(norms[:, 0] / norms[:, 1])), float(np.max(norms[:, 1] / norms[:, 0]))

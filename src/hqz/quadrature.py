@@ -36,6 +36,10 @@ Level = Callable[[int, object], object]
 #: the stack rows that ``rows`` selects (see refined_circle_mean)
 Sampler = Callable[[int, bool, object], np.ndarray]
 
+#: the corpus drivers (``fuzz_search``, ``calderon_norms``) refine at most
+#: this many rows per stack, so their memory does not grow with the corpus
+STACK_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:

@@ -28,7 +28,7 @@ from .errors import HqzError, HypothesisViolation, NonpositiveRealPart
 from .functionals import circle_mean_p, hardy_norm_estimate, zygmund_plus_report
 from .planar import (PlanarHarmonicMap, dilatation_upper, map_to_json,
                      random_qr_map, strip_example)
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, STACK_CHUNK, QuadratureSpec
 
 #: tolerance for the v(0) = 0 hypothesis; constructions satisfy it exactly
 V0_TOL = 1e-12
@@ -37,10 +37,6 @@ V0_TOL = 1e-12
 #: as a floor on the certificate's nodes, which corpus maps exceed anyway
 CORPUS_DILATATION_GRID = QuadratureSpec(circle_nodes=256, radial_nodes=24,
                                         refinement_limit=3, abs_tol=1e-9)
-
-#: fuzz_search verifies its maps in stacks of at most this many, so its
-#: memory does not grow with the number of seeds
-FUZZ_CHUNK = 64
 
 #: the classical-theorem envelope constant 2 (6 pi e + 1) appearing in the
 #: non-sharp bound
@@ -195,7 +191,7 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
                 positivity_margin: float = 0.05) -> FuzzSummary:
     """Run the sharp planar verifier across the deterministic corpus.
 
-    Seeds go in chunks of FUZZ_CHUNK.  Each map is built alone by
+    Seeds go in chunks of STACK_CHUNK.  Each map is built alone by
     ``random_qr_map``, and a chunk is verified as one stack, whose reports
     are those ``verify_T2`` gives each map alone, with its certified K.
     The first seed that fails to build or verify raises, after the seeds
@@ -206,9 +202,9 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
     ratio, empty witness).
     """
     worst, best, witness = math.inf, 0.0, None
-    for start in range(0, seeds, FUZZ_CHUNK):
+    for start in range(0, seeds, STACK_CHUNK):
         maps, failure = [], None
-        for seed in range(start, min(start + FUZZ_CHUNK, seeds)):
+        for seed in range(start, min(start + STACK_CHUNK, seeds)):
             try:
                 maps.append(random_qr_map(seed, k, degree, positivity_margin))
             except HqzError as exc:

@@ -206,6 +206,16 @@ class TestScenarioRuns:
         assert capsys.readouterr().out.startswith(
             "[FAIL] laplacian-audit: FD deviations <= 1e-5 fails; ")
 
+    def test_calderon_no_convergence_names_the_first_series(self, tmp_path, capsys):
+        # from 16 nodes seed 33's ||H||_1 still moves after 12 doublings, and
+        # the 34 series before it in its stack settle at other levels
+        code, out = run_cli(["calderon-estimate", "--circle_nodes=16", "--seeds=150"],
+                            tmp_path, "c.csv")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ||H||_1: 65536 nodes, last change 2.764e-09 > abs_tol 1.000e-10\n")
+        assert not out.exists()
+
     def test_calderon_small(self, tmp_path, capsys):
         code, out = run_cli(["calderon-estimate", "--seeds=5"], tmp_path, "c.csv")
         assert code == 0
@@ -263,7 +273,8 @@ SPOILED = {
                         "ratio <= K^2 (1 + 1e-9)", ["--seeds=1"]),
     "green-audit": ("ball_green_calibration", lambda res, q: 1e-9,
                     "|residual| < threshold at ball_calibration_x2", []),
-    "calderon-estimate": ("calderon_norms", lambda norms, H, q: (norms[0], 10.0 * norms[1]),
+    "calderon-estimate": ("calderon_norms", lambda norms, corpus, q: [
+                              (nh, 10.0 * ng) for nh, ng in norms],
                           "c1 >= sqrt(2) - 1e-9, finite", ["--seeds=1"]),
 }
 
@@ -288,6 +299,11 @@ class TestGate:
         assert capsys.readouterr().out.startswith(
             "[FAIL] verify-t1: margin >= -quad_error fails; c1c2 = 0.000001; min margin = ")
         assert out.exists()
+
+
+def nan_at_second_member(norms):
+    """``calderon_norms``' pairs with the second member's ||G[H]||_1 NaN."""
+    return [norms[0], (norms[1][0], math.nan), *norms[2:]]
 
 
 def nan_at_call(real, index, spoil):
@@ -315,7 +331,7 @@ class TestNanInstances:
 
     def test_a_nan_ratio_fails_calderon_estimate(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(hqz.cli, "calderon_norms", nan_at_call(
-            hqz.cli.calderon_norms, 2, lambda norms: (norms[0], math.nan)))
+            hqz.cli.calderon_norms, 1, nan_at_second_member))
         code, out = run_cli(["calderon-estimate", "--seeds=3"], tmp_path, "c.csv")
         assert code == 1
         assert capsys.readouterr().out.startswith(
@@ -353,7 +369,7 @@ class TestNanInstances:
 
     def test_a_nan_ratio_fails_verify_t1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(hqz.functionals, "calderon_norms", nan_at_call(
-            hqz.functionals.calderon_norms, 2, lambda norms: (norms[0], math.nan)))
+            hqz.functionals.calderon_norms, 1, nan_at_second_member))
         code, _ = run_cli(["verify-t1", "--seeds=2"], tmp_path, "t.csv")
         assert code == 1
         assert "c1c2 finite and positive fails; " in capsys.readouterr().out

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hqz import (ComplexSeries, DomainError, EmptyCorpus, KernelBlowup,
+from hqz import (ComplexSeries, DomainError, EmptyCorpus, HqzError, KernelBlowup,
                  NonpositiveRealPart, PlanarHarmonicMap,
                  QuadratureSpec, calderon_norms, calderon_ratio_estimate,
                  calderon_square, circle_mean_p, hardy_norm_estimate,
                  poisson_extend_circle, random_qr_map, random_series)
 from hqz.functionals import zygmund_plus_report
-from hqz.quadrature import gauss_legendre, refined_circle_mean
+from hqz.quadrature import STACK_CHUNK, gauss_legendre, refined_circle_mean
 from hqz.series import circle_values
 
 # frozen oracle values (dense midpoint Riemann sums, 2^22 nodes, plus the
@@ -220,26 +220,108 @@ class TestCalderonNorms:
     def test_monomials(self, q, coeffs, exact):
         # G[a z^d]^2 = d^2 |a|^2 / ((2d - 1) 2d) on the whole circle
         H = ComplexSeries(coeffs)
-        _, norm_GH = calderon_norms(H, q)
+        [(_, norm_GH)] = calderon_norms([H], q)
         assert norm_GH == pytest.approx(exact, rel=1e-14)
         assert norm_GH == pytest.approx(per_radius_square_norm(H, q), rel=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 8, 16, 40])
     def test_closed_form_matches_per_radius_sum(self, q, degree):
-        for seed in range(30):
-            H = random_series(seed, degree)
-            _, norm_GH = calderon_norms(H, q)
+        corpus = [random_series(seed, degree) for seed in range(30)]
+        for H, (_, norm_GH) in zip(corpus, calderon_norms(corpus, q)):
             assert norm_GH == pytest.approx(per_radius_square_norm(H, q), rel=1e-14)
 
     def test_trailing_zero_coefficients(self, q):
         H = random_series(7, 5)
         padded = ComplexSeries(np.concatenate((H.coeffs, np.zeros(6))))
-        assert calderon_norms(padded, q) == pytest.approx(calderon_norms(H, q), rel=1e-15)
+        norms_padded, norms = calderon_norms([padded, H], q)
+        assert norms_padded == pytest.approx(norms, rel=1e-15)
 
     def test_zero_series_rejected(self, q):
         for coeffs in ((0.0,), (0.0, 0.0, 0.0)):
             with pytest.raises(DomainError):
-                calderon_norms(ComplexSeries(coeffs), q)
+                calderon_norms([ComplexSeries(coeffs)], q)
+
+    def test_empty_corpus_has_no_norms(self, q):
+        assert calderon_norms([], q) == []
+
+
+def per_series_square_function_series(H: ComplexSeries) -> ComplexSeries:
+    """G[H]^2's coefficients c_m, m >= 0, of one series, by d traces of one
+    d x d array: the code the stacked estimator replaced."""
+    j = np.arange(1, len(H.coeffs))
+    b = j * H.coeffs[1:]
+    s = j[:, None] + j[None, :]
+    terms = np.outer(b, np.conjugate(b)) / ((s - 1) * s)  # row j, column k
+    return ComplexSeries([np.trace(terms, -m) for m in range(len(j))] or [0j])
+
+
+def per_series_calderon_norms(H: ComplexSeries, q: QuadratureSpec) -> tuple[float, float, int]:
+    """(||H||_1, ||G[H]||_1) of one series as the estimator computed them one
+    series at a time, and the nodes at which ||H||_1 settled."""
+    if H.coeffs[0] != 0:
+        raise DomainError("the series must satisfy H(0) = 0")
+    C = per_series_square_function_series(H).coeffs
+    C_neg = np.concatenate(([0j], C[1:]))  # c_0 is in C already
+
+    def square_function(n, shift, rows):
+        return np.sqrt(np.maximum(circle_values(C, C_neg, 1.0, n, shift).real, 0.0))
+
+    norm_H, _, nodes = refined_circle_mean(
+        lambda n, shift, rows: np.abs(circle_values(H.coeffs, None, 1.0, n, shift)), q,
+        context="||H||_1")
+    norm_GH, _, _ = refined_circle_mean(square_function, q, context="||G[H]||_1")
+    if norm_H == 0.0 or norm_GH == 0.0:
+        raise DomainError("the zero series has no norm ratio")
+    return norm_H, norm_GH, nodes
+
+
+def per_series_error(corpus, q) -> HqzError:
+    """The error that the per-series loop over ``corpus`` raises."""
+    with pytest.raises(HqzError) as exc:
+        for H in corpus:
+            per_series_calderon_norms(H, q)
+    return exc.value
+
+
+def stack_corpus() -> list[ComplexSeries]:
+    """z, random series of degrees 1, 2, 16 and 40, one padded with trailing
+    zeros, and degree-16 seeds 0..65, whose ||H||_1 settles at every level
+    from 2^10 to 2^16 nodes from 512: 86 series, two stacks."""
+    corpus = [ComplexSeries((0j, 1.0 + 0j))]
+    corpus += [random_series(seed, degree) for degree in (1, 2, 40) for seed in range(6)]
+    corpus.append(ComplexSeries(np.concatenate((random_series(3, 9).coeffs, np.zeros(7)))))
+    corpus += [random_series(seed, 16) for seed in range(66)]
+    return corpus
+
+
+class TestCalderonStack:
+    @pytest.mark.parametrize("circle_nodes", [512, 64])
+    def test_each_norm_is_the_per_series_bits(self, circle_nodes):
+        q = QuadratureSpec(circle_nodes=circle_nodes)
+        corpus = stack_corpus()
+        assert len(corpus) > STACK_CHUNK
+        want = [per_series_calderon_norms(H, q) for H in corpus]
+        if circle_nodes == 512:
+            assert {nodes for _, _, nodes in want} >= {2 ** p for p in range(10, 17)}
+        assert calderon_norms(corpus, q) == [(nh, ng) for nh, ng, _ in want]
+
+    @pytest.mark.parametrize("corpus, q", [
+        # H(0) != 0 at the third member, in the first stack and in the second
+        ([random_series(0, 16), random_series(1, 16), ComplexSeries((1.0, 1.0)),
+          random_series(2, 16)], QuadratureSpec()),
+        ([random_series(seed, 4) for seed in range(STACK_CHUNK + 2)]
+         + [ComplexSeries((0.5, 1.0))], QuadratureSpec()),
+        ([random_series(0, 16), ComplexSeries((0j, 0j, 0j)), random_series(1, 16)],
+         QuadratureSpec()),
+        # seed 1 stops short of its level, before a later member with H(0) != 0
+        ([random_series(35, 16), random_series(1, 16), ComplexSeries((1.0, 1.0))],
+         QuadratureSpec(circle_nodes=64, refinement_limit=4))],
+        ids=["H(0) third", "H(0) second stack", "zero series", "no convergence first"])
+    def test_an_error_is_the_per_series_error(self, corpus, q):
+        want = per_series_error(corpus, q)
+        with pytest.raises(type(want)) as exc:
+            calderon_norms(corpus, q)
+        assert str(exc.value) == str(want)
 
 
 class TestCalderonRatio:
@@ -268,8 +350,9 @@ class TestCalderonRatio:
     def test_a_nan_ratio_propagates(self, q, monkeypatch):
         import hqz.functionals as functionals
         real = functionals.calderon_norms
-        monkeypatch.setattr(functionals, "calderon_norms", lambda H, q: (
-            (math.nan, 1.0) if H.degree == 2 else real(H, q)))
+        monkeypatch.setattr(functionals, "calderon_norms", lambda corpus, q: [
+            (math.nan, 1.0) if H.degree == 2 else norms
+            for H, norms in zip(corpus, real(corpus, q))])
         c1, c2 = calderon_ratio_estimate(
             [ComplexSeries((0.0, 1.0)), ComplexSeries((0.0, 0.0, 1.0))], q)
         assert math.isnan(c1) and math.isnan(c2)

@@ -146,7 +146,7 @@ def test_circle_mean_p_matches_scratch_rule(q):
 @pytest.mark.parametrize("seed", [0, 3, 24])
 def test_series_norm_matches_scratch_rule(q, seed):
     H = random_series(seed, 16)
-    norm_H, _ = calderon_norms(H, q)
+    [(norm_H, _)] = calderon_norms([H], q)
     ref, _ = scratch_rule(lambda t: np.abs(H(np.exp(1j * t))), q)
     assert abs(norm_H - ref) <= 1e-14 * max(1.0, ref)
 
