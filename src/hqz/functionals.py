@@ -31,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, EmptyCorpus, HqzError, KernelBlowup,
-                     MonotonicityViolation, NonpositiveRealPart)
+from .errors import (DomainError, EmptyCorpus, KernelBlowup, MonotonicityViolation,
+                     NonpositiveRealPart)
 from .planar import PlanarHarmonicMap
-from .quadrature import (STACK_CHUNK, QuadratureSpec, circle_angles, gauss_legendre,
+from .quadrature import (QuadratureSpec, chunk_stacks, circle_angles, gauss_legendre,
                          refine, refined_circle_mean)
 from .series import ComplexSeries, circle_values, horner, stacked
 
@@ -370,16 +370,8 @@ def calderon_norms(corpus: Sequence[ComplexSeries],
     H(0) = 0 and be nonzero; a stack that raises is rerun one series at a
     time, so the error is that of the first series that fails alone.
     """
-    norms = []
-    for start in range(0, len(corpus), STACK_CHUNK):
-        chunk = corpus[start:start + STACK_CHUNK]
-        try:
-            norms.extend(_calderon_stack(chunk, q))
-        except HqzError:
-            for H in chunk:  # raise the error of the first series that fails alone
-                _calderon_stack([H], q)
-            raise
-    return norms
+    return [norm for norms in chunk_stacks(corpus, lambda chunk: _calderon_stack(chunk, q))
+            for norm in norms]
 
 
 def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],

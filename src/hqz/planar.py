@@ -212,21 +212,43 @@ def dilatation_sup(m: PlanarHarmonicMap, grid: QuadratureSpec | None = None) -> 
                             k_upper=upper, nodes=n)
 
 
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    """1/a truncated at a's degree, by Newton doubling x <- x (2 - a x)
+    from x = 1/a_0: each step doubles the number of correct coefficients.
+    Requires a_0 != 0."""
+    x = np.array([1.0 / complex(a[0])])
+    while x.size < a.size:
+        m = min(2 * x.size, a.size)
+        e = -np.convolve(a[:m], x)[:m]
+        e[0] += 2.0
+        x = np.convolve(x, e)[:m]
+    return x
+
+
+def _integral(c: np.ndarray) -> np.ndarray:
+    """Termwise antiderivative of the coefficients c with zero constant term."""
+    j = np.arange(1, c.size + 1)
+    out = np.zeros(c.size + 1, dtype=complex)
+    # parts divided separately, as python's complex / int does
+    out.real[1:], out.imag[1:] = c.real / j, c.imag / j
+    return out
+
+
 def make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonicMap:
     """Harmonic map with g' = P, h' = omega P and g + h = F(0) + int (1 + omega) P.
 
-    P is F'/(1 + omega), expanded by ``reciprocal`` and truncated at
-    degree d_P = DEGREE_CAP - 1 - deg omega, so that h' = omega P, an
-    exact coefficient product, stays below degree DEGREE_CAP;
-    g = F(0) + int P and h = int h'.  The map carries omega, its
-    dilatation is max over |z| = 1 of |omega|, and g + h is F up to the
-    truncation tail of F'/(1 + omega), so Re f is Re F only up to that
-    tail.
+    On coefficient arrays: 1 + omega is zero-padded or cut to degree
+    d_P = DEGREE_CAP - 1 - deg omega, and P = F'/(1 + omega), expanded by
+    Newton doubling, is truncated at d_P, so that h' = omega P, an exact
+    coefficient product, stays below degree DEGREE_CAP; g = F(0) + int P
+    and h = int h'.  The map carries omega, its dilatation is max over
+    |z| = 1 of |omega|, and g + h is F up to the truncation tail of
+    F'/(1 + omega), so Re f is Re F only up to that tail.
 
     Requires F(0) real, deg omega < DEGREE_CAP so that d_P >= 0 (else
     TruncationOverflow), and sup |omega| < 1: certified by the l1 norm of
     omega, or else by the k_upper of ``_omega_upper``, which then becomes
-    k_declared.
+    k_declared.  Then |omega(0)| < 1, so 1 + omega has a nonzero constant.
     """
     if abs(F.coeffs[0].imag) > 0:
         raise DomainError("F(0) must be real so that Im f(0) = 0")
@@ -240,11 +262,16 @@ def make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonicMap:
         k_decl = float(_omega_upper(omega.coeffs[None])[0][0])
         if k_decl >= 1.0:
             raise DomainError(f"sup |omega| may reach 1 on the circle (bound {k_decl:.4f})")
-    one_plus = ComplexSeries.constant(1.0) + omega
-    P = (F.derivative() * one_plus.reciprocal(d_p)).truncated(d_p)
-    g = ComplexSeries.constant(F.coeffs[0]) + P.antiderivative()
-    h = (omega * P).antiderivative()
-    return PlanarHarmonicMap(g=g, h=h, k_declared=k_decl, omega=omega)
+    w = omega.coeffs
+    one_plus = np.zeros(d_p + 1, dtype=complex)
+    one_plus[0] = 1.0
+    one_plus[: w.size] += w[: d_p + 1]
+    P = np.convolve(F.derivative().coeffs, _reciprocal(one_plus))[: d_p + 1]
+    g = np.zeros(d_p + 2, dtype=complex)
+    g[0] = F.coeffs[0]
+    g += _integral(P)  # a sum, so F(0) + 0 and 0 + each term: a -0.0 part becomes 0.0
+    return PlanarHarmonicMap(g=ComplexSeries(g), h=ComplexSeries(_integral(np.convolve(w, P))),
+                             k_declared=k_decl, omega=omega)
 
 
 def random_qr_map(seed: int, k: float, degree: int = 16,

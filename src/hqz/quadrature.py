@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, HqzError, NoConvergence
 
 #: level(n, rows) -> the means at n nodes of the stack rows that ``rows``
 #: selects (see refine)
@@ -39,6 +39,23 @@ Sampler = Callable[[int, bool, object], np.ndarray]
 #: the corpus drivers (``fuzz_search``, ``calderon_norms``) refine at most
 #: this many rows per stack, so their memory does not grow with the corpus
 STACK_CHUNK = 64
+
+def chunk_stacks(items: Sequence, run: Callable[[Sequence], object]) -> Iterator:
+    """``run(chunk)`` for each chunk of up to STACK_CHUNK consecutive items.
+
+    A chunk whose run raises HqzError is rerun one item at a time, so the
+    error is that of the first item that fails alone, as one run per item
+    would raise it.
+    """
+    for start in range(0, len(items), STACK_CHUNK):
+        chunk = items[start:start + STACK_CHUNK]
+        try:
+            out = run(chunk)
+        except HqzError:
+            for item in chunk:  # raise the error of the first item that fails alone
+                run([item])
+            raise
+        yield out
 
 
 @dataclass(frozen=True)

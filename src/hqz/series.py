@@ -1,11 +1,12 @@
 """Truncated complex power series and their values on circles.
 
 A series is one read-only complex128 coefficient array (index j holds the
-z^j coefficient); all arithmetic (add, multiply, truncated reciprocal,
-termwise calculus) is a numpy expression over it, exact in coefficient
-arithmetic up to the requested truncation degree.  This is the
-representation of every holomorphic piece in the package, so map
-construction carries no quadrature error at all.
+z^j coefficient), with the few operations the package reads (sum,
+derivative, trimming, l1 norm) as numpy expressions over it.  This is the
+representation of every holomorphic piece in the package.  The
+construction arithmetic (truncated reciprocal, product, antiderivative)
+is numpy on coefficient arrays inside ``planar.make_qr_map``, its one
+user, so map construction carries no quadrature error at all.
 
 There are two ways to evaluate, both in complex128: ``horner`` takes
 rows of coefficients (``stacked`` pads series to one length) to arbitrary
@@ -63,21 +64,6 @@ class ComplexSeries:
             return ComplexSeries.zero()
         return ComplexSeries(np.arange(1, self.coeffs.size) * self.coeffs[1:])
 
-    def antiderivative(self) -> "ComplexSeries":
-        """Termwise antiderivative with zero constant term."""
-        j = np.arange(1, self.coeffs.size + 1)
-        out = np.zeros(j.size + 1, dtype=complex)
-        # parts divided separately, as python's complex / int does
-        out.real[1:], out.imag[1:] = self.coeffs.real / j, self.coeffs.imag / j
-        return ComplexSeries(out)
-
-    def truncated(self, degree: int) -> "ComplexSeries":
-        if degree < 0:
-            raise DomainError("truncation degree must be >= 0")
-        out = np.zeros(degree + 1, dtype=complex)
-        out[: self.coeffs.size] = self.coeffs[: degree + 1]
-        return ComplexSeries(out)
-
     def trimmed(self) -> "ComplexSeries":
         """Drop trailing zero coefficients (the zero series stays degree 0)."""
         nonzero = np.flatnonzero(self.coeffs)
@@ -89,29 +75,6 @@ class ComplexSeries:
         out[: a.size] = a
         out[: b.size] += b
         return ComplexSeries(out)
-
-    def __mul__(self, other: "ComplexSeries") -> "ComplexSeries":
-        return ComplexSeries(np.convolve(self.coeffs, other.coeffs))
-
-    def reciprocal(self, degree: int) -> "ComplexSeries":
-        """1/self truncated at ``degree``, by Newton doubling x <- x (2 - a x)
-        from x = 1/a_0: each step doubles the number of correct coefficients.
-
-        ``a`` is zero-padded to degree + 1 coefficients, so a series shorter
-        than the truncation and degree 0 take the same steps.  Requires a
-        nonvanishing constant term.
-        """
-        if self.coeffs[0] == 0:
-            raise DomainError("reciprocal needs a nonzero constant term")
-        a = np.zeros(degree + 1, dtype=complex)
-        a[: self.coeffs.size] = self.coeffs[: degree + 1]
-        x = np.array([1.0 / complex(a[0])])
-        while x.size <= degree:
-            m = min(2 * x.size, degree + 1)
-            e = -np.convolve(a[:m], x)[:m]
-            e[0] += 2.0
-            x = np.convolve(x, e)[:m]
-        return ComplexSeries(x)
 
     def coeff_abs_sum(self) -> float:
         """l1 norm of the coefficients; bounds sup over the closed disk."""

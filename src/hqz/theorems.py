@@ -24,19 +24,18 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .ball import AffineBallMap, X_of, Y_of
-from .errors import HqzError, HypothesisViolation, NonpositiveRealPart
+from .errors import HypothesisViolation, NonpositiveRealPart
 from .functionals import circle_mean_p, hardy_norm_estimate, zygmund_plus_report
 from .planar import (PlanarHarmonicMap, dilatation_upper, map_to_json,
                      random_qr_map, strip_example)
-from .quadrature import DEFAULT_SPEC, STACK_CHUNK, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, chunk_stacks
 
 #: tolerance for the v(0) = 0 hypothesis; constructions satisfy it exactly
 V0_TOL = 1e-12
 
 #: the grid fuzz_search hands dilatation_upper; only its circle_nodes is read,
 #: as a floor on the certificate's nodes, which corpus maps exceed anyway
-CORPUS_DILATATION_GRID = QuadratureSpec(circle_nodes=256, radial_nodes=24,
-                                        refinement_limit=3, abs_tol=1e-9)
+CORPUS_DILATATION_GRID = QuadratureSpec(circle_nodes=256)
 
 #: the classical-theorem envelope constant 2 (6 pi e + 1) appearing in the
 #: non-sharp bound
@@ -191,37 +190,26 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
                 positivity_margin: float = 0.05) -> FuzzSummary:
     """Run the sharp planar verifier across the deterministic corpus.
 
-    Seeds go in chunks of STACK_CHUNK.  Each map is built alone by
-    ``random_qr_map``, and a chunk is verified as one stack, whose reports
-    are those ``verify_T2`` gives each map alone, with its certified K.
-    The first seed that fails to build or verify raises, after the seeds
-    before it are verified, as one ``verify_T2`` per seed would.  Returns
-    the worst margin (NaN once any margin is NaN), the best lhs/rhs ratio
-    (tightness), and the serialized first map attaining that ratio.
-    seeds = 0 yields the vacuous summary (infinite worst margin, zero best
-    ratio, empty witness).
+    Seeds go in chunks of STACK_CHUNK (``quadrature.chunk_stacks``): a
+    chunk builds its maps by ``random_qr_map`` and verifies them as one
+    stack, whose reports are those ``verify_T2`` gives each map alone, with
+    its certified K.  The first seed that fails to build or verify raises,
+    after the seeds before it are verified, as one ``verify_T2`` per seed
+    would.  Returns the worst margin (NaN once any margin is NaN), the best
+    lhs/rhs ratio (tightness), and the serialized first map attaining that
+    ratio.  seeds = 0 yields the vacuous summary (infinite worst margin,
+    zero best ratio, empty witness).
     """
+    def verify(chunk: Sequence[int]) -> tuple[list, list[TheoremReport]]:
+        maps = [random_qr_map(seed, k, degree, positivity_margin) for seed in chunk]
+        return maps, _verify_T2_stack(maps, r, q, None, CORPUS_DILATATION_GRID)
+
     worst, best, witness = math.inf, 0.0, None
-    for start in range(0, seeds, STACK_CHUNK):
-        maps, failure = [], None
-        for seed in range(start, min(start + STACK_CHUNK, seeds)):
-            try:
-                maps.append(random_qr_map(seed, k, degree, positivity_margin))
-            except HqzError as exc:
-                failure = exc
-                break
-        try:
-            reports = _verify_T2_stack(maps, r, q, None, CORPUS_DILATATION_GRID)
-        except HqzError:
-            for m in maps:  # raise the error of the first map that fails alone
-                _verify_T2_stack([m], r, q, None, CORPUS_DILATATION_GRID)
-            raise
+    for maps, reports in chunk_stacks(range(seeds), verify):
         for m, rep in zip(maps, reports):
             if math.isnan(rep.margin) or rep.margin < worst:  # a NaN margin sticks
                 worst = rep.margin
             if rep.lhs / rep.rhs > best:
                 best, witness = rep.lhs / rep.rhs, m
-        if failure is not None:
-            raise failure
     return FuzzSummary(seeds=seeds, worst_margin=worst, best_ratio=best,
                        witness="" if witness is None else map_to_json(witness))

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqz import (ComplexSeries, DomainError, HypothesisViolation,
+from hqz import (DEGREE_CAP, ComplexSeries, DomainError, HqzError, HypothesisViolation,
                  PlanarHarmonicMap, TruncationOverflow, dilatation_sup,
                  dilatation_upper, jacobian, make_qr_map, map_from_json, map_to_json,
                  random_qr_map, strip_example)
+from hqz.planar import _omega_upper
 from hqz.series import circle_values, horner
 from hqz.theorems import CORPUS_DILATATION_GRID, fuzz_search, verify_T2
 
@@ -324,12 +325,12 @@ class TestMakeQrMap:
         assert abs(m(0j).imag) == 0.0
         # g + h = F(0) + int (1 + omega) P with P = g', up to rounding
         P = m.g_prime
-        want = (ComplexSeries.constant(m.g.coeffs[0])
-                + ((ComplexSeries.constant(1.0) + m.omega) * P).antiderivative())
+        F_prime = np.convolve((ComplexSeries.constant(1.0) + m.omega).coeffs, P.coeffs)
+        want = np.concatenate(([m.g.coeffs[0]], F_prime / np.arange(1, F_prime.size + 1)))
         total = m.g + m.h
         scale = (1.0 + m.omega.coeff_abs_sum()) * P.coeff_abs_sum()
-        assert total.degree == want.degree == 64
-        assert np.max(np.abs(total.coeffs - want.coeffs)) <= 1e-15 * scale
+        assert total.degree == want.size - 1 == 64
+        assert np.max(np.abs(total.coeffs - want)) <= 1e-15 * scale
         # |h'| <= k |g'| pointwise, up to rounding
         z = disk_grid(16, 64)
         hp = np.abs(m.h_prime(z))
@@ -344,6 +345,113 @@ class TestMakeQrMap:
         for got, want in zip(total[:3], F.coeffs):
             assert got == pytest.approx(want, abs=1e-14)
         assert all(abs(c) < 1e-14 for c in total[3:])
+
+
+# make_qr_map as it read when ComplexSeries carried the construction
+# arithmetic as methods (sum, product, truncation, reciprocal and
+# antiderivative), each method inlined on coefficient arrays: the reference
+# the array construction reproduces bit for bit
+def method_sum(a, b):
+    out = np.zeros(max(a.size, b.size), dtype=complex)
+    out[: a.size] = a
+    out[: b.size] += b
+    return out
+
+
+def method_antiderivative(c):
+    j = np.arange(1, c.size + 1)
+    out = np.zeros(j.size + 1, dtype=complex)
+    out.real[1:], out.imag[1:] = c.real / j, c.imag / j
+    return out
+
+
+def method_truncated(c, degree):
+    out = np.zeros(degree + 1, dtype=complex)
+    out[: c.size] = c[: degree + 1]
+    return out
+
+
+def method_reciprocal(c, degree):
+    if c[0] == 0:
+        raise DomainError("reciprocal needs a nonzero constant term")
+    a = np.zeros(degree + 1, dtype=complex)
+    a[: c.size] = c[: degree + 1]
+    x = np.array([1.0 / complex(a[0])])
+    while x.size <= degree:
+        m = min(2 * x.size, degree + 1)
+        e = -np.convolve(a[:m], x)[:m]
+        e[0] += 2.0
+        x = np.convolve(x, e)[:m]
+    return x
+
+
+def method_make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonicMap:
+    if abs(F.coeffs[0].imag) > 0:
+        raise DomainError("F(0) must be real so that Im f(0) = 0")
+    omega = omega.trimmed()
+    d_p = DEGREE_CAP - 1 - omega.degree
+    if d_p < 0:
+        raise TruncationOverflow(f"deg omega = {omega.degree} leaves no degree for g' "
+                                 f"below {DEGREE_CAP}")
+    k_decl = omega.coeff_abs_sum()
+    if k_decl >= 1.0:
+        k_decl = float(_omega_upper(omega.coeffs[None])[0][0])
+        if k_decl >= 1.0:
+            raise DomainError(f"sup |omega| may reach 1 on the circle (bound {k_decl:.4f})")
+    one_plus = method_sum(np.array([1.0 + 0j]), omega.coeffs)
+    P = method_truncated(np.convolve(F.derivative().coeffs, method_reciprocal(one_plus, d_p)),
+                         d_p)
+    g = method_sum(np.array([F.coeffs[0]]), method_antiderivative(P))
+    h = method_antiderivative(np.convolve(omega.coeffs, P))
+    return PlanarHarmonicMap(g=ComplexSeries(g), h=ComplexSeries(h), k_declared=k_decl,
+                             omega=omega)
+
+
+def built(build):
+    """The bits of g, h, omega and k_declared of the map ``build()`` makes,
+    or the type and message of the HqzError it raises."""
+    try:
+        m = build()
+    except HqzError as exc:
+        return type(exc), str(exc)
+    return (m.g.coeffs.tobytes(), m.h.coeffs.tobytes(), m.omega.coeffs.tobytes(),
+            repr(m.k_declared))
+
+
+class TestConstructionBits:
+    @pytest.mark.parametrize("degree", [1, 2, 16, 40, 63])
+    @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9])
+    def test_corpus_maps_are_the_method_bits(self, degree, k, monkeypatch):
+        import hqz.planar as planar
+        for seed in range(8):
+            got = built(lambda: random_qr_map(seed, k, degree))
+            with monkeypatch.context() as patch:
+                patch.setattr(planar, "make_qr_map", method_make_qr_map)
+                want = built(lambda: random_qr_map(seed, k, degree))
+            assert got == want
+            assert isinstance(got[0], bytes)  # every map of the grid builds
+
+    @pytest.mark.parametrize("F, omega", [
+        ((1.0, 0.3), (0.4, 0.4, -0.4)),  # ||omega||_1 = 1.2 > 1 > 0.4 sqrt 5 = sup |omega|
+        ((1.0, 0.5, -0.25), (0.1, 0.2j)),
+        ((-0.0 - 0.0j, -1.0, 0.0, 2.0), (-0.0j, -0.1, -0.2)),
+        ((1.0,), (0.3,)),
+        ((1.0, 0.5), (0.0,)),
+        ((2.0, -1.0, 1.0), (0.3, 0.0, 0.0)),  # trailing zeros of omega trimmed
+        ((1.0, 0.3), tuple(np.full(64, 0.01))),  # degree 63: d_P = 0
+        ((1.0, *np.full(63, 0.01)), tuple(np.full(48, -0.015))),  # omega longer than P
+        # the refusals
+        ((1.0, 0.3), tuple(np.full(65, 0.01))),
+        ((1.0, 0.3), (0.6, 0.6)),
+        ((1.0, 0.3), (-1.0,)),
+        ((1j, 0.5), (0.0,))],
+        ids=["certificate", "complex", "signed zeros", "constant F", "zero omega",
+             "trailing zeros", "degree 63", "degree 47", "TruncationOverflow",
+             "may reach 1", "omega(0) = -1", "imaginary F(0)"])
+    def test_maps_and_refusals_are_the_method_bits(self, F, omega):
+        F, omega = ComplexSeries(F), ComplexSeries(omega)
+        want = built(lambda: method_make_qr_map(F, omega))
+        assert built(lambda: make_qr_map(F, omega)) == want
 
 
 class TestRandomQrMap:
