@@ -102,22 +102,30 @@ def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
     return float(_lap_ulogu(f, gp, hp))
 
 
+def _value_rows(m: PlanarHarmonicMap) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows g | h, g' | 0 and h' | 0, zero-padded to one length:
+    one ``circle_values`` call gives f, g' and h' on the same circles.
+    Refuses non-finite coefficients, whose NaN values would read as ratios of 0."""
+    if not (np.isfinite(m.g.coeffs).all() and np.isfinite(m.h.coeffs).all()):
+        raise DomainError("the Laplacians need finite coefficients")
+    rows = stacked([m.g, m.g_prime, m.h_prime, m.h])
+    return rows[:3], np.concatenate((rows[3:], np.zeros_like(rows[:2])))
+
+
 def laplacian_ratio_sup(m: PlanarHarmonicMap) -> float:
     """max over the disk grid of lap|f| / lap(u log u).
 
     The grid is z = 0 and the RATIO_GRID_RADII circles at RATIO_GRID_ANGLES
-    angles; f, g' and h' come from one ``circle_values`` call each.
+    angles; f, g' and h' on the circles come from one ``circle_values``
+    call, and at z = 0 from the constant coefficients (h(0) = 0).
     Both Laplacians vanish together only where g' = h' = 0; those 0/0
     points (e.g. constant maps) contribute 0 by convention.  Requires
-    u > 0 and |f| > TAU_F on the whole grid.
+    finite coefficients, and u > 0 and |f| > TAU_F on the whole grid.
     """
     radii = np.arange(1, RATIO_GRID_RADII + 1) / RATIO_GRID_RADII
-
-    def on_grid(s, t=None):  # h(0) = 0, so s + conj(t) is s[0] at z = 0
-        return np.append(s[0], circle_values(s, t, radii, RATIO_GRID_ANGLES))
-
-    f = on_grid(m.g.coeffs, m.h.coeffs)
-    gp, hp = on_grid(m.g_prime.coeffs), on_grid(m.h_prime.coeffs)
+    G, H = _value_rows(m)
+    on_circles = circle_values(G, H, radii, RATIO_GRID_ANGLES)
+    f, gp, hp = np.concatenate((G[:, :1], on_circles.reshape(3, -1)), axis=1)
     _check_domain(f, "on the grid")
     num, den = _lap_abs_f(f, gp, hp), _lap_ulogu(f, gp, hp)
     ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
@@ -155,6 +163,7 @@ def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> fl
     """Residual |f(0)| - [circle mean of |f| - area term] for nonvanishing f."""
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
+    G, H = _value_rows(m)
     # probe |f| at 0 and on 48 circles of 256 angles out to radius r
     probe = np.abs(circle_values(m.g.coeffs, m.h.coeffs, r * np.arange(1, 49) / 48, 256))
     af_min = min(float(probe.min()), abs(m.f0()))
@@ -166,13 +175,7 @@ def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> fl
         lambda n, shift, rows: np.abs(circle_values(m.g.coeffs, m.h.coeffs, r, n, shift)), q,
         context="circle mean of |f|")
 
-    def lap(rho: np.ndarray, n: int) -> np.ndarray:
-        f = circle_values(m.g.coeffs, m.h.coeffs, rho, n)
-        gp = circle_values(m.g_prime.coeffs, None, rho, n)
-        hp = circle_values(m.h_prime.coeffs, None, rho, n)
-        return _lap_abs_f(f, gp, hp)
-
-    area, _ = disk_area_log_mean(lap, r, q)
+    area, _ = disk_area_log_mean(lambda rho, n: _lap_abs_f(*circle_values(G, H, rho, n)), r, q)
     lhs = abs(m.f0())
     return lhs - (boundary - area)
 
@@ -245,10 +248,12 @@ def _shift_order(coeffs: np.ndarray, radius: float, step: float) -> int:
     sum_j b_j d^j add up to at most step^(J+1) B_(J+1)(radius + step), as
     C(k, j) <= C(k, J+1) C(k-J-1, j-J-1).  J is the first order where that
     bound is below eps step B_1, the rounding of the first-order term.
+    The B_j are one matrix-vector product of nonnegative terms, which
+    evaluates no series of the map, so ``horner`` stays the one evaluator.
     Needs at least two coefficients per row.
     """
     binom, index = _shift_weights(coeffs.shape[-1])
-    bound = horner(binom * np.abs(coeffs).sum(axis=0)[index], radius + step).real
+    bound = (binom * np.abs(coeffs).sum(axis=0)[index]) @ (radius + step) ** np.arange(len(binom))
     tail = step ** np.arange(2, bound.size + 1) * np.append(bound[2:], 0.0)
     return 1 + int(np.argmax(tail <= np.finfo(float).eps * step * bound[1]))
 
@@ -271,11 +276,15 @@ def audit_laplacians(m: PlanarHarmonicMap, points: np.ndarray,
     df(d) = sum_(j>=1) b_j d^j the stencil, in the difference form of the
     module docstring, all in float64.  Relative differences are taken
     against max(|closed|, |fd|), 0/0 read as 0; any other NaN reaches
-    ``max_rel_*``.
+    ``max_rel_*``.  Refuses non-finite coefficients.
     """
     pts = np.asarray(points, dtype=complex)
+    rows = stacked([m.g] if m.h.is_zero() else [m.g, m.h])
+    if not np.isfinite(rows).all():  # NaN values would read as points to skip
+        raise DomainError("the Laplacians need finite coefficients")
     # a zero column past the last coefficient: b_1 (g', h') exists for constant maps
-    coeffs = np.pad(stacked([m.g] if m.h.is_zero() else [m.g, m.h]), ((0, 0), (0, 1)))
+    coeffs = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=complex)
+    coeffs[:, :-1] = rows
     order = _shift_order(coeffs, float(np.abs(pts).max(initial=0.0)), 2.0 * h)
     binom, index = _shift_weights(coeffs.shape[-1])
     b = horner(binom[:order + 1] * coeffs[:, index[:order + 1]], pts)

@@ -10,7 +10,7 @@ user, so map construction carries no quadrature error at all.
 
 There are two ways to evaluate, both in complex128: ``horner`` takes
 rows of coefficients (``stacked`` pads series to one length) to arbitrary
-points, and ``circle_values`` takes rows of coefficients, or radii, to
+points, and ``circle_values`` takes rows of coefficients, on radii, to
 g + conj(h) at uniform angles on circles by one inverse FFT per circle.
 ``ComplexSeries.__call__`` is ``horner``, on one point as on an array.
 Every circle functional goes through ``circle_values``.
@@ -107,25 +107,27 @@ def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,
     """g(z) + conj(h(z)) at z = r e^(i t_k), t_k = 2 pi (k + shift/2) / n.
 
     ``g`` and ``h`` are coefficient arrays (last axis the power): one
-    series each, on one circle or on an array of radii ``r``, or stacked
-    rows of series (h with g's rows) on one circle.  The result holds one
-    row of n values per radius or per row: shape (n,) for one series on
-    one circle.
+    series, or stacked rows of series (h with g's rows), on one circle or
+    on an array of radii ``r``.  The result holds one row of n values per
+    row and radius, shape g.shape[:-1] + r.shape + (n,): (n,) for one
+    series on one circle.
 
     In coefficients this is sum_j g_j (r e^(i t))^j + sum_j conj(h_j)
     (r e^(-i t))^j: the g part fills the nonnegative frequencies and the
-    conj(h) part the nonpositive ones of a single inverse FFT per row.  A
+    conj(h) part the nonpositive ones of a single inverse FFT per row and
+    radius, in place: the result is the zeroed buffer itself.  A
     coefficient whose index is at least n is added in at index j mod n,
     which is exact on the grid, so any n >= 1 works.  With ``shift`` the
     angles move by half a step, through the twist e^(+-i j pi / n) of the
     coefficients.
     """
     r = np.asarray(r, dtype=float)
-    buf = np.zeros((r.shape if g.ndim == 1 else g.shape[:-1]) + (n,), dtype=complex)
+    buf = np.zeros(g.shape[:-1] + r.shape + (n,), dtype=complex)
     for c, sign in ((g, 1), (h, -1)):
         if c is None:
             continue
         j = np.arange(c.shape[-1])
+        c = c.reshape(c.shape[:-1] + (1,) * r.ndim + j.shape)  # one row per radius
         c = (c if sign > 0 else np.conjugate(c)) * r[..., None] ** j
         if shift:
             c = c * np.exp(sign * 1j * np.pi / n * j)
@@ -137,7 +139,7 @@ def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,
         else:  # index j of the conj(h) part goes to -j mod n
             buf[..., 0] += c[..., 0]
             buf[..., n - c.shape[-1] + 1:] += c[..., :0:-1]
-    return np.fft.ifft(buf, axis=-1, norm="forward")
+    return np.fft.ifft(buf, axis=-1, norm="forward", out=buf)
 
 
 def random_series(seed: int, degree: int, zero_constant: bool = True) -> ComplexSeries:

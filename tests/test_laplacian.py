@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import hqz
-from hqz import (ComplexSeries, NonpositiveRealPart, PlanarHarmonicMap,
+from hqz import (ComplexSeries, DomainError, NonpositiveRealPart, PlanarHarmonicMap,
                  QuadratureSpec, VanishingModulus, audit_laplacians,
                  disk_green_identity, laplacian_abs_f,
                  laplacian_ulogu, laplacian_ratio_sup, make_qr_map,
                  phi_scan_argmax, random_qr_map)
 from hqz import laplacian
 from hqz.laplacian import disk_area_log_mean
-from hqz.series import horner, stacked
+from hqz.quadrature import log_weight_gauss
+from hqz.series import circle_values, horner, stacked
 
 #: the 15 audit points of acceptance criterion 6 and ``hqz laplacian-audit``
 AUDIT_POINTS = np.concatenate([r * np.exp(2j * np.pi * np.arange(5) / 5)
@@ -26,6 +27,19 @@ AUDIT_POINTS = np.concatenate([r * np.exp(2j * np.pi * np.arange(5) / 5)
 def analytic(*coeffs) -> PlanarHarmonicMap:
     return PlanarHarmonicMap(g=ComplexSeries(tuple(coeffs)),
                              h=ComplexSeries.zero())
+
+
+#: corpus maps of several degrees and dilatations, and a constant map
+GRID_MAPS = [random_qr_map(seed, k, degree) for degree in (1, 2, 16, 40)
+             for k in (0.0, 0.3, 0.9) for seed in range(4)] + [analytic(2.0)]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the HqzError it raises."""
+    try:
+        return fn(*args)
+    except hqz.HqzError as e:
+        return type(e), str(e)
 
 
 class TestClosedForms:
@@ -103,6 +117,25 @@ class TestAuditDeviations:
         assert rel[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert math.isnan(rel[2]) and math.isnan(rel[3])
         assert math.isnan(rel.max())
+
+
+class TestNonFiniteCoefficients:
+    """A NaN or inf coefficient is refused, not read as a point to skip or a
+    ratio of 0."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("part", ["g", "h"])
+    def test_refused(self, part, bad):
+        m = random_qr_map(3, 0.3, 16)
+        coeffs = getattr(m, part).coeffs.copy()
+        coeffs[5] = bad
+        spoiled = PlanarHarmonicMap(**{"g": m.g, "h": m.h, part: ComplexSeries(coeffs)})
+        with pytest.raises(DomainError, match="finite coefficients"):
+            audit_laplacians(spoiled, AUDIT_POINTS)
+        with pytest.raises(DomainError, match="finite coefficients"):
+            laplacian_ratio_sup(spoiled)
+        with pytest.raises(DomainError, match="finite coefficients"):
+            disk_green_identity(spoiled, 0.9, QuadratureSpec())
 
 
 def decimal_stencil(m: PlanarHarmonicMap, pts: np.ndarray, h: float = 1e-4,
@@ -203,6 +236,22 @@ class TestTaylorShift:
         assert 1 <= order < 16
         assert dropped.max() <= np.finfo(float).eps * step * b1
 
+    @pytest.mark.parametrize("m", GRID_MAPS)
+    def test_order_matches_the_horner_bound(self, m):
+        # B_j(radius + step) by one horner pass of the binomial-weighted
+        # |a_k|, against the matrix-vector product: the same order J
+        def horner_order(coeffs, radius, step):
+            binom, index = laplacian._shift_weights(coeffs.shape[-1])
+            bound = horner(binom * np.abs(coeffs).sum(axis=0)[index], radius + step).real
+            tail = step ** np.arange(2, bound.size + 1) * np.append(bound[2:], 0.0)
+            return 1 + int(np.argmax(tail <= np.finfo(float).eps * step * bound[1]))
+
+        # the audit's rows: g, and h unless it is zero, and a zero column
+        coeffs = np.pad(stacked([m.g] if m.h.is_zero() else [m.g, m.h]), ((0, 0), (0, 1)))
+        step = 2e-4
+        for radius in (0.25, 0.55, 0.8, 0.99):
+            assert laplacian._shift_order(coeffs, radius, step) == horner_order(coeffs, radius, step)
+
     def test_full_shift_changes_only_rounding(self, monkeypatch):
         m = random_qr_map(29, 0.3, 16)
         short = audit_laplacians(m, AUDIT_POINTS)
@@ -230,6 +279,51 @@ def ratio_sup_reference(m: PlanarHarmonicMap) -> float:
     ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
                      np.where(num > 0.0, np.inf, 0.0))
     return float(ratio.max())
+
+
+def three_call_ratio_sup(m: PlanarHarmonicMap) -> float:
+    """laplacian_ratio_sup with one ``circle_values`` call each for f, g'
+    and h', and z = 0 put in front of each by ``np.append``."""
+    radii = np.arange(1, laplacian.RATIO_GRID_RADII + 1) / laplacian.RATIO_GRID_RADII
+
+    def on_grid(s, t=None):
+        return np.append(s[0], circle_values(s, t, radii, laplacian.RATIO_GRID_ANGLES))
+
+    f = on_grid(m.g.coeffs, m.h.coeffs)
+    gp, hp = on_grid(m.g_prime.coeffs), on_grid(m.h_prime.coeffs)
+    laplacian._check_domain(f, "on the grid")
+    num, den = laplacian._lap_abs_f(f, gp, hp), laplacian._lap_ulogu(f, gp, hp)
+    ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                     np.where(num > 0.0, np.inf, 0.0))
+    return float(ratio.max())
+
+
+def three_call_area_integrand(m: PlanarHarmonicMap, rho: np.ndarray, n: int) -> np.ndarray:
+    """lap|f| on the circles rho, one ``circle_values`` call each for f, g' and h'."""
+    return laplacian._lap_abs_f(circle_values(m.g.coeffs, m.h.coeffs, rho, n),
+                                circle_values(m.g_prime.coeffs, None, rho, n),
+                                circle_values(m.h_prime.coeffs, None, rho, n))
+
+
+class TestOneGridCall:
+    """f, g' and h' from one stacked call give the bits of three calls."""
+
+    @pytest.mark.parametrize("m", GRID_MAPS)
+    def test_ratio_sup_matches_three_calls(self, m):
+        got, want = outcome(laplacian_ratio_sup, m), outcome(three_call_ratio_sup, m)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("m", GRID_MAPS)
+    def test_area_integrand_matches_three_calls(self, m, monkeypatch):
+        integrands = []
+        monkeypatch.setattr(laplacian, "disk_area_log_mean",
+                            lambda rows, r, q: integrands.append(rows) or (0.0, 0.0))
+        disk_green_identity(m, 0.9, QuadratureSpec(circle_nodes=64))
+        rho = 0.9 * log_weight_gauss(8)[0]
+        for n in (16, 256):  # 16 folds every coefficient of index 16 and up onto j mod 16
+            got = integrands[0](rho, n)
+            assert got.shape == (rho.size, n)
+            assert got.tobytes() == three_call_area_integrand(m, rho, n).tobytes()
 
 
 class TestRatioGrid:

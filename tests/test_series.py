@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,38 @@ def test_circle_values_rows_per_series_are_the_series_alone(n, shift):
     for g, h, row in zip(gs, hs, rows):
         alone = circle_values(stacked([g]), stacked([h]), 0.9, n, shift)[0]
         assert np.array_equal(row, alone)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("shift", [False, True])
+def test_circle_values_rows_on_radii_are_each_series_alone(n, shift):
+    # stacked rows on an array of radii: shape g.shape[:-1] + r.shape + (n,),
+    # and each (row, radius) has the bytes of that series alone on that circle
+    gs = [random_series(s, d, zero_constant=False) for s, d in ((1, 40), (2, 64), (3, 5))]
+    hs = [random_series(s + 10, d) for s, d in ((1, 64), (2, 20), (3, 64))]
+    radii = np.array([[0.0, 0.3], [0.9, 1.0]])
+    rows = circle_values(stacked(gs), stacked(hs), radii, n, shift)
+    assert rows.shape == (3, 2, 2, n)
+    for g, h, per_radius in zip(gs, hs, rows.reshape(3, 4, n)):
+        for rho, row in zip(radii.ravel(), per_radius):
+            assert row.tobytes() == circle_values(g.coeffs, h.coeffs, rho, n, shift).tobytes()
+
+
+def test_circle_values_peak_memory_is_its_result():
+    # the inverse FFT runs in place on the zeroed buffer, so a stacked call
+    # holds about its result at its peak (16 B per sample), not the buffer
+    # and a transformed copy together (32 B per sample)
+    gs = stacked([random_series(s, 64, zero_constant=False) for s in range(17)])
+    hs = stacked([random_series(s + 100, 64) for s in range(17)])
+    circle_values(gs, hs, 0.9, 8192, shift=True)  # first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        out = circle_values(gs, hs, 0.9, 8192, shift=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (17, 8192)
+    assert peak <= 1.1 * out.nbytes
 
 
 # the tuple-of-complexes arithmetic that the coefficient arrays replaced,
