@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,13 +35,20 @@ from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (fuzz_search, verify_T1, verify_T2, verify_T2_strip,
                        verify_T3_affine)
 
-_INT_KEYS = {"seeds", "n", "degree", "circle_nodes", "radial_nodes",
-             "refinement_limit"}
-_FLOAT_KEYS = {"k", "r", "abs_tol", "c1c2"}
-_STR_KEYS = {"out", "format", "config"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-_QUADRATURE_KEYS = ("circle_nodes", "radial_nodes", "refinement_limit", "abs_tol")
-_RUN_KEYS = ("seeds", "n", "k", "r", "degree", "c1c2")
+#: every key: (type, condition or None, wording of the condition), checked
+#: in this order; the quadrature keys are QuadratureSpec's fields, which it checks
+KEYS = {
+    "format": (str, lambda v: v in ("csv", "jsonl"), "csv or jsonl"),
+    "seeds": (int, lambda v: v >= 0, "nonnegative"),
+    "n": (int, lambda v: v >= 1, "at least 1"),
+    "k": (float, lambda v: 0 <= v < 1, "in [0, 1)"),
+    "r": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "degree": (int, lambda v: 1 <= v < DEGREE_CAP,
+               f"in [1, {DEGREE_CAP - 1}], below the degree cap {DEGREE_CAP}"),
+    "c1c2": (float, lambda v: 0 < v < math.inf, "positive and finite"),
+    "out": (str, None, None),
+    "config": (str, None, None),
+} | {f.name: (type(f.default), None, None) for f in fields(QuadratureSpec)}
 
 
 @dataclass
@@ -54,17 +61,16 @@ class RunConfig:
     r: float = 1.0
     degree: int = 16
     c1c2: float | None = None
-    output_path: str = ""
+    out: str = ""
     format: str = "csv"
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, where: str = ""):
+    """raw as the type of ``key``; ``where`` prefixes an unknown key."""
+    if key not in KEYS:
+        raise ConfigError(f"{where}unknown key {key!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw
+        return KEYS[key][0](raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
 
@@ -83,9 +89,7 @@ def _read_config_file(path: str) -> dict:
                 if key == "scenario":
                     out["scenario"] = raw
                     continue
-                if key not in KNOWN_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                out[key] = _parse_value(key, raw)
+                out[key] = _parse_value(key, raw, f"{path}:{lineno}: ")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
@@ -117,41 +121,28 @@ def parse_args(argv: list[str]) -> RunConfig:
                 raise ConfigError(f"flag --{key} needs a value")
             val = argv[i]
         key = key.replace("-", "_")
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
         raw[key] = _parse_value(key, val)
         i += 1
 
     merged: dict = {}
     if "config" in raw:
-        merged.update(_read_config_file(str(raw["config"])))
+        merged.update(_read_config_file(raw["config"]))
         if merged.pop("scenario", scenario) != scenario:
             raise ConfigError("config file scenario differs from command line")
     env_seed = os.environ.get("HQZ_SEED")
     if env_seed is not None:
         merged["seeds"] = _parse_value("seeds", env_seed)
-    merged.update({k: v for k, v in raw.items() if k != "config"})
-
-    fmt = str(merged.get("format", "csv"))
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
-
-    for key, valid, want in (("seeds", lambda v: v >= 0, "nonnegative"),
-                             ("n", lambda v: v >= 1, "at least 1"),
-                             ("k", lambda v: 0 <= v < 1, "in [0, 1)"),
-                             ("r", lambda v: 0 < v <= 1, "in (0, 1]"),
-                             ("degree", lambda v: 1 <= v < DEGREE_CAP,
-                              f"in [1, {DEGREE_CAP - 1}], below the degree cap {DEGREE_CAP}"),
-                             ("c1c2", lambda v: 0 < v < math.inf, "positive and finite")):
-        if key in merged and not valid(merged[key]):
+    merged.update(raw)
+    merged.pop("config", None)  # read above; a config line inside the file is ignored
+    for key, (_, valid, want) in KEYS.items():
+        if valid is not None and key in merged and not valid(merged[key]):
             raise ConfigError(f"{key} must be {want}, got {merged[key]!r}")
     try:  # keys not given keep the defaults of QuadratureSpec and RunConfig
-        quad = QuadratureSpec(**{key: merged[key] for key in _QUADRATURE_KEYS if key in merged})
+        quad = QuadratureSpec(**{f.name: merged.pop(f.name)
+                                 for f in fields(QuadratureSpec) if f.name in merged})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(scenario=scenario, quadrature=quad,
-                     output_path=str(merged.get("out", "")), format=fmt,
-                     **{key: merged[key] for key in _RUN_KEYS if key in merged})
+    return RunConfig(scenario=scenario, quadrature=quad, **merged)
 
 
 def _fmt(v) -> str:
@@ -227,8 +218,7 @@ def run_reproduce_ratio_limit(cfg: RunConfig):
         raise ConfigError(f"n must be at least 2 for reproduce-ratio-limit, got {n}")
     q = cfg.quadrature
     scan = ratio_limit_scan(n, (0.2, 0.1, 0.05, 0.01), q)
-    rows = [{"n": r.n, "a": r.a, "X": r.X, "Y": r.Y, "ratio": r.ratio,
-             "target": r.target, "deviation": r.deviation} for r in scan]
+    rows = [asdict(r) for r in scan]
     devs = [r.deviation for r in scan]
     criteria = {"final deviation < 5%": devs[-1] < 0.05,
                 "deviations decrease": all(b < a for a, b in zip(devs, devs[1:]))}
@@ -434,7 +424,7 @@ def run(cfg: RunConfig) -> int:
     """Execute a scenario, write its table, print one PASS/FAIL line; it
     passes iff every criterion holds, and a FAIL line names those that fail."""
     rows, criteria, detail = RUNNERS[cfg.scenario](cfg)
-    path = cfg.output_path or f"{cfg.scenario}.{cfg.format}"
+    path = cfg.out or f"{cfg.scenario}.{cfg.format}"
     header = list(rows[0]) if rows else list(EMPTY_TABLE_COLUMNS[cfg.scenario])
     write_rows(header, rows, path, cfg.format)
     failing = "".join(f"{name} fails; " for name, holds in criteria.items() if not holds)

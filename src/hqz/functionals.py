@@ -116,7 +116,7 @@ def _log_plus(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guarded_intervals(Fr: np.ndarray, u: np.ndarray, abs_tol: float):
+def _guarded_intervals(Fr: np.ndarray, u: np.ndarray, b2: float, abs_tol: float):
     """Split the grid intervals of u until none can hide a crossing pair.
 
     u holds the values of u(t) = Re sum_j Fr_j e^(ijt) at the n uniform
@@ -131,8 +131,6 @@ def _guarded_intervals(Fr: np.ndarray, u: np.ndarray, abs_tol: float):
     Returns (left ends, widths, u at left ends, u at right ends, the
     summed worst cases of the intervals kept unresolved, evaluations).
     """
-    j = np.arange(Fr.size)
-    b2 = float(np.sum(j * j * np.abs(Fr)))
     n = u.size
     t, w, ua, ub = circle_angles(n), np.full(n, 2.0 * np.pi / n), u, np.roll(u, -1)
     kept, unresolved, evaluations = [], 0.0, 0
@@ -218,14 +216,16 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
     agreeing levels bound the error.  est_error adds the worst case of
     the intervals the guard left unresolved and, to a nonzero mean, the
     rounding of u, at most 2 (deg F + 1 + log2 N) eps B0 with
-    B0 = sum_j |F_j| r^j >= |u|, times sup (1 + log |u|).
+    B0 = sum_j |F_j| r^j >= |u|, times sup (1 + log |u|).  Refuses a map
+    whose bound B2 = sum_j j^2 |F_j| r^j >= |u''| overflows.
     """
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
     F = (m.g + m.h).coeffs
-    if not np.isfinite(F).all():  # the guard's bound on u'' would be infinite
-        raise DomainError("zygmund_plus needs finite coefficients")
     Fr = F * r ** np.arange(F.size)
+    b2 = float(np.sum(np.arange(F.size) ** 2 * np.abs(Fr)))
+    if not math.isfinite(b2):  # no interval could pass the guard
+        raise DomainError(f"zygmund_plus needs a finite bound on u'', got {b2}")
     g, h = m.g.coeffs, m.h.coeffs
     # the grid interleaves the trapezoid's levels n0, then n0, 2 n0, ... N/2
     # shifted, so the mean without a crossing starts from its samples
@@ -238,7 +238,7 @@ def zygmund_plus_report(m: PlanarHarmonicMap, r: float,
     n = u.size
     b0 = float(np.abs(Fr).sum())
     rounding = 2.0 * (F.size + math.log2(n)) * _EPS * b0
-    t, w, ua, ub, unresolved, splits = _guarded_intervals(Fr, u, q.abs_tol)
+    t, w, ua, ub, unresolved, splits = _guarded_intervals(Fr, u, b2, q.abs_tol)
     roots, outside, polish = _crossings(Fr, t, w, ua, ub, rounding)
     evaluations = n + splits + polish
     if roots.size == 0 and abs(u[0]) <= 1.0:
@@ -336,9 +336,11 @@ def _square_function_series(corpus: Sequence[ComplexSeries]) -> np.ndarray:
 def _calderon_stack(corpus: Sequence[ComplexSeries],
                     q: QuadratureSpec) -> list[tuple[float, float]]:
     """``calderon_norms`` of one stack of series."""
+    A = stacked(corpus)
+    if not np.isfinite(A).all():  # else each norm refines to its limit on NaN
+        raise DomainError("the series need finite coefficients")
     if any(H.coeffs[0] != 0 for H in corpus):
         raise DomainError("the series must satisfy H(0) = 0")
-    A = stacked(corpus)
     C = _square_function_series(corpus)
     C_neg = C.copy()
     C_neg[:, 0] = 0.0  # c_0 is in C already
@@ -366,9 +368,10 @@ def calderon_norms(corpus: Sequence[ComplexSeries],
     another, its c_m, m >= 0, filling the nonnegative frequencies and their
     conjugates the negative ones.  The real part, clipped at 0 against
     rounding, gives G[H]^2.  Each norm stops at its own level, so it is the
-    same bits as the norm of its series alone.  Every H must satisfy
-    H(0) = 0 and be nonzero; a stack that raises is rerun one series at a
-    time, so the error is that of the first series that fails alone.
+    same bits as the norm of its series alone.  Every H must have finite
+    coefficients, satisfy H(0) = 0 and be nonzero; a stack that raises is
+    rerun one series at a time, so the error is that of the first series
+    that fails alone.
     """
     return [norm for norms in chunk_stacks(corpus, lambda chunk: _calderon_stack(chunk, q))
             for norm in norms]

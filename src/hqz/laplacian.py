@@ -104,10 +104,7 @@ def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
 
 def _value_rows(m: PlanarHarmonicMap) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient rows g | h, g' | 0 and h' | 0, zero-padded to one length:
-    one ``circle_values`` call gives f, g' and h' on the same circles.
-    Refuses non-finite coefficients, whose NaN values would read as ratios of 0."""
-    if not (np.isfinite(m.g.coeffs).all() and np.isfinite(m.h.coeffs).all()):
-        raise DomainError("the Laplacians need finite coefficients")
+    one ``circle_values`` call gives f, g' and h' on the same circles."""
     rows = stacked([m.g, m.g_prime, m.h_prime, m.h])
     return rows[:3], np.concatenate((rows[3:], np.zeros_like(rows[:2])))
 
@@ -120,7 +117,7 @@ def laplacian_ratio_sup(m: PlanarHarmonicMap) -> float:
     call, and at z = 0 from the constant coefficients (h(0) = 0).
     Both Laplacians vanish together only where g' = h' = 0; those 0/0
     points (e.g. constant maps) contribute 0 by convention.  Requires
-    finite coefficients, and u > 0 and |f| > TAU_F on the whole grid.
+    u > 0 and |f| > TAU_F on the whole grid.
     """
     radii = np.arange(1, RATIO_GRID_RADII + 1) / RATIO_GRID_RADII
     G, H = _value_rows(m)
@@ -276,12 +273,10 @@ def audit_laplacians(m: PlanarHarmonicMap, points: np.ndarray,
     df(d) = sum_(j>=1) b_j d^j the stencil, in the difference form of the
     module docstring, all in float64.  Relative differences are taken
     against max(|closed|, |fd|), 0/0 read as 0; any other NaN reaches
-    ``max_rel_*``.  Refuses non-finite coefficients.
+    ``max_rel_*``.
     """
     pts = np.asarray(points, dtype=complex)
     rows = stacked([m.g] if m.h.is_zero() else [m.g, m.h])
-    if not np.isfinite(rows).all():  # NaN values would read as points to skip
-        raise DomainError("the Laplacians need finite coefficients")
     # a zero column past the last coefficient: b_1 (g', h') exists for constant maps
     coeffs = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=complex)
     coeffs[:, :-1] = rows

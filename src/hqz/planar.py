@@ -43,7 +43,8 @@ _EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class PlanarHarmonicMap:
     """Pair (g, h) encoding f = g + conj(h), the claimed dilatation bound and,
-    when known, the dilatation omega = h'/g' as a polynomial."""
+    when known, the dilatation omega = h'/g' as a polynomial.  A non-finite
+    coefficient is refused here, so every consumer of a map sees finite data."""
 
     g: ComplexSeries
     h: ComplexSeries
@@ -51,6 +52,9 @@ class PlanarHarmonicMap:
     omega: ComplexSeries | None = None
 
     def __post_init__(self) -> None:
+        parts = [s.coeffs for s in (self.g, self.h, self.omega) if s is not None]
+        if not np.isfinite(np.concatenate(parts)).all():
+            raise DomainError("a map needs finite coefficients in g, h and omega")
         if self.h.coeffs[0] != 0:
             raise DomainError("h(0) must vanish in the decomposition f = g + conj(h)")
         if not 0.0 <= self.k_declared < 1.0:

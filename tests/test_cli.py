@@ -7,8 +7,8 @@ import pytest
 
 import hqz.cli
 from hqz import dilatation_sup, map_from_json, random_qr_map
-from hqz.cli import SCENARIOS, RunConfig, main, parse_args
-from hqz.errors import ConfigError
+from hqz.cli import KEYS, SCENARIOS, RunConfig, main, parse_args
+from hqz.errors import ConfigError, DomainError
 from hqz.quadrature import QuadratureSpec
 
 
@@ -49,9 +49,29 @@ class TestParsing:
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("mystery = 1\n")
-        with pytest.raises(ConfigError):
+        path.write_text("seeds = 9\nmystery = 1\n")
+        with pytest.raises(ConfigError) as exc:
             parse_args(["fuzz", "--config", str(path)])
+        assert str(exc.value) == f"{path}:2: unknown key 'mystery'"
+
+    def test_config_line_inside_a_config_file_is_ignored(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seeds = 9\nconfig = no-such-file.cfg\n")
+        cfg = parse_args(["fuzz", "--config", str(path)])
+        assert cfg == RunConfig(scenario="fuzz", seeds=9)
+
+    def test_out_is_a_run_config_field(self):
+        assert parse_args(["fuzz", "--out", "x"]).out == "x"
+
+    def test_the_first_bad_key_in_table_order_is_reported(self):
+        # given in reverse order: format, seeds, n, k, r, degree, c1c2
+        flags = ["--c1c2=0", "--degree=0", "--r=2", "--k=1", "--n=0", "--seeds=-1",
+                 "--format=xml"]
+        for end in range(len(flags), 0, -1):
+            key = flags[end - 1][2:].split("=")[0]
+            with pytest.raises(ConfigError) as exc:
+                parse_args(["fuzz", *flags[:end]])
+            assert str(exc.value).startswith(f"{key} must be ")
 
     def test_cli_overrides_config(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -98,7 +118,15 @@ class TestExitCodes:
     def test_bad_input_exits_2(self, flag, tmp_path, capsys):
         code, out = run_cli(["fuzz", flag], tmp_path, "f.csv")
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        key, raw = flag[2:].split("=")
+        kind, valid, want = KEYS[key]
+        if valid is None:  # a quadrature key: QuadratureSpec's own message
+            with pytest.raises(DomainError) as exc:
+                QuadratureSpec(**{key: kind(raw)})
+            assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        else:
+            assert capsys.readouterr().err == (
+                f"config error: {key} must be {want}, got {kind(raw)!r}\n")
         assert not out.exists()
 
     def test_degree_cap_is_named(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hqz import (ComplexSeries, DomainError, EmptyCorpus, HqzError, KernelBlowup
                  QuadratureSpec, calderon_norms, calderon_ratio_estimate,
                  calderon_square, circle_mean_p, hardy_norm_estimate,
                  poisson_extend_circle, random_qr_map, random_series)
+from hqz import functionals
 from hqz.functionals import zygmund_plus_report
 from hqz.quadrature import STACK_CHUNK, gauss_legendre, refined_circle_mean
 from hqz.series import circle_values
@@ -111,8 +112,18 @@ class TestZygmundPlus:
             riemann_circle_mean(w), abs=1e-9)
 
     def test_infinite_coefficient_rejected(self, q):
+        """The map constructor refuses it, before zygmund_plus runs."""
         with pytest.raises(DomainError):
             zygmund_plus_report(analytic(0.5, math.inf), 1.0, q)
+
+    def test_overflowing_bound_on_u_second_derivative_rejected(self, q, monkeypatch):
+        # every coefficient is finite, but B2 = sum j^2 |F_j| overflows, so the
+        # guard would accept no interval and double their count until memory
+        # ran out: it must not be reached
+        monkeypatch.setattr(functionals, "_guarded_intervals", None)
+        m = analytic(2.0, *[0.0] * 63, 1e306)
+        with pytest.raises(DomainError, match="finite bound on u''"), np.errstate(over="ignore"):
+            zygmund_plus_report(m, 1.0, q)
 
     def test_nonnegative_on_corpus(self, q_fast):
         for seed in range(10):
@@ -243,6 +254,17 @@ class TestCalderonNorms:
 
     def test_empty_corpus_has_no_norms(self, q):
         assert calderon_norms([], q) == []
+
+    def test_non_finite_series_rejected_before_refining(self, q, monkeypatch):
+        calls = []
+        real = functionals.refined_circle_mean
+        monkeypatch.setattr(functionals, "refined_circle_mean",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        corpus = [ComplexSeries((0.0, 1.0)), ComplexSeries((0.0, math.nan, 1.0)),
+                  random_series(0, 16)]
+        with pytest.raises(DomainError, match="finite coefficients"):
+            calderon_norms(corpus, q)
+        assert len(calls) == 2  # z's two norms, on the rerun one series at a time
 
 
 def per_series_square_function_series(H: ComplexSeries) -> ComplexSeries:

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import json
 import math
 from functools import lru_cache
 
@@ -567,8 +569,30 @@ class TestSerialization:
         m = random_qr_map(5, 0.3)
         assert map_to_json(m) == map_to_json(m)
 
+    def test_non_finite_payload_refused(self):
+        payload = json.loads(map_to_json(random_qr_map(5, 0.3)))
+        payload["g"][2][1] = math.nan
+        with pytest.raises(DomainError, match="finite coefficients"):
+            map_from_json(json.dumps(payload))
+
 
 def test_h_with_nonzero_constant_rejected():
     with pytest.raises(DomainError):
         PlanarHarmonicMap(g=ComplexSeries((1.0,)),
                           h=ComplexSeries((0.5,)))
+
+
+def test_nan_h0_is_named_non_finite():
+    # NaN != 0, so the h(0) check would name the wrong cause
+    with pytest.raises(DomainError, match="finite coefficients"):
+        PlanarHarmonicMap(g=ComplexSeries((1.0, 1.0)), h=ComplexSeries((math.nan, 0.5)))
+
+
+def test_nan_omega_is_refused_before_it_is_certified():
+    # the omega check passes a NaN (every comparison with it is False), so
+    # this map used to build and dilatation_upper certified k_upper = nan
+    m = random_qr_map(3, 0.3, 16)
+    w = m.omega.coeffs.copy()
+    w[3] = math.nan
+    with pytest.raises(DomainError, match="finite coefficients"):
+        dataclasses.replace(m, omega=ComplexSeries(w))
