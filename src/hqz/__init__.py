@@ -11,10 +11,8 @@ explicit margins.
 from .ball import (AffineBallMap, RatioRow, X_of, Y_of, axial_mean,
                    ball_green_calibration, ball_green_identity_n3,
                    laplacian_abs_affine, phi_of_m, ratio_limit_scan)
-from .errors import (ConfigError, DomainError, EmptyCorpus, HqzError,
-                     HypothesisViolation, KernelBlowup, MonotonicityViolation,
-                     NoConvergence, NonpositiveRealPart, TruncationOverflow,
-                     VanishingModulus)
+from .errors import (ConfigError, DomainError, HqzError, HypothesisViolation,
+                     NoConvergence)
 from .functionals import (calderon_norms, calderon_ratio_estimate,
                           calderon_square, circle_mean_p, hardy_norm_estimate,
                           poisson_extend_circle, poisson_kernel)
@@ -32,12 +30,10 @@ from .theorems import (FuzzSummary, TheoremReport, fuzz_search, verify_T1,
 
 __all__ = [
     "AffineBallMap", "C_n", "ComplexSeries", "ConfigError", "DEGREE_CAP",
-    "DilatationReport", "DomainError", "EmptyCorpus", "FuzzSummary",
-    "HqzError", "HypothesisViolation", "KernelBlowup",
-    "LaplacianAuditResult", "MonotonicityViolation",
-    "NoConvergence", "NonpositiveRealPart", "PlanarHarmonicMap",
-    "QuadratureSpec", "RatioRow", "TheoremReport", "TruncationOverflow",
-    "VanishingModulus", "X_of", "Y_of", "audit_laplacians", "axial_mean",
+    "DilatationReport", "DomainError", "FuzzSummary", "HqzError",
+    "HypothesisViolation", "LaplacianAuditResult", "NoConvergence",
+    "PlanarHarmonicMap", "QuadratureSpec", "RatioRow", "TheoremReport",
+    "X_of", "Y_of", "audit_laplacians", "axial_mean",
     "ball_green_calibration", "ball_green_identity_n3", "calderon_norms",
     "calderon_ratio_estimate", "calderon_square", "circle_mean_p",
     "dilatation_sup", "dilatation_upper", "disk_green_identity",

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonpositiveRealPart, VanishingModulus
+from .errors import DomainError, HypothesisViolation
 from .gamma import C_n
 from .quadrature import QuadratureSpec, gauss_legendre, refine
 
@@ -95,7 +95,7 @@ def Y_of(m: AffineBallMap, q: QuadratureSpec) -> float:
     """
     c, a = m.c, m.a
     if c < a:
-        raise NonpositiveRealPart(f"c = {c} < a = {a}: u changes sign on the sphere")
+        raise HypothesisViolation(f"c = {c} < a = {a}: u changes sign on the sphere")
     logc = math.log(c)
 
     def profile(t: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def laplacian_abs_affine(m: AffineBallMap, x: np.ndarray) -> float:
     fx = m.value(np.asarray(x, dtype=float))
     norm = float(np.linalg.norm(fx))
     if norm <= 1e-12:
-        raise VanishingModulus("f(x) = 0: the radial field is undefined")
+        raise HypothesisViolation("f(x) = 0: the radial field is undefined")
     S = fx / norm
     DS = (m.a / norm) * (np.eye(m.n) - np.outer(S, S))
     hs2 = float(np.sum(DS * DS))
@@ -204,7 +204,7 @@ def ball_green_identity_n3(m: AffineBallMap, q: QuadratureSpec) -> float:
     if m.n != 3:
         raise DomainError("the volume reduction here is specific to n = 3")
     if m.c <= m.a:
-        raise VanishingModulus("need c > a so that f has no zeros in the ball")
+        raise HypothesisViolation("need c > a so that f has no zeros in the ball")
     c, a = m.c, m.a
     lhs = X_of(m, q) + c
 

@@ -31,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, EmptyCorpus, KernelBlowup, MonotonicityViolation,
-                     NonpositiveRealPart)
+from .errors import DomainError, HypothesisViolation, NoConvergence
 from .planar import PlanarHarmonicMap
 from .quadrature import (QuadratureSpec, chunk_stacks, circle_angles, gauss_legendre,
                          refine, refined_circle_mean)
@@ -67,7 +66,7 @@ def circle_mean_p(maps: Sequence[PlanarHarmonicMap], r: float, q: QuadratureSpec
     mean stops at its own level.  Returns (values, est_errors, nodes): one
     M_1 per map, or one [M_1, mean u log u] pair per map with ``entropy``,
     and the samples of f over all maps.  With ``entropy`` every sample of u
-    must be positive, or NonpositiveRealPart; the mean may be negative.
+    must be positive, or HypothesisViolation; the mean may be negative.
     """
     if not 0.0 < r <= 1.0:
         raise DomainError("radius must lie in (0, 1]")
@@ -79,8 +78,8 @@ def circle_mean_p(maps: Sequence[PlanarHarmonicMap], r: float, q: QuadratureSpec
             return np.abs(f)
         u = f.real
         if (u <= 0.0).any():
-            raise NonpositiveRealPart(
-                f"min u = {u.min():.3e} <= 0 on the circle of radius {r}")
+            raise HypothesisViolation(f"u must be positive on the circle: "
+                                      f"min u = {u.min():.3e} <= 0 on the circle of radius {r}")
         return np.stack((np.abs(f), u * np.log(u)), axis=1)
 
     return refined_circle_mean(sample, q, context=f"M_1(r={r})"
@@ -94,7 +93,7 @@ def hardy_norm_estimate(m: PlanarHarmonicMap,
 
     The dyadic radius grid is evaluated as a cross-check: |f| is
     subharmonic, so the means must be nondecreasing in r up to quadrature
-    error, and a decrease beyond tolerance raises MonotonicityViolation.
+    error, and a decrease beyond tolerance raises NoConvergence.
     """
     radii = HARDY_RADII + (1.0,)
     reports = [(value, err, nodes)
@@ -102,7 +101,7 @@ def hardy_norm_estimate(m: PlanarHarmonicMap,
     for j, ((lo, lo_err, _), (hi, hi_err, _)) in enumerate(zip(reports, reports[1:])):
         slack = lo_err + hi_err + 1e-12
         if hi < lo - slack:
-            raise MonotonicityViolation(
+            raise NoConvergence(
                 f"M_1 decreased from {lo!r} (r={radii[j]}) to {hi!r} "
                 f"(r={radii[j + 1]}) beyond tolerance {slack:.3e}")
     return reports[-1]
@@ -279,11 +278,11 @@ def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec) -> float:
     """Harmonic extension (1/2pi) int P(x, e^it) phi(t) dt of circle data.
 
     ``boundary`` is a callable t -> phi(t), sampled uniformly with
-    refinement.  Points with 1 - |x| < POISSON_FLOOR raise KernelBlowup.
+    refinement.  Points with 1 - |x| < POISSON_FLOOR raise DomainError.
     """
     x = complex(x)
     if 1.0 - abs(x) < POISSON_FLOOR:
-        raise KernelBlowup(f"1 - |x| = {1.0 - abs(x):.3e} below floor {POISSON_FLOOR:.1e}")
+        raise DomainError(f"1 - |x| = {1.0 - abs(x):.3e} below floor {POISSON_FLOOR:.1e}")
 
     def integrand(n: int, shift: bool, rows) -> np.ndarray:
         theta = circle_angles(n, shift)
@@ -292,18 +291,14 @@ def poisson_extend_circle(boundary, x: complex, q: QuadratureSpec) -> float:
     return refined_circle_mean(integrand, q, context="poisson_extend_circle")[0]
 
 
-def _calderon_nodes(H: ComplexSeries) -> int:
-    """Gauss-Legendre count making the |H'|^2 (1 - rho) integral exact."""
-    d = H.derivative().trimmed().degree
-    return max(16, d + 1)
-
-
 def calderon_square(H: ComplexSeries, z: complex) -> float:
     """G[H](z) = sqrt( int_0^1 |H'(rho z)|^2 (1 - rho) d rho )."""
     if abs(z) > 1.0 + 1e-12:
         raise DomainError("|z| must be <= 1")
-    rho, w = gauss_legendre(_calderon_nodes(H), 0.0, 1.0)
-    vals = H.derivative()(rho * complex(z))
+    Hp = H.derivative()
+    # the Gauss-Legendre count that makes the |H'|^2 (1 - rho) integral exact
+    rho, w = gauss_legendre(max(16, Hp.trimmed().degree + 1), 0.0, 1.0)
+    vals = Hp(rho * complex(z))
     return float(np.sqrt(np.sum(w * (1.0 - rho) * (vals.real ** 2 + vals.imag ** 2))))
 
 
@@ -386,6 +381,6 @@ def calderon_ratio_estimate(corpus: Sequence[ComplexSeries],
     satisfy H(0) = 0.
     """
     if len(corpus) == 0:
-        raise EmptyCorpus("calderon_ratio_estimate needs a nonempty corpus")
+        raise DomainError("calderon_ratio_estimate needs a nonempty corpus")
     norms = np.array(calderon_norms(corpus, q))
     return float(np.max(norms[:, 0] / norms[:, 1])), float(np.max(norms[:, 1] / norms[:, 0]))

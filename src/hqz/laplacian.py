@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonpositiveRealPart, VanishingModulus
+from .errors import DomainError, HypothesisViolation
 from .planar import PlanarHarmonicMap
 from .quadrature import QuadratureSpec, log_weight_gauss, refine, refined_circle_mean
 from .series import circle_values, horner, stacked
@@ -61,10 +61,6 @@ RATIO_GRID_ANGLES = 256
 AREA_CALL_POINTS = 1 << 13
 
 
-def _pieces(m: PlanarHarmonicMap, z):
-    return m(z), m.g_prime(z), m.h_prime(z)
-
-
 def _lap_abs_f(f, gp, hp):
     """|g' - (f / conj(f)) h'|^2 / |f|, elementwise on scalars or arrays."""
     return np.abs(gp - (f / np.conjugate(f)) * hp) ** 2 / np.abs(f)
@@ -79,26 +75,28 @@ def _check_domain(f: np.ndarray, where: str) -> None:
     """Refuse |f| <= TAU_F or u <= 0 anywhere in f."""
     af_min, u_min = float(np.abs(f).min()), float(f.real.min())
     if af_min <= TAU_F:
-        raise VanishingModulus(f"min |f| = {af_min:.3e} {where}")
+        raise HypothesisViolation(f"min |f| = {af_min:.3e} {where}")
     if u_min <= 0.0:
-        raise NonpositiveRealPart(f"min u = {u_min:.3e} {where}")
+        raise HypothesisViolation(f"min u = {u_min:.3e} {where}")
 
 
 def laplacian_abs_f(m: PlanarHarmonicMap, z: complex) -> float:
     """lap |f| at z from the closed form; needs |f(z)| above TAU_F."""
-    f, gp, hp = _pieces(m, complex(z))
+    z = complex(z)
+    f, gp, hp = m(z), m.g_prime(z), m.h_prime(z)
     af = abs(f)
     if af <= TAU_F:
-        raise VanishingModulus(f"|f(z)| = {af:.3e} <= {TAU_F:.1e}")
+        raise HypothesisViolation(f"|f(z)| = {af:.3e} <= {TAU_F:.1e}")
     return float(_lap_abs_f(f, gp, hp))
 
 
 def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
     """lap(u log u) = |g' + h'|^2 / u at z; needs u(z) > 0."""
-    f, gp, hp = _pieces(m, complex(z))
+    z = complex(z)
+    f, gp, hp = m(z), m.g_prime(z), m.h_prime(z)
     u = f.real
     if u <= 0.0:
-        raise NonpositiveRealPart(f"u(z) = {u:.3e} <= 0")
+        raise HypothesisViolation(f"u(z) = {u:.3e} <= 0")
     return float(_lap_ulogu(f, gp, hp))
 
 
@@ -165,7 +163,7 @@ def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> fl
     probe = np.abs(circle_values(m.g.coeffs, m.h.coeffs, r * np.arange(1, 49) / 48, 256))
     af_min = min(float(probe.min()), abs(m.f0()))
     if af_min <= TAU_F:
-        raise VanishingModulus(
+        raise HypothesisViolation(
             f"min |f| = {af_min:.3e} on the closed disk of radius {r}")
 
     boundary, _, _ = refined_circle_mean(

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolation, TruncationOverflow
+from .errors import DomainError, HypothesisViolation
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, circle_values, horner
 
@@ -250,7 +250,7 @@ def make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonicMap:
     F'/(1 + omega), so Re f is Re F only up to that tail.
 
     Requires F(0) real, deg omega < DEGREE_CAP so that d_P >= 0 (else
-    TruncationOverflow), and sup |omega| < 1: certified by the l1 norm of
+    DomainError), and sup |omega| < 1: certified by the l1 norm of
     omega, or else by the k_upper of ``_omega_upper``, which then becomes
     k_declared.  Then |omega(0)| < 1, so 1 + omega has a nonzero constant.
     """
@@ -259,8 +259,8 @@ def make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonicMap:
     omega = omega.trimmed()
     d_p = DEGREE_CAP - 1 - omega.degree
     if d_p < 0:
-        raise TruncationOverflow(f"deg omega = {omega.degree} leaves no degree for g' "
-                                 f"below {DEGREE_CAP}")
+        raise DomainError(f"deg omega = {omega.degree} leaves no degree for g' "
+                          f"below {DEGREE_CAP}")
     k_decl = omega.coeff_abs_sum()
     if k_decl >= 1.0:
         k_decl = float(_omega_upper(omega.coeffs[None])[0][0])

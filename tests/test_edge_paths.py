@@ -5,6 +5,7 @@ import pytest
 from hqz import (ComplexSeries, NoConvergence, PlanarHarmonicMap,
                  QuadratureSpec, circle_mean_p)
 from hqz.cli import main, parse_args
+from hqz import errors
 from hqz.errors import ConfigError
 
 
@@ -15,6 +16,14 @@ def test_circle_mean_no_convergence():
                              refinement_limit=1, abs_tol=1e-30)
     with pytest.raises(NoConvergence):
         circle_mean_p([m], 1.0, starved)
+
+
+def test_one_error_type_per_way_a_run_fails():
+    assert set(errors.HqzError.__subclasses__()) == {
+        errors.DomainError, errors.NoConvergence, errors.HypothesisViolation,
+        errors.ConfigError}
+    assert issubclass(errors.DomainError, ValueError)
+    assert issubclass(errors.ConfigError, ValueError)
 
 
 def test_config_scenario_mismatch(tmp_path):

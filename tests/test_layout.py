@@ -1,9 +1,9 @@
 """Module boundaries and dead code: no hqz module imports another module's
 private names, every definition in hqz is referenced by name, and by the
-program itself unless it is a named reference for the unit tests, every
-optional parameter is passed by some call, and by the program itself unless
-it is a named seam for the unit tests, and every hqz name and keyword the
-benchmark under bench/ uses exists."""
+program itself outside the named references for the unit tests unless it
+is one of them, every optional parameter is passed by some call, and by the
+program itself unless it is a named seam for the unit tests, and every hqz
+name and keyword the benchmark under bench/ uses exists."""
 
 import ast
 import importlib
@@ -111,11 +111,19 @@ def uses(paths: list[Path]) -> tuple[list, dict]:
     return refs, calls
 
 
-def unreferenced(defining: list[Path], using: list[Path]) -> list[str]:
+def inside(path: Path, scope: tuple, names) -> bool:
+    """Whether ``scope`` of ``path`` lies in one of the definitions ``names``
+    ('module.name' or 'module.Class.method')."""
+    return any(f"{path.stem}.{'.'.join(scope[:k])}" in names for k in range(1, len(scope) + 1))
+
+
+def unreferenced(defining: list[Path], using: list[Path], references=()) -> list[str]:
     """Definitions in ``defining`` whose name no code in ``using`` reads
-    outside the definition itself; a method counts as read only through an
-    attribute (``x.name``), so a local variable of the same name hides nothing."""
+    outside the definition itself and outside the ``references``; a method
+    counts as read only through an attribute (``x.name``), so a local
+    variable of the same name hides nothing."""
     refs, _ = uses(using)
+    refs = [ref for ref in refs if not inside(ref[0], ref[1], references)]
     found = []
     for path in defining:
         for qual, node in definitions(path):
@@ -251,8 +259,10 @@ def test_detects_an_unset_optional_parameter(tmp_path):
 
 
 #: definitions that the program never reaches, kept because unit tests check
-#: them, or other code against them: (module.name, why)
+#: them, or other code against them: (module.name or module.Class.method, why)
 REFERENCES = (
+    ("ball.AffineBallMap.value", "f(x) = c e_1 + a x; the unit tests evaluate the "
+                                 "family with it"),
     ("ball.laplacian_abs_affine", "lap|f| on the ball from the radial field; equals "
                                   "laplacian_abs_f at n = 2"),
     ("functionals.calderon_square", "G[H] at one point by Gauss-Legendre; pins the "
@@ -284,12 +294,12 @@ def test_every_definition_serves_the_program():
     modules, everything = trees()
     program = traffic(REPO)
     assert modules[0] in program and (REPO / "bench" / "workloads.py") in program
-    assert sorted(dotted(hit) for hit in unreferenced(modules, program)) == [
-        name for name, _ in REFERENCES]
+    names = [name for name, _ in REFERENCES]
+    assert sorted(dotted(hit) for hit in unreferenced(modules, program, names)) == names
     # and each reference still has a unit test that reads it
     refs, _ = uses([path for path in everything if path not in program])
     read = {name for _, _, name, _ in refs}
-    assert [name for name, _ in REFERENCES if name.split(".")[-1] not in read] == []
+    assert [name for name in names if name.split(".")[-1] not in read] == []
 
 
 #: optional parameters that the program never passes, kept as seams for the
@@ -315,13 +325,17 @@ def test_detects_a_definition_only_unit_tests_use(tmp_path):
     probe = tmp_path / "src" / "hqz" / "probe.py"
     probe.write_text("def accepted():\n    pass\n\n\n"
                      "def benched():\n    pass\n\n\n"
-                     "def unit_only():\n    pass\n")
+                     "def unit_only():\n    return helper()\n\n\n"
+                     "def helper():\n    pass\n")
     (tmp_path / "tests" / "test_acceptance.py").write_text("from hqz.probe import accepted\n"
                                                            "accepted()\n")
     (tmp_path / "bench" / "run.py").write_text("from hqz import probe\nprobe.benched()\n")
     (tmp_path / "tests" / "test_probe.py").write_text("from hqz.probe import unit_only\n"
                                                       "unit_only()\n")
     assert unreferenced([probe], traffic(tmp_path)) == ["probe.py:9: unit_only"]
+    # a helper that only a reference reads serves no more than the reference
+    assert unreferenced([probe], traffic(tmp_path), ["probe.unit_only"]) == [
+        "probe.py:9: unit_only", "probe.py:13: helper"]
     assert unreferenced([probe], traffic(tmp_path) + [tmp_path / "tests" / "test_probe.py"]) == []
 
 

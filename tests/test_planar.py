@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqz import (DEGREE_CAP, ComplexSeries, DomainError, HqzError, HypothesisViolation,
-                 PlanarHarmonicMap, TruncationOverflow, dilatation_sup,
+                 PlanarHarmonicMap, dilatation_sup,
                  dilatation_upper, jacobian, make_qr_map, map_from_json, map_to_json,
                  random_qr_map, strip_example)
 from hqz.planar import _omega_upper
@@ -311,7 +311,7 @@ class TestMakeQrMap:
     def test_omega_degree_leaves_room_for_g_prime(self):
         omega = ComplexSeries(np.full(64, 0.01))  # degree 63, the cap 64 minus one
         assert make_qr_map(ComplexSeries((1.0, 0.3)), omega).g_prime.degree == 0
-        with pytest.raises(TruncationOverflow, match="no degree for g'"):  # degree 64
+        with pytest.raises(DomainError, match="no degree for g'"):  # degree 64
             make_qr_map(ComplexSeries((1.0, 0.3)), ComplexSeries(np.full(65, 0.01)))
 
     def test_imaginary_F0_rejected(self):
@@ -393,8 +393,8 @@ def method_make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonic
     omega = omega.trimmed()
     d_p = DEGREE_CAP - 1 - omega.degree
     if d_p < 0:
-        raise TruncationOverflow(f"deg omega = {omega.degree} leaves no degree for g' "
-                                 f"below {DEGREE_CAP}")
+        raise DomainError(f"deg omega = {omega.degree} leaves no degree for g' "
+                          f"below {DEGREE_CAP}")
     k_decl = omega.coeff_abs_sum()
     if k_decl >= 1.0:
         k_decl = float(_omega_upper(omega.coeffs[None])[0][0])
@@ -448,7 +448,7 @@ class TestConstructionBits:
         ((1.0, 0.3), (-1.0,)),
         ((1j, 0.5), (0.0,))],
         ids=["certificate", "complex", "signed zeros", "constant F", "zero omega",
-             "trailing zeros", "degree 63", "degree 47", "TruncationOverflow",
+             "trailing zeros", "degree 63", "degree 47", "degree 64",
              "may reach 1", "omega(0) = -1", "imaginary F(0)"])
     def test_maps_and_refusals_are_the_method_bits(self, F, omega):
         F, omega = ComplexSeries(F), ComplexSeries(omega)

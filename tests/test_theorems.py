@@ -50,6 +50,12 @@ class TestVerifyT2:
         with pytest.raises(HypothesisViolation):
             verify_T2(analytic(0.5, 1.0), 1.0, q, K=1.0)  # u sign-changes
 
+    def test_sign_change_names_the_hypothesis(self, q):
+        # u = 1 + 1.25 cos t dips to -0.25 at t = pi, a node of the first level
+        with pytest.raises(HypothesisViolation, match=r"^u must be positive on the circle: "
+                           r"min u = -2\.500e-01 <= 0 on the circle of radius 1\.0$"):
+            verify_T2(analytic(1.0, 1.25), 1.0, q, K=1.0)
+
 
 class TestVerifyT2Strip:
     def test_n1_value(self, q):
