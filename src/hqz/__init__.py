@@ -22,7 +22,7 @@ from .laplacian import (LaplacianAuditResult, audit_laplacians,
                         laplacian_ratio_sup, phi_scan_argmax)
 from .planar import (DilatationReport, PlanarHarmonicMap, dilatation_sup,
                      dilatation_upper, jacobian, make_qr_map, map_from_json,
-                     map_to_json, random_qr_map, strip_example)
+                     map_to_json, random_qr_map, random_qr_maps, strip_example)
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (FuzzSummary, TheoremReport, fuzz_search, verify_T1,
@@ -41,7 +41,7 @@ __all__ = [
     "laplacian_abs_f", "laplacian_ulogu", "laplacian_ratio_sup",
     "make_qr_map", "map_from_json", "map_to_json", "phi_of_m",
     "phi_scan_argmax", "poisson_extend_circle", "poisson_kernel",
-    "random_qr_map", "random_series", "ratio_limit_scan", "strip_example",
+    "random_qr_map", "random_qr_maps", "random_series", "ratio_limit_scan", "strip_example",
     "verify_T1", "verify_T2", "verify_T2_strip",
     "verify_T3_affine",
 ]

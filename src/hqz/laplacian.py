@@ -101,10 +101,11 @@ def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
 
 
 def _value_rows(m: PlanarHarmonicMap) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient rows g | h, g' | 0 and h' | 0, zero-padded to one length:
-    one ``circle_values`` call gives f, g' and h' on the same circles."""
+    """Coefficient rows g | h, g' | 0 and h' | 0, zero-padded to one length,
+    as rows of g and the one row of h: one ``circle_values`` call gives f,
+    g' and h' on the same circles."""
     rows = stacked([m.g, m.g_prime, m.h_prime, m.h])
-    return rows[:3], np.concatenate((rows[3:], np.zeros_like(rows[:2])))
+    return rows[:3], rows[3:]
 
 
 def laplacian_ratio_sup(m: PlanarHarmonicMap) -> float:

@@ -14,9 +14,12 @@ circle times the Ehlich-Zeller factor gives the upper bound k_upper
 polish of the samples the lower bound k_hat (``dilatation_sup``, one
 ``horner`` call per step for all candidates).
 
-``make_qr_map`` builds such a map, truncated at degree DEGREE_CAP, with
-g + h close to a prescribed F, which is how the fuzz corpus realizes
-positive real part and a dilatation of exactly max |omega|.
+``make_qr_map`` builds such maps, truncated at degree DEGREE_CAP, with
+g + h close to a prescribed F, one per row of coefficient arrays: this is
+how the fuzz corpus realizes positive real part and a dilatation of
+exactly max |omega|.  ``random_qr_maps`` builds the corpus maps of many
+seeds with one ``make_qr_map`` call, each map byte for byte the one its
+seed gives alone (``random_qr_map``).
 """
 
 from __future__ import annotations
@@ -230,100 +233,153 @@ def _reciprocal(a: np.ndarray) -> np.ndarray:
 
 
 def _integral(c: np.ndarray) -> np.ndarray:
-    """Termwise antiderivative of the coefficients c with zero constant term."""
-    j = np.arange(1, c.size + 1)
-    out = np.zeros(c.size + 1, dtype=complex)
-    # parts divided separately, as python's complex / int does
-    out.real[1:], out.imag[1:] = c.real / j, c.imag / j
+    """Termwise antiderivative of each row of coefficients c, with zero
+    constant term."""
+    n = c.shape[-1]
+    out = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
+    # parts divided separately by j = 1, 1, 2, 2, ..., as python's complex / int does
+    np.divide(c.view(float), np.arange(2, 2 * n + 2) // 2, out=out.view(float)[..., 2:])
     return out
 
 
-def make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonicMap:
-    """Harmonic map with g' = P, h' = omega P and g + h = F(0) + int (1 + omega) P.
+def make_qr_map(F: np.ndarray, omega: np.ndarray) -> list[PlanarHarmonicMap]:
+    """One harmonic map per row of the coefficient arrays F and omega (one
+    row per map, powers along the last axis, zero-padded): g' = P,
+    h' = omega P and g + h = F(0) + int (1 + omega) P.
 
-    On coefficient arrays: 1 + omega is zero-padded or cut to degree
-    d_P = DEGREE_CAP - 1 - deg omega, and P = F'/(1 + omega), expanded by
-    Newton doubling, is truncated at d_P, so that h' = omega P, an exact
+    Each omega row is trimmed of its trailing zeros, 1 + omega is
+    zero-padded or cut to degree d_P = DEGREE_CAP - 1 - deg omega, and
+    P = F'/(1 + omega), expanded by Newton doubling (P = F' when
+    omega = 0), is truncated at d_P, so that h' = omega P, an exact
     coefficient product, stays below degree DEGREE_CAP; g = F(0) + int P
-    and h = int h'.  The map carries omega, its dilatation is max over
+    and h = int h'.  Each map carries its omega, its dilatation is max over
     |z| = 1 of |omega|, and g + h is F up to the truncation tail of
     F'/(1 + omega), so Re f is Re F only up to that tail.
 
-    Requires F(0) real, deg omega < DEGREE_CAP so that d_P >= 0 (else
-    DomainError), and sup |omega| < 1: certified by the l1 norm of
-    omega, or else by the k_upper of ``_omega_upper``, which then becomes
-    k_declared.  Then |omega(0)| < 1, so 1 + omega has a nonzero constant.
+    The rows whose omegas have one trimmed length are one stack for the
+    trimming, the l1 norms, F', the padding of 1 + omega and the two
+    integrals; the reciprocal and the two products run row by row, and
+    each map is checked by its own ``PlanarHarmonicMap``, so every map has
+    the bits it has when built alone.
+
+    Requires F(0) real, deg omega < DEGREE_CAP so that d_P >= 0, and
+    sup |omega| < 1: certified by the l1 norm of omega, or else by the
+    k_upper of ``_omega_upper``, which then becomes k_declared.  Then
+    |omega(0)| < 1, so 1 + omega has a nonzero constant.  DomainError
+    names the first row that breaks one, as building row by row would.
     """
-    if abs(F.coeffs[0].imag) > 0:
-        raise DomainError("F(0) must be real so that Im f(0) = 0")
-    omega = omega.trimmed()
-    d_p = DEGREE_CAP - 1 - omega.degree
-    if d_p < 0:
-        raise DomainError(f"deg omega = {omega.degree} leaves no degree for g' "
-                          f"below {DEGREE_CAP}")
-    k_decl = omega.coeff_abs_sum()
-    if k_decl >= 1.0:
-        k_decl = float(_omega_upper(omega.coeffs[None])[0][0])
-        if k_decl >= 1.0:
-            raise DomainError(f"sup |omega| may reach 1 on the circle (bound {k_decl:.4f})")
-    w = omega.coeffs
-    one_plus = np.zeros(d_p + 1, dtype=complex)
-    one_plus[0] = 1.0
-    one_plus[: w.size] += w[: d_p + 1]
-    P = np.convolve(F.derivative().coeffs, _reciprocal(one_plus))[: d_p + 1]
-    g = np.zeros(d_p + 2, dtype=complex)
-    g[0] = F.coeffs[0]
-    g += _integral(P)  # a sum, so F(0) + 0 and 0 + each term: a -0.0 part becomes 0.0
-    return PlanarHarmonicMap(g=ComplexSeries(g), h=ComplexSeries(_integral(np.convolve(w, P))),
-                             k_declared=k_decl, omega=omega)
+    F, w = np.asarray(F, dtype=complex), np.asarray(omega, dtype=complex)
+    nonzero = w != 0
+    nonzero[:, 0] = True  # the zero series keeps its constant term
+    stacks = {}  # trimmed length of omega -> its rows
+    for i, s in enumerate((w.shape[-1] - nonzero[:, ::-1].argmax(axis=-1)).tolist()):
+        stacks.setdefault(s, []).append(i)
+    refusals = [(i, 0, "F(0) must be real so that Im f(0) = 0")  # (row, check, message)
+                for i, im in enumerate(F[:, 0].imag.tolist()) if abs(im) > 0][:1]
+    for s, rows in stacks.items():
+        sel = slice(None) if len(stacks) == 1 else rows  # one stack: no copies
+        ws = w[sel, :s]
+        k_decl = np.abs(ws).sum(axis=-1)
+        if s > DEGREE_CAP:
+            refusals.append((rows[0], 1, f"deg omega = {s - 1} leaves no degree for g' "
+                                         f"below {DEGREE_CAP}"))
+        over = k_decl >= 1.0
+        if over.any():  # then only the certificate can show sup |omega| < 1
+            k_decl[over] = _omega_upper(ws[over])[0]
+            refusals += [(rows[j], 2, "sup |omega| may reach 1 on the circle "
+                                      f"(bound {k_decl[j]:.4f})")
+                         for j in np.flatnonzero(k_decl >= 1.0)[:1]]
+        stacks[s] = rows, sel, ws, k_decl
+    if refusals:
+        raise DomainError(min(refusals)[2])
+    n = F.shape[-1]
+    F_prime = np.arange(1, n) * F[:, 1:] if n > 1 else np.zeros((len(F), 1), dtype=complex)
+    maps = [None] * len(F)
+    for s, (rows, sel, ws, k_decl) in stacks.items():
+        d_p = DEGREE_CAP - s
+        one_plus = np.zeros((len(rows), d_p + 1), dtype=complex)
+        one_plus[:, 0] = 1.0
+        one_plus[:, :s] += ws[:, : d_p + 1]
+        P, h_prime = [], []
+        for fp, a, wi in zip(F_prime[sel], one_plus, ws):
+            if s == 1 and wi[0] == 0:  # P = F'/1 = F', the bits of its Newton expansion
+                p = np.zeros(d_p + 1, dtype=complex)
+                p[: fp.size] = fp[: d_p + 1]
+            else:
+                p = np.convolve(fp, _reciprocal(a))[: d_p + 1]
+            P.append(p)
+            h_prime.append(np.convolve(wi, p))  # degree (s - 1) + d_p = DEGREE_CAP - 1
+        P, h_prime = np.array(P), np.array(h_prime)
+        g = np.zeros((len(rows), d_p + 2), dtype=complex)
+        g[:, 0] = F[sel, 0]
+        g += _integral(P)  # a sum, so F(0) + 0 and 0 + each term: a -0.0 part becomes 0.0
+        for i, gi, hi, wi, k in zip(rows, g, _integral(h_prime), ws, k_decl.tolist()):
+            maps[i] = PlanarHarmonicMap(g=ComplexSeries(gi), h=ComplexSeries(hi),
+                                        k_declared=k, omega=ComplexSeries(wi))
+    return maps
 
 
-def random_qr_map(seed: int, k: float, degree: int = 16,
-                  positivity_margin: float = 0.05) -> PlanarHarmonicMap:
-    """Deterministic fuzz-corpus generator.
+def random_qr_maps(seeds: Sequence[int], k: float, degree: int,
+                   positivity_margin: float) -> list[PlanarHarmonicMap]:
+    """The fuzz-corpus maps of ``seeds``, each ``random_qr_map(seed, ...)``.
 
-    Draws F = c0 + sum c_j z^j with c0 real and sum |c_j| <= c0 - margin,
-    and omega with coefficient l1 norm <= k, so sup |omega| <= k, and
-    builds ``make_qr_map(F, omega)`` with k as its declared bound.  Its
-    g + h is F up to a truncation tail, so Re f >= margin is certified
-    again from the coefficients of g + h by the triangle inequality, or
-    DomainError.  That tail grows with the degree, since P is truncated at
-    DEGREE_CAP - 1 - degree: over seeds 0-19 at k = 0.5, ||g + h - F||_1
-    is at most 0.0005 of the l1 norm of F's non-constant part at degree
-    16 and 0.04 at 32, but 0.47 at 40 and 0.998 at 63, where the map no
-    longer realizes F.  The same seed reproduces the same coefficients
-    byte for byte.
+    Each seed draws, from its own ``default_rng``, F = c0 + sum c_j z^j
+    with c0 real and sum |c_j| <= c0 - margin, and omega with coefficient
+    l1 norm <= k, so sup |omega| <= k.  One ``make_qr_map`` call builds the
+    maps of all seeds, with k as their declared bound.  Their g + h is F
+    up to a truncation tail, so Re f >= margin is certified again, for all
+    maps at once, from the coefficients of g + h by the triangle
+    inequality, or DomainError.  That tail grows with the degree, since P
+    is truncated at DEGREE_CAP - 1 - degree: over seeds 0-19 at k = 0.5,
+    ||g + h - F||_1 is at most 0.0005 of the l1 norm of F's non-constant
+    part at degree 16 and 0.04 at 32, but 0.47 at 40 and 0.998 at 63,
+    where the map no longer realizes F.  A seed gives the same map byte
+    for byte in any list of seeds, and the error raised is the one of the
+    first seed that cannot be built.
     """
     if not 0.0 <= k < 1.0:
         raise DomainError("k must lie in [0, 1)")
     if positivity_margin <= 0.0:
         raise DomainError("positivity_margin must be positive")
-    rng = np.random.default_rng(seed)
-    c0 = float(rng.uniform(0.8, 2.0))
-    budget = c0 - positivity_margin
-    if budget <= 0.0:
-        raise DomainError("positivity_margin leaves no coefficient budget")
-    raw = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
-    mass = float(rng.uniform(0.05, 0.9)) * budget
-    tail = raw * (mass / np.abs(raw).sum())
-    F = ComplexSeries(np.concatenate(([c0], tail)))
-    if k == 0.0:
-        omega = ComplexSeries.zero()
-    else:
-        raw2 = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        target = float(rng.uniform(0.5, 1.0)) * k
-        raw2 = raw2 * (target / np.abs(raw2).sum())
-        omega = ComplexSeries(raw2)
-    m = make_qr_map(F, omega)
-    s = (m.g + m.h).coeffs
-    low = s[0].real - float(np.abs(s[1:]).sum())
-    if low < positivity_margin:
-        raise DomainError(f"Re f >= {low:.4f} by the coefficient l1 norm, "
+    F = np.empty((len(seeds), degree + 1), dtype=complex)
+    omega = np.zeros((len(seeds), degree + 1 if k else 1), dtype=complex)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        c0 = float(rng.uniform(0.8, 2.0))
+        budget = c0 - positivity_margin
+        if budget <= 0.0:
+            random_qr_maps(seeds[:i], k, degree, positivity_margin)  # an earlier refusal first
+            raise DomainError("positivity_margin leaves no coefficient budget")
+        raw = rng.standard_normal((2, degree))  # real parts, then imaginary parts
+        raw = raw[0] + 1j * raw[1]
+        mass = float(rng.uniform(0.05, 0.9)) * budget
+        F[i, 0], F[i, 1:] = c0, raw * (mass / np.abs(raw).sum())
+        if k:
+            raw2 = rng.standard_normal((2, degree + 1))
+            raw2 = raw2[0] + 1j * raw2[1]
+            target = float(rng.uniform(0.5, 1.0)) * k
+            omega[i] = raw2 * (target / np.abs(raw2).sum())
+    maps = make_qr_map(F, omega)
+    s = np.array([m.h.coeffs for m in maps]).reshape(len(maps), DEGREE_CAP + 1)  # g + h
+    for row, m in zip(s, maps):
+        row[: m.g.coeffs.size] += m.g.coeffs
+    low = s[:, 0].real - np.abs(s[:, 1:]).sum(axis=-1)
+    refused = low < positivity_margin
+    if refused.any():
+        raise DomainError(f"Re f >= {low[refused.argmax()]:.4f} by the coefficient l1 norm, "
                           f"below the margin {positivity_margin}")
-    # k >= ||omega||_1 is a valid claim too; set it on the fresh map rather
-    # than run the omega check of a new PlanarHarmonicMap a second time
-    object.__setattr__(m, "k_declared", k)
-    return m
+    for m in maps:
+        # k >= ||omega||_1 is a valid claim too; set it on the fresh map rather
+        # than run the omega check of a new PlanarHarmonicMap a second time
+        object.__setattr__(m, "k_declared", k)
+    return maps
+
+
+def random_qr_map(seed: int, k: float, degree: int = 16,
+                  positivity_margin: float = 0.05) -> PlanarHarmonicMap:
+    """Deterministic fuzz-corpus generator: ``random_qr_maps`` of one seed.
+    The same seed reproduces the same coefficients byte for byte."""
+    return random_qr_maps([seed], k, degree, positivity_margin)[0]
 
 
 def strip_example(n: int) -> PlanarHarmonicMap:

@@ -107,8 +107,9 @@ def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,
     """g(z) + conj(h(z)) at z = r e^(i t_k), t_k = 2 pi (k + shift/2) / n.
 
     ``g`` and ``h`` are coefficient arrays (last axis the power): one
-    series, or stacked rows of series (h with g's rows), on one circle or
-    on an array of radii ``r``.  The result holds one row of n values per
+    series, or stacked rows of series (h with g's rows, or with only its
+    leading rows when the rest have h = 0), on one circle or on an array
+    of radii ``r``.  The result holds one row of n values per
     row and radius, shape g.shape[:-1] + r.shape + (n,): (n,) for one
     series on one circle.
 
@@ -136,9 +137,10 @@ def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,
             c = np.concatenate((c, pad), axis=-1).reshape(c.shape[:-1] + (-1, n)).sum(axis=-2)
         if sign > 0:
             buf[..., : c.shape[-1]] += c
-        else:  # index j of the conj(h) part goes to -j mod n
-            buf[..., 0] += c[..., 0]
-            buf[..., n - c.shape[-1] + 1:] += c[..., :0:-1]
+        else:  # index j of the conj(h) part goes to -j mod n, in h's rows
+            rows = buf[: len(c)] if c.ndim > r.ndim + 1 else buf
+            rows[..., 0] += c[..., 0]
+            rows[..., n - c.shape[-1] + 1:] += c[..., :0:-1]
     return np.fft.ifft(buf, axis=-1, norm="forward", out=buf)
 
 

@@ -27,7 +27,7 @@ from .ball import AffineBallMap, X_of, Y_of
 from .errors import HypothesisViolation
 from .functionals import circle_mean_p, hardy_norm_estimate, zygmund_plus_report
 from .planar import (PlanarHarmonicMap, dilatation_upper, map_to_json,
-                     random_qr_map, strip_example)
+                     random_qr_maps, strip_example)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, chunk_stacks
 
 #: tolerance for the v(0) = 0 hypothesis; constructions satisfy it exactly
@@ -188,7 +188,8 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
     """Run the sharp planar verifier across the deterministic corpus.
 
     Seeds go in chunks of STACK_CHUNK (``quadrature.chunk_stacks``): a
-    chunk builds its maps by ``random_qr_map`` and verifies them as one
+    chunk builds its maps with one ``random_qr_maps`` call, each map the
+    one ``random_qr_map`` gives its seed alone, and verifies them as one
     stack, whose reports are those ``verify_T2`` gives each map alone, with
     its certified K.  The first seed that fails to build or verify raises,
     after the seeds before it are verified, as one ``verify_T2`` per seed
@@ -198,7 +199,7 @@ def fuzz_search(seeds: int, k: float, degree: int = 16,
     zero best ratio, empty witness).
     """
     def verify(chunk: Sequence[int]) -> tuple[list, list[TheoremReport]]:
-        maps = [random_qr_map(seed, k, degree, positivity_margin) for seed in chunk]
+        maps = random_qr_maps(chunk, k, degree, positivity_margin)
         return maps, _verify_T2_stack(maps, r, q, None, CORPUS_DILATATION_GRID)
 
     worst, best, witness = math.inf, 0.0, None

@@ -352,7 +352,7 @@ class TestLaplacianRatioSup:
         assert laplacian_ratio_sup(analytic(2.0)) == 0.0
 
     def test_k03_map_bounded_by_K_squared(self):
-        m = make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries.constant(0.3))
+        [m] = make_qr_map([(1.0, 0.5)], [(0.3,)])
         bound = ((1.0 + 0.3) / (1.0 - 0.3)) ** 2
         assert laplacian_ratio_sup(m) <= bound * (1.0 + 1e-9)
 
@@ -374,7 +374,7 @@ class TestDiskGreenIdentity:
         assert abs(disk_green_identity(analytic(2.0, 1.0), 0.9, q)) < 1e-6
 
     def test_qr_map(self, q):
-        m = make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries.constant(0.3))
+        [m] = make_qr_map([(1.0, 0.5)], [(0.3,)])
         assert abs(disk_green_identity(m, 0.9, q)) < 1e-6
 
     def test_requires_nonvanishing(self, q):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hqz import (DEGREE_CAP, ComplexSeries, DomainError, HqzError, HypothesisViolation,
                  PlanarHarmonicMap, dilatation_sup,
                  dilatation_upper, jacobian, make_qr_map, map_from_json, map_to_json,
-                 random_qr_map, strip_example)
+                 random_qr_map, random_qr_maps, strip_example)
 from hqz.planar import _omega_upper
 from hqz.series import circle_values, horner
 from hqz.theorems import CORPUS_DILATATION_GRID, fuzz_search, verify_T2
@@ -87,7 +87,7 @@ class TestDilatation:
             dilatation_sup(PlanarHarmonicMap(g=g, h=h, k_declared=0.5))
 
     def test_linear_omega_sup_on_boundary(self):
-        m = make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries((0.0, 0.3)))
+        [m] = make_qr_map([(1.0, 0.5)], [(0.0, 0.3)])
         rep = dilatation_sup(m)
         assert rep.k_hat <= 0.3 + 1e-12
         assert rep.k_hat == pytest.approx(0.3, abs=1e-10)
@@ -245,9 +245,7 @@ def test_stacked_polish_matches_the_scalar_loop(spec):
     # sample ties for the maximum
     maps = [random_qr_map(seed, k, degree) for degree in (1, 2, 16, 40)
             for k in (0.3, 0.9) for seed in range(15)]
-    F = ComplexSeries((1.0, 0.5))
-    maps += [make_qr_map(F, ComplexSeries((0.3, 0.0, 0.0, 0.2))),
-             make_qr_map(F, ComplexSeries.constant(0.3))]
+    maps += make_qr_map([(1.0, 0.5)] * 2, [(0.3, 0.0, 0.0, 0.2), (0.3, 0.0, 0.0, 0.0)])
     for m in maps:
         rep = dilatation_sup(m, spec)
         k_hat, k_upper, nodes = scalar_dilatation_sup(m, spec)
@@ -281,17 +279,17 @@ def test_zeros_of_g_prime_are_zeros_of_h_prime():
 
 class TestMakeQrMap:
     def test_analytic_case(self):
-        m = make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries.zero())
+        [m] = make_qr_map([(1.0, 0.5)], [(0.0,)])
         assert m.g.trimmed().coeffs.tolist() == [1.0 + 0j, 0.5 + 0j]
         assert m.h.is_zero()
 
     def test_constant_F(self):
-        m = make_qr_map(ComplexSeries((1.0,)), ComplexSeries.constant(0.3))
+        [m] = make_qr_map([(1.0,)], [(0.3,)])
         assert m.g.trimmed().coeffs.tolist() == [1.0 + 0j]
         assert m.h.is_zero()
 
     def test_constant_omega_ratio_everywhere(self):
-        m = make_qr_map(ComplexSeries((1.0, 0.5)), ComplexSeries.constant(0.3))
+        [m] = make_qr_map([(1.0, 0.5)], [(0.3,)])
         z = disk_grid(16, 64)[1:]
         ratio = np.abs(m.h_prime(z)) / np.abs(m.g_prime(z))
         assert np.max(np.abs(ratio - 0.3)) < 1e-12
@@ -301,22 +299,22 @@ class TestMakeQrMap:
 
     def test_l1_norm_above_one_needs_the_certificate(self):
         # |0.4 (1 + z - z^2)| peaks at 0.4 sqrt 5 (z = i) below its l1 norm 1.2
-        F, omega = ComplexSeries((1.0, 0.3)), ComplexSeries((0.4, 0.4, -0.4))
-        m = make_qr_map(F, omega)
-        assert omega.coeff_abs_sum() > 1.0
+        F, omega = (1.0, 0.3), (0.4, 0.4, -0.4)
+        [m] = make_qr_map([F], [omega])
+        assert m.omega.coeff_abs_sum() > 1.0
         assert 0.4 * np.sqrt(5.0) <= m.k_declared == dilatation_sup(m).k_upper < 0.8948
         with pytest.raises(DomainError, match="may reach 1"):
-            make_qr_map(F, ComplexSeries((0.6, 0.6)))
+            make_qr_map([F], [(0.6, 0.6)])
 
     def test_omega_degree_leaves_room_for_g_prime(self):
-        omega = ComplexSeries(np.full(64, 0.01))  # degree 63, the cap 64 minus one
-        assert make_qr_map(ComplexSeries((1.0, 0.3)), omega).g_prime.degree == 0
+        omega = np.full((1, 64), 0.01)  # degree 63, the cap 64 minus one
+        assert make_qr_map([(1.0, 0.3)], omega)[0].g_prime.degree == 0
         with pytest.raises(DomainError, match="no degree for g'"):  # degree 64
-            make_qr_map(ComplexSeries((1.0, 0.3)), ComplexSeries(np.full(65, 0.01)))
+            make_qr_map([(1.0, 0.3)], np.full((1, 65), 0.01))
 
     def test_imaginary_F0_rejected(self):
         with pytest.raises(DomainError):
-            make_qr_map(ComplexSeries((1j, 0.5)), ComplexSeries.zero())
+            make_qr_map([(1j, 0.5)], [(0.0,)])
 
     @given(seeds, st.sampled_from([0.0, 0.1, 0.3, 0.5]))
     @settings(max_examples=25, deadline=None)
@@ -340,11 +338,10 @@ class TestMakeQrMap:
         assert np.all(hp <= k * gp + 1e-13)
 
     def test_g_plus_h_equals_F_exactly(self):
-        F = ComplexSeries((1.0, 0.5, -0.25))
-        omega = ComplexSeries((0.1, 0.2j))
-        m = make_qr_map(F, omega)
+        F = (1.0, 0.5, -0.25)
+        [m] = make_qr_map([F], [(0.1, 0.2j)])
         total = (m.g + m.h).coeffs
-        for got, want in zip(total[:3], F.coeffs):
+        for got, want in zip(total[:3], F):
             assert got == pytest.approx(want, abs=1e-14)
         assert all(abs(c) < 1e-14 for c in total[3:])
 
@@ -409,6 +406,12 @@ def method_make_qr_map(F: ComplexSeries, omega: ComplexSeries) -> PlanarHarmonic
                              omega=omega)
 
 
+def method_rows(F, omega) -> list[PlanarHarmonicMap]:
+    """``method_make_qr_map`` row by row on ``make_qr_map``'s coefficient
+    arrays: the first row it refuses raises."""
+    return [method_make_qr_map(ComplexSeries(f), ComplexSeries(w)) for f, w in zip(F, omega)]
+
+
 def built(build):
     """The bits of g, h, omega and k_declared of the map ``build()`` makes,
     or the type and message of the HqzError it raises."""
@@ -420,18 +423,103 @@ def built(build):
             repr(m.k_declared))
 
 
+def built_all(build):
+    """``built`` of every map of the list ``build()`` makes, or the type and
+    message of the HqzError it raises."""
+    try:
+        maps = build()
+    except HqzError as exc:
+        return type(exc), str(exc)
+    return [built(lambda m=m: m) for m in maps]
+
+
+def as_one_call(alone: list):
+    """What one call over the items of ``alone`` (``built`` results one at
+    a time) gives: every map, or the error of the first item refused."""
+    return next((row for row in alone if not isinstance(row[0], bytes)), alone)
+
+
+def stack_of_rows() -> tuple[np.ndarray, np.ndarray]:
+    """64 rows (F, omega): F of one length, omegas of every trimmed length
+    from 1 to 64 (zero, constants, trailing zeros, degree 63), some whose
+    l1 norm needs the certificate, in shuffled order."""
+    rng = np.random.default_rng(8)
+    F = rng.standard_normal((64, 6)) + 1j * rng.standard_normal((64, 6))
+    F[:, 0] = rng.uniform(1.0, 2.0, 64)
+    omega = np.zeros((64, 64), dtype=complex)
+    for i, size in enumerate(rng.permutation(64) + 1):
+        row = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        omega[i, :size] = row * (rng.uniform(0.1, 0.9) / np.abs(row).sum())
+    omega[3] = 0.0
+    omega[[5, 9, 40], :3] = (0.4, 0.4, -0.4)  # l1 1.2 > 1 > sup |omega| = 0.4 sqrt 5
+    omega[5, 3:] *= 0.1
+    omega[[9, 40], 3:] = 0.0
+    omega[17, 1:] = 0.0
+    omega[17, 0] = 0.3
+    return F, omega
+
+
 class TestConstructionBits:
     @pytest.mark.parametrize("degree", [1, 2, 16, 40, 63])
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9])
     def test_corpus_maps_are_the_method_bits(self, degree, k, monkeypatch):
+        # a chunk reaches its arithmetic through the make_qr_map attribute,
+        # once; with the method reference there, every map keeps its bits
         import hqz.planar as planar
-        for seed in range(8):
-            got = built(lambda: random_qr_map(seed, k, degree))
-            with monkeypatch.context() as patch:
-                patch.setattr(planar, "make_qr_map", method_make_qr_map)
-                want = built(lambda: random_qr_map(seed, k, degree))
+        got = built_all(lambda: random_qr_maps(range(10), k, degree, 0.05))
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(planar, "make_qr_map",
+                          lambda F, omega: calls.append(len(F)) or method_rows(F, omega))
+            want = built_all(lambda: random_qr_maps(range(10), k, degree, 0.05))
+        assert calls == [10]
+        assert got == want
+        assert all(isinstance(row[0], bytes) for row in got)  # every map of the grid builds
+
+    @pytest.mark.parametrize("degree", [1, 2, 16, 40, 63])
+    @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9])
+    def test_a_chunk_is_its_seeds_alone(self, degree, k):
+        alone = [built(lambda: random_qr_map(seed, k, degree)) for seed in range(64)]
+        for size in (1, 10, 64):
+            for start in range(0, 64, size):
+                seeds = range(start, min(start + size, 64))
+                assert (built_all(lambda: random_qr_maps(seeds, k, degree, 0.05))
+                        == as_one_call(alone[seeds.start:seeds.stop]))
+
+    def test_stacks_of_rows_are_the_method_bits(self):
+        F, omega = stack_of_rows()
+        want = [built(lambda i=i: method_rows(F[i:i + 1], omega[i:i + 1])[0]) for i in range(64)]
+        assert all(isinstance(row[0], bytes) for row in want)
+        assert len({m.omega.coeffs.size for m in make_qr_map(F, omega)}) >= 60  # stacks
+        for size in (1, 10, 64):
+            got = []
+            for start in range(0, 64, size):
+                got += built_all(lambda: make_qr_map(F[start:start + size],
+                                                     omega[start:start + size]))
             assert got == want
-            assert isinstance(got[0], bytes)  # every map of the grid builds
+
+    @pytest.mark.parametrize("first, second", [
+        ("imaginary F(0)", "degree 64"), ("degree 64", "imaginary F(0)"),
+        ("degree 64", "may reach 1"), ("may reach 1", "imaginary F(0)"),
+        ("may reach 1", "omega(0) = -1")])
+    def test_a_refusal_in_a_stack_is_its_first_rows(self, first, second):
+        # two refused rows of a stack of ten, each in its own stack of
+        # omegas of one length: the error is the one of the first alone
+        refusals = {"imaginary F(0)": (1j, None), "degree 64": (None, np.full(65, 0.01)),
+                    "may reach 1": (None, (0.6, 0.6)), "omega(0) = -1": (None, (-1.0,))}
+        F, omega = stack_of_rows()
+        F, omega = F[:10], np.concatenate((omega[:10], np.zeros((10, 1))), axis=1)
+        for row, name in ((4, first), (7, second)):
+            f0, w = refusals[name]
+            if f0 is not None:
+                F[row, 0] += f0
+            if w is not None:
+                omega[row] = 0.0
+                omega[row, : len(w)] = w
+        want = as_one_call([built(lambda i=i: method_rows(F[i:i + 1], omega[i:i + 1])[0])
+                            for i in range(10)])
+        assert want == built(lambda: method_rows(F[4:5], omega[4:5])[0])
+        assert built_all(lambda: make_qr_map(F, omega)) == want
 
     @pytest.mark.parametrize("F, omega", [
         ((1.0, 0.3), (0.4, 0.4, -0.4)),  # ||omega||_1 = 1.2 > 1 > 0.4 sqrt 5 = sup |omega|
@@ -451,9 +539,8 @@ class TestConstructionBits:
              "trailing zeros", "degree 63", "degree 47", "degree 64",
              "may reach 1", "omega(0) = -1", "imaginary F(0)"])
     def test_maps_and_refusals_are_the_method_bits(self, F, omega):
-        F, omega = ComplexSeries(F), ComplexSeries(omega)
-        want = built(lambda: method_make_qr_map(F, omega))
-        assert built(lambda: make_qr_map(F, omega)) == want
+        want = built(lambda: method_make_qr_map(ComplexSeries(F), ComplexSeries(omega)))
+        assert built(lambda: make_qr_map([F], [omega])[0]) == want
 
 
 class TestRandomQrMap:
@@ -476,23 +563,47 @@ class TestRandomQrMap:
                             lambda self: (checks.append(self), real(self))[1])
         m = random_qr_map(3, 0.3)
         assert checks == [m] and m.k_declared == 0.3
+        checks.clear()
+        maps = random_qr_maps(range(10), 0.3, 16, 0.05)
+        assert len(checks) == 10 and all(c is m for c, m in zip(checks, maps))
+        assert all(m.k_declared == 0.3 for m in maps)
 
     def test_positivity_is_certified(self, monkeypatch):
-        # a construction whose g + h leaves the coefficient budget is refused
+        # a construction whose g + h leaves the coefficient budget is refused,
+        # alone and in a chunk, which raises the error of its first such seed
         import hqz.planar as planar
-        real = planar.make_qr_map
-        monkeypatch.setattr(planar, "make_qr_map", lambda F, omega: real(
-            ComplexSeries(np.concatenate(([F.coeffs[0]], 3.0 * F.coeffs[1:]))), omega))
-        refused = 0
+        real, calls = planar.make_qr_map, []
+
+        def tripled(F, omega):
+            calls.append(len(F))
+            return real(np.concatenate((F[:, :1], 3.0 * F[:, 1:]), axis=1), omega)
+
+        monkeypatch.setattr(planar, "make_qr_map", tripled)
+        refused = []
         for seed in range(10):
             try:
                 m = random_qr_map(seed, 0.3)
             except DomainError as exc:
                 assert "by the coefficient l1 norm, below the margin 0.05" in str(exc)
-                refused += 1
+                refused.append(str(exc))
             else:
                 assert float(m(disk_grid(32, 128)).real.min()) >= 0.05
-        assert 0 < refused < 10
+        assert 0 < len(refused) < 10 and calls == [1] * 10
+        with pytest.raises(DomainError) as chunk:
+            random_qr_maps(range(10), 0.3, 16, 0.05)
+        assert str(chunk.value) == refused[0] and calls[-1] == 10
+
+    def test_a_chunk_raises_its_first_seeds_error(self, monkeypatch):
+        # margin 1: under the tripled tail, seed 4 fails the positivity
+        # certificate and seed 11 has no coefficient budget, which the chunk
+        # finds first, while it draws
+        import hqz.planar as planar
+        real = planar.make_qr_map
+        monkeypatch.setattr(planar, "make_qr_map", lambda F, omega: real(
+            np.concatenate((F[:, :1], 3.0 * F[:, 1:]), axis=1), omega))
+        alone = [built(lambda: random_qr_map(seed, 0.3, 16, 1.0)) for seed in range(4, 12)]
+        assert "below the margin" in alone[0][1] and "no coefficient budget" in alone[-1][1]
+        assert built_all(lambda: random_qr_maps(range(4, 12), 0.3, 16, 1.0)) == alone[0]
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)

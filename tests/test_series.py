@@ -80,7 +80,7 @@ def test_reciprocal_needs_nonzero_constant():
     # certifies sup |omega| < 1, so 1 + omega(0) = 0 is refused before it
     for omega in [(-1.0,), (-1.0, 0.0, 1e-9), (-1.0 + 0j, 0.5j)]:
         with pytest.raises(DomainError, match="may reach 1"):
-            make_qr_map(ComplexSeries((1.0, 0.3)), ComplexSeries(omega))
+            make_qr_map([(1.0, 0.3)], [omega])
 
 
 def test_trimmed_drops_trailing_zeros():

@@ -213,17 +213,24 @@ class TestVerifyT2Stack:
         # seed 0 fails to converge, which the stack finds only after its
         # last level, so a failure of seed 1 surfaces first in the stack
         q = QuadratureSpec(circle_nodes=16, refinement_limit=4)
-        real = theorems.random_qr_map
-        first = real(0, 0.5, 16)
+        first = random_qr_map(0, 0.5, 16)
         with pytest.raises(HqzError) as want:
             verify_T2(first, 1.0, q, dilatation_grid=CORPUS_DILATATION_GRID)
         with pytest.raises(HypothesisViolation):
             verify_T2(bad, 1.0, q, dilatation_grid=CORPUS_DILATATION_GRID)
-        monkeypatch.setattr(theorems, "random_qr_map",
-                            lambda seed, *args: bad if seed == 1 else real(seed, *args))
+        with pytest.raises(HypothesisViolation):
+            theorems._verify_T2_stack([first, bad], 1.0, q, None, CORPUS_DILATATION_GRID)
+        real, chunks = theorems.random_qr_maps, []
+
+        def corpus(seeds, *args):  # the chunk builder fuzz_search calls, with bad as seed 1
+            chunks.append(list(seeds))
+            return [bad if seed == 1 else m for seed, m in zip(seeds, real(seeds, *args))]
+
+        monkeypatch.setattr(theorems, "random_qr_maps", corpus)
         with pytest.raises(type(want.value)) as got:
             fuzz_search(2, 0.5, 16, q)
         assert str(got.value) == str(want.value)
+        assert chunks == [[0, 1], [0]]  # the stack failed, then seed 0 failed alone
 
 
 class TestFuzzSearch:
