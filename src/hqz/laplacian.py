@@ -61,9 +61,10 @@ RATIO_GRID_ANGLES = 256
 AREA_CALL_POINTS = 1 << 13
 
 
-def _lap_abs_f(f, gp, hp):
-    """|g' - (f / conj(f)) h'|^2 / |f|, elementwise on scalars or arrays."""
-    return np.abs(gp - (f / np.conjugate(f)) * hp) ** 2 / np.abs(f)
+def _lap_abs_f(f, af, gp, hp):
+    """|g' - (f / conj(f)) h'|^2 / |f|, elementwise on scalars or arrays,
+    with af = np.abs(f) computed by the caller."""
+    return np.abs(gp - (f / np.conjugate(f)) * hp) ** 2 / af
 
 
 def _lap_ulogu(f, gp, hp):
@@ -71,9 +72,8 @@ def _lap_ulogu(f, gp, hp):
     return np.abs(gp + hp) ** 2 / np.real(f)
 
 
-def _check_domain(f: np.ndarray, where: str) -> None:
-    """Refuse |f| <= TAU_F or u <= 0 anywhere in f."""
-    af_min, u_min = float(np.abs(f).min()), float(f.real.min())
+def _check_domain(af_min: float, u_min: float, where: str) -> None:
+    """Refuse min |f| <= TAU_F, then min u <= 0."""
     if af_min <= TAU_F:
         raise HypothesisViolation(f"min |f| = {af_min:.3e} {where}")
     if u_min <= 0.0:
@@ -87,7 +87,7 @@ def laplacian_abs_f(m: PlanarHarmonicMap, z: complex) -> float:
     af = abs(f)
     if af <= TAU_F:
         raise HypothesisViolation(f"|f(z)| = {af:.3e} <= {TAU_F:.1e}")
-    return float(_lap_abs_f(f, gp, hp))
+    return float(_lap_abs_f(f, np.abs(f), gp, hp))  # np.abs rounds unlike abs
 
 
 def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:
@@ -108,25 +108,37 @@ def _value_rows(m: PlanarHarmonicMap) -> tuple[np.ndarray, np.ndarray]:
     return rows[:3], rows[3:]
 
 
+def _ratio_max(num: np.ndarray, den: np.ndarray):
+    """max of num / den, where 0/0 reads 0 and num/0 inf; a NaN stays NaN."""
+    if (den > 0.0).all():
+        return (num / den).max()
+    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                    np.where(num > 0.0, np.inf, 0.0)).max()
+
+
 def laplacian_ratio_sup(m: PlanarHarmonicMap) -> float:
     """max over the disk grid of lap|f| / lap(u log u).
 
     The grid is z = 0 and the RATIO_GRID_RADII circles at RATIO_GRID_ANGLES
     angles; f, g' and h' on the circles come from one ``circle_values``
-    call, and at z = 0 from the constant coefficients (h(0) = 0).
+    call, and at z = 0 from the constant coefficients (h(0) = 0), taken
+    apart from the circles so that no grid value is copied.  z = 0 stays
+    in the domain check and in the max.  It is evaluated as one-element
+    arrays, not numpy scalars: scalar operators and ``abs`` round
+    differently from the array loops, and the bits would change.
     Both Laplacians vanish together only where g' = h' = 0; those 0/0
     points (e.g. constant maps) contribute 0 by convention.  Requires
     u > 0 and |f| > TAU_F on the whole grid.
     """
     radii = np.arange(1, RATIO_GRID_RADII + 1) / RATIO_GRID_RADII
     G, H = _value_rows(m)
-    on_circles = circle_values(G, H, radii, RATIO_GRID_ANGLES)
-    f, gp, hp = np.concatenate((G[:, :1], on_circles.reshape(3, -1)), axis=1)
-    _check_domain(f, "on the grid")
-    num, den = _lap_abs_f(f, gp, hp), _lap_ulogu(f, gp, hp)
-    ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
-                     np.where(num > 0.0, np.inf, 0.0))
-    return float(ratio.max())
+    f, gp, hp = circle_values(G, H, radii, RATIO_GRID_ANGLES).reshape(3, -1)
+    f0, gp0, hp0 = G[:, :1]
+    af, af0 = np.abs(f), np.abs(f0)
+    _check_domain(np.minimum(af0[0], af.min()), np.minimum(f0.real[0], f.real.min()),
+                  "on the grid")
+    return float(np.maximum(_ratio_max(_lap_abs_f(f0, af0, gp0, hp0), _lap_ulogu(f0, gp0, hp0)),
+                            _ratio_max(_lap_abs_f(f, af, gp, hp), _lap_ulogu(f, gp, hp))))
 
 
 def disk_area_log_mean(rows: Callable[[np.ndarray, int], np.ndarray], r: float,
@@ -171,7 +183,11 @@ def disk_green_identity(m: PlanarHarmonicMap, r: float, q: QuadratureSpec) -> fl
         lambda n, shift, rows: np.abs(circle_values(m.g.coeffs, m.h.coeffs, r, n, shift)), q,
         context="circle mean of |f|")
 
-    area, _ = disk_area_log_mean(lambda rho, n: _lap_abs_f(*circle_values(G, H, rho, n)), r, q)
+    def lap_abs_f(rho, n):
+        f, gp, hp = circle_values(G, H, rho, n)
+        return _lap_abs_f(f, np.abs(f), gp, hp)
+
+    area, _ = disk_area_log_mean(lap_abs_f, r, q)
     lhs = abs(m.f0())
     return lhs - (boundary - area)
 
@@ -236,6 +252,15 @@ def _shift_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return binom, index
 
 
+@lru_cache(maxsize=16)
+def _stencil_powers(h: float, order: int) -> np.ndarray:
+    """d^j for the stencil offsets d = _STENCIL_OFFSETS h and j = 1 .. order,
+    one row per offset; built on first use and cached per (h, order)."""
+    powers = np.vander(_STENCIL_OFFSETS * h, order + 1, increasing=True)[:, 1:]
+    powers.setflags(write=False)
+    return powers
+
+
 def _shift_order(coeffs: np.ndarray, radius: float, step: float) -> int:
     """Order J >= 1 at which the Taylor shift of the rows of ``coeffs`` may
     stop for centres |z0| <= radius and offsets |d| <= step.
@@ -289,13 +314,14 @@ def audit_laplacians(m: PlanarHarmonicMap, points: np.ndarray,
     if pts.size == 0:
         return LaplacianAuditResult(rows=(), max_rel_abs_f=0.0,
                                     max_rel_ulogu=0.0, skipped=skipped)
-    _check_domain(f, "at the audit points")
+    af = np.abs(f)
+    _check_domain(af.min(), f.real.min(), "at the audit points")
     gp, hp = b[0, 1], b[1:, 1].sum(axis=0)
-    closed = np.array([_lap_abs_f(f, gp, hp), _lap_ulogu(f, gp, hp)])
-    delta = np.vander(_STENCIL_OFFSETS * h, order + 1, increasing=True)[:, 1:] @ b[:, 1:]
+    closed = np.array([_lap_abs_f(f, af, gp, hp), _lap_ulogu(f, gp, hp)])
+    delta = _stencil_powers(h, order) @ b[:, 1:]
     df = delta[0] + np.conjugate(delta[1:].sum(axis=0))  # (offsets, points)
     f1, u = f + df, f.real
-    diffs = np.array([(df * np.conjugate(f1 + f)).real / (np.abs(f1) + np.abs(f)),
+    diffs = np.array([(df * np.conjugate(f1 + f)).real / (np.abs(f1) + af),
                       df.real * np.log(f1.real) + u * np.log1p(df.real / u)])
     fd = _STENCIL_WEIGHTS @ diffs / (12.0 * h * h)
     rel = _relative_deviation(closed, fd)

@@ -10,10 +10,13 @@ user, so map construction carries no quadrature error at all.
 
 There are two ways to evaluate, both in complex128: ``horner`` takes
 rows of coefficients (``stacked`` pads series to one length) to arbitrary
-points, and ``circle_values`` takes rows of coefficients, on radii, to
-g + conj(h) at uniform angles on circles by one inverse FFT per circle.
-``ComplexSeries.__call__`` is ``horner``, on one point as on an array.
-Every circle functional goes through ``circle_values``.
+points, one Horner step per power on the whole block of rows and points
+in two buffers made once, and ``circle_values`` takes rows of
+coefficients, on radii, to g + conj(h) at uniform angles on circles by
+one inverse FFT per circle.  ``ComplexSeries.__call__`` is ``horner``, on
+one point as on an array, with the bits that point gets inside an array
+(``horner`` says why its product is out of place).  Every circle
+functional goes through ``circle_values``.
 """
 
 from __future__ import annotations
@@ -92,14 +95,27 @@ def stacked(series: Sequence[ComplexSeries]) -> np.ndarray:
 
 def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Every polynomial of ``coeffs`` (last axis the power) at every z, in
-    complex128; the result has shape coeffs.shape[:-1] + z.shape.
+    complex128; the result has shape coeffs.shape[:-1] + z.shape (a scalar
+    for one series at a 0-d z).
+
+    The whole block, shape rows + z.shape, runs through two buffers made
+    once: each step writes acc * z into the second and adds the
+    coefficient column back into acc, so no step allocates.  numpy
+    multiplies complex arrays in a vector loop, but one element in place,
+    or one element held in a (1, 1) block, in a scalar loop that rounds
+    differently (numpy 2.4).  So the product stays out of place and the
+    block keeps the shapes of rows and z: one point then gets the bits it
+    gets inside an array.
     """
     z = np.asarray(z, dtype=complex)
     *rows, n = coeffs.shape
     acc = np.zeros((*rows, *z.shape), dtype=complex)
-    for c in np.moveaxis(coeffs, -1, 0)[::-1].reshape((n, *rows) + (1,) * z.ndim):
-        acc = acc * z + c
-    return acc
+    prod = np.empty_like(acc)
+    columns = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0)[::-1])  # top power first
+    for c in columns.reshape((n, *rows) + (1,) * z.ndim):
+        np.multiply(acc, z, prod)
+        np.add(prod, c, acc)
+    return acc[()]
 
 
 def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,
@@ -116,20 +132,22 @@ def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,
     In coefficients this is sum_j g_j (r e^(i t))^j + sum_j conj(h_j)
     (r e^(-i t))^j: the g part fills the nonnegative frequencies and the
     conj(h) part the nonpositive ones of a single inverse FFT per row and
-    radius, in place: the result is the zeroed buffer itself.  A
-    coefficient whose index is at least n is added in at index j mod n,
-    which is exact on the grid, so any n >= 1 works.  With ``shift`` the
+    radius, in place: the result is the zeroed buffer itself, and the
+    powers r^j are one table for g and h.  A coefficient whose index is
+    at least n is added in at index j mod n, which is exact on the grid,
+    so any n >= 1 works.  With ``shift`` the
     angles move by half a step, through the twist e^(+-i j pi / n) of the
     coefficients.
     """
     r = np.asarray(r, dtype=float)
     buf = np.zeros(g.shape[:-1] + r.shape + (n,), dtype=complex)
+    powers = r[..., None] ** np.arange(max(g.shape[-1], 0 if h is None else h.shape[-1]))
     for c, sign in ((g, 1), (h, -1)):
         if c is None:
             continue
         j = np.arange(c.shape[-1])
         c = c.reshape(c.shape[:-1] + (1,) * r.ndim + j.shape)  # one row per radius
-        c = (c if sign > 0 else np.conjugate(c)) * r[..., None] ** j
+        c = (c if sign > 0 else np.conjugate(c)) * powers[..., : j.size]
         if shift:
             c = c * np.exp(sign * 1j * np.pi / n * j)
         if len(j) > n:  # fold index j onto j mod n

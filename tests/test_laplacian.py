@@ -287,8 +287,29 @@ def three_call_ratio_sup(m: PlanarHarmonicMap) -> float:
 
     f = on_grid(m.g.coeffs, m.h.coeffs)
     gp, hp = on_grid(m.g_prime.coeffs), on_grid(m.h_prime.coeffs)
-    laplacian._check_domain(f, "on the grid")
-    num, den = laplacian._lap_abs_f(f, gp, hp), laplacian._lap_ulogu(f, gp, hp)
+    laplacian._check_domain(float(np.abs(f).min()), float(f.real.min()), "on the grid")
+    num, den = laplacian._lap_abs_f(f, np.abs(f), gp, hp), laplacian._lap_ulogu(f, gp, hp)
+    ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                     np.where(num > 0.0, np.inf, 0.0))
+    return float(ratio.max())
+
+
+def concatenated_ratio_sup(m: PlanarHarmonicMap) -> float:
+    """The ratio sup with z = 0 put in front of the circle values by one
+    ``np.concatenate``, the domain check and closed forms inlined: the
+    reference for taking z = 0 apart from the circles."""
+    radii = np.arange(1, laplacian.RATIO_GRID_RADII + 1) / laplacian.RATIO_GRID_RADII
+    rows = stacked([m.g, m.g_prime, m.h_prime, m.h])
+    G = rows[:3]
+    on_circles = circle_values(G, rows[3:], radii, laplacian.RATIO_GRID_ANGLES)
+    f, gp, hp = np.concatenate((G[:, :1], on_circles.reshape(3, -1)), axis=1)
+    af_min, u_min = float(np.abs(f).min()), float(f.real.min())
+    if af_min <= laplacian.TAU_F:
+        raise HypothesisViolation(f"min |f| = {af_min:.3e} on the grid")
+    if u_min <= 0.0:
+        raise HypothesisViolation(f"min u = {u_min:.3e} on the grid")
+    num = np.abs(gp - (f / np.conjugate(f)) * hp) ** 2 / np.abs(f)
+    den = np.abs(gp + hp) ** 2 / np.real(f)
     ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
                      np.where(num > 0.0, np.inf, 0.0))
     return float(ratio.max())
@@ -296,8 +317,8 @@ def three_call_ratio_sup(m: PlanarHarmonicMap) -> float:
 
 def three_call_area_integrand(m: PlanarHarmonicMap, rho: np.ndarray, n: int) -> np.ndarray:
     """lap|f| on the circles rho, one ``circle_values`` call each for f, g' and h'."""
-    return laplacian._lap_abs_f(circle_values(m.g.coeffs, m.h.coeffs, rho, n),
-                                circle_values(m.g_prime.coeffs, None, rho, n),
+    f = circle_values(m.g.coeffs, m.h.coeffs, rho, n)
+    return laplacian._lap_abs_f(f, np.abs(f), circle_values(m.g_prime.coeffs, None, rho, n),
                                 circle_values(m.h_prime.coeffs, None, rho, n))
 
 
@@ -339,8 +360,25 @@ class TestRatioGrid:
             laplacian_ratio_sup(m)
 
     def test_vanishing_modulus_at_the_centre_raises(self):
+        # f = z: |f| >= 1/32 on the circles, so only z = 0 fails the check
+        m = analytic(0.0, 1.0)
         with pytest.raises(HypothesisViolation, match=r"min \|f\|"):
-            laplacian_ratio_sup(analytic(0.0, 1.0))
+            laplacian_ratio_sup(m)
+        assert outcome(laplacian_ratio_sup, m) == outcome(concatenated_ratio_sup, m)
+
+    @pytest.mark.parametrize("degree", [2, 16])
+    @pytest.mark.parametrize("k", [0.0, 0.3, 0.9])
+    def test_is_the_concatenated_grid(self, k, degree):
+        for seed in range(25):
+            m = random_qr_map(seed, k, degree)
+            got, want = outcome(laplacian_ratio_sup, m), outcome(concatenated_ratio_sup, m)
+            assert repr(got) == repr(want), f"seed={seed}"
+
+    @pytest.mark.parametrize("g, h", [((2.0, 1.0, 0.5), (0.0, -1.0)),  # g' + h' = z
+                                      ((2.0, 1.0), (0.0, -1.0))])  # g' + h' = 0
+    def test_zero_denominator_under_a_positive_numerator_is_inf(self, g, h):
+        m = PlanarHarmonicMap(g=ComplexSeries(g), h=ComplexSeries(h))
+        assert laplacian_ratio_sup(m) == math.inf == concatenated_ratio_sup(m)
 
 
 class TestLaplacianRatioSup:

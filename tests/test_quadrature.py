@@ -372,8 +372,8 @@ def test_disk_area_agrees_with_the_panel_rule(q, seed, k):
     m = random_qr_map(seed, k)
 
     def rows(rho, n):  # the lap|f| rows of disk_green_identity
-        return _lap_abs_f(circle_values(m.g.coeffs, m.h.coeffs, rho, n),
-                          circle_values(m.g_prime.coeffs, None, rho, n),
+        f = circle_values(m.g.coeffs, m.h.coeffs, rho, n)
+        return _lap_abs_f(f, np.abs(f), circle_values(m.g_prime.coeffs, None, rho, n),
                           circle_values(m.h_prime.coeffs, None, rho, n))
 
     value, err = disk_area_log_mean(rows, 0.9, q)

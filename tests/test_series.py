@@ -289,6 +289,41 @@ def test_horner_runs_in_complex128():
     assert (got == 1.0).all()  # 1 + 2^-60 rounds to 1 in a double
 
 
+@pytest.mark.parametrize("rows", [(), (3,), (2, 6)])
+@pytest.mark.parametrize("points", [(), (1,), (2,), (3,), (15,), (4, 3)])
+def test_horner_block_is_each_row_and_point_alone(rows, points):
+    # numpy multiplies one complex element in place through another loop
+    # than an array, so an in-place product would move the bits of a
+    # one-point call away from the same point inside an array
+    rng = np.random.default_rng(len(rows) * 10 + len(points))
+    coeffs = rng.standard_normal((*rows, 66, 2)) @ np.array([1.0, 1j])
+    z = np.asarray(0.9 * rng.uniform(0, 1, points) * np.exp(2j * np.pi * rng.uniform(0, 1, points)))
+    block = horner(coeffs, z)
+    assert block.shape == (*rows, *points) and block.dtype == np.complex128
+    for r in np.ndindex(rows):
+        assert horner(coeffs[r], z).tobytes() == np.asarray(block[r]).tobytes()
+        for p in np.ndindex(points):
+            assert horner(coeffs[r], z[p]) == block[r + p]
+    for p in np.ndindex(points):
+        assert horner(coeffs, z[p]).tobytes() == np.asarray(block[(...,) + p]).tobytes()
+
+
+def test_horner_peak_memory_is_two_results():
+    # two buffers of the result's size made once; a new array per step
+    # (acc = acc * z + c) held three at its peak
+    coeffs = stacked([random_series(s, 64, zero_constant=False) for s in range(3)])
+    z = 0.9 * np.exp(2j * np.pi * np.arange(8193) / 8193)
+    horner(coeffs, z)
+    tracemalloc.start()
+    try:
+        out = horner(coeffs, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3, 8193)
+    assert peak <= 2.5 * out.nbytes
+
+
 def test_stacked_pads_rows_to_one_length():
     rows = stacked([ComplexSeries((1.0, 2.0)), ComplexSeries.zero(), ComplexSeries((0, 0, 3j))])
     assert rows.tolist() == [[1, 2, 0], [0, 0, 0], [0, 0, 3j]]
