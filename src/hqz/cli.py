@@ -2,15 +2,19 @@
 
     hqz <scenario> [--key=value ...] [--config PATH] [--out PATH] [--format csv|jsonl]
 
-One subcommand per verifiable claim; every scenario runs with zero
-configuration, writes one table, prints a single PASS/FAIL line that
-names each acceptance criterion that fails, and exits 0 iff PASS.  A
-plain-text key=value config file can seed the options and command-line
-flags override it; the environment variable HQZ_SEED overrides the seed
-count from either.
-Unknown scenarios or keys are rejected (exit 2); unwritable output paths
-exit 3.  Floats are formatted with 17 significant digits so rerunning a
-configuration reproduces the output byte for byte.
+One subcommand per verifiable claim: the three theorems (verify-t1,
+verify-t2 with its tightness witnesses, verify-t3 with the ball
+families' limits), the strip corollary, and the audits of the proof's
+lemmas and constants.  Every scenario runs with zero configuration,
+writes one table, prints a single PASS/FAIL line that names each
+acceptance criterion that fails, and exits 0 iff PASS.  A plain-text
+key=value config file can seed the options and command-line flags
+override it; the environment variable HQZ_SEED overrides the seed count
+from either.
+Unknown scenarios, unknown keys and keys the scenario does not read are
+rejected (exit 2); unwritable output paths exit 3.  Floats are formatted
+with 17 significant digits so rerunning a configuration reproduces the
+output byte for byte.
 """
 
 from __future__ import annotations
@@ -20,16 +24,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ball import (AffineBallMap, X_of, Y_of, ball_green_calibration,
-                   ball_green_identity_n3, phi_of_m, ratio_limit_scan)
+from .ball import AffineBallMap, ball_green_calibration, ball_green_identity_n3, phi_of_m
 from .errors import ConfigError, DomainError, HqzError
 from .functionals import calderon_norms, calderon_ratio_estimate
 from .laplacian import audit_laplacians, disk_green_identity, laplacian_ratio_sup
-from .planar import PlanarHarmonicMap, dilatation_sup, random_qr_map
+from .planar import PlanarHarmonicMap, dilatation_sup, map_to_json, random_qr_map
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (fuzz_search, verify_T1, verify_T2, verify_T2_strip,
@@ -129,6 +132,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         merged.update(_read_config_file(raw["config"]))
         if merged.pop("scenario", scenario) != scenario:
             raise ConfigError("config file scenario differs from command line")
+    given = [*merged, *raw]  # HQZ_SEED is the environment, not a key given
     env_seed = os.environ.get("HQZ_SEED")
     if env_seed is not None:
         merged["seeds"] = _parse_value("seeds", env_seed)
@@ -142,6 +146,11 @@ def parse_args(argv: list[str]) -> RunConfig:
                                  for f in fields(QuadratureSpec) if f.name in merged})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    keys = _keys(scenario)
+    unread = [key for key in given if key not in keys]
+    if unread:
+        raise ConfigError(f"{scenario} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(keys)}")
     return RunConfig(scenario=scenario, quadrature=quad, **merged)
 
 
@@ -189,41 +198,6 @@ AUDIT_COLUMNS = ("seed", "k", "points", "skipped", "max_rel_abs_f", "max_rel_ulo
 
 def _default(value, fallback):
     return fallback if value is None else value
-
-
-def run_reproduce_sharpness_3d(cfg: RunConfig):
-    q = cfg.quadrature
-    rows = []
-    for m in (2, 5, 10, 20, 50, 100):
-        fam = AffineBallMap(n=3, c=float(m * m), a=float(m))
-        x = X_of(fam, q)
-        ph = phi_of_m(float(m))
-        two_y = 2.0 * Y_of(fam, q)
-        rows.append({"m": m, "X": x, "phi": ph, "phi_gap": abs(ph - 1.0 / 3.0),
-                     "two_Y": two_y, "cross_check": abs(ph - two_y)})
-    gaps = [row["phi_gap"] for row in rows if row["m"] >= 10]
-    criteria = {"|X - 1/3| <= 1e-8 at m = 2, 5, 10":
-                all(abs(r["X"] - 1.0 / 3.0) <= 1e-8 for r in rows if r["m"] <= 10),
-                "|phi - 2Y| <= 1e-7": all(r["cross_check"] <= 1e-7 for r in rows),
-                "phi gap decreases over m = 10..100": all(b < a for a, b in zip(gaps, gaps[1:])),
-                "|phi(100) - 1/3| < 1e-3": rows[-1]["phi_gap"] < 1e-3}
-    detail = (f"max |X - 1/3| = {np.max([abs(r['X'] - 1/3) for r in rows]):.2e}, "
-              f"|phi(100) - 1/3| = {rows[-1]['phi_gap']:.2e}")
-    return rows, criteria, detail
-
-
-def run_reproduce_ratio_limit(cfg: RunConfig):
-    n = _default(cfg.n, 3)
-    if n < 2:
-        raise ConfigError(f"n must be at least 2 for reproduce-ratio-limit, got {n}")
-    q = cfg.quadrature
-    scan = ratio_limit_scan(n, (0.2, 0.1, 0.05, 0.01), q)
-    rows = [asdict(r) for r in scan]
-    devs = [r.deviation for r in scan]
-    criteria = {"final deviation < 5%": devs[-1] < 0.05,
-                "deviations decrease": all(b < a for a, b in zip(devs, devs[1:]))}
-    detail = f"final X/Y = {scan[-1].ratio:.6f} vs target {n - 1} (dev {devs[-1]:.2%})"
-    return rows, criteria, detail
 
 
 def run_reproduce_strip(cfg: RunConfig):
@@ -299,17 +273,18 @@ def run_verify_t2(cfg: RunConfig):
     seeds = _default(cfg.seeds, 200)
     q = cfg.quadrature
     rows = []
-    for k in (0.0, 0.1, 0.3, 0.5):
+    for k in (0.0, 0.1, 0.3, 0.5) if cfg.k is None else (cfg.k,):
         summary = fuzz_search(seeds, k, cfg.degree, q, r=cfg.r)
         rows.append({"k": k, "seeds": summary.seeds,
                      "worst_margin": summary.worst_margin,
-                     "best_ratio": summary.best_ratio})
+                     "best_ratio": summary.best_ratio, "witness": summary.witness})
     worst = float(np.min([r["worst_margin"] for r in rows]))
     constant = PlanarHarmonicMap(g=ComplexSeries.constant(1.0),
                                  h=ComplexSeries.zero())
     degenerate = verify_T2(constant, 1.0, q, K=1.0)
     rows.append({"k": 0.0, "seeds": 0, "worst_margin": degenerate.margin,
-                 "best_ratio": degenerate.lhs / degenerate.rhs})
+                 "best_ratio": degenerate.lhs / degenerate.rhs,
+                 "witness": map_to_json(constant)})
     criteria = {"worst margin >= -1e-9": all(r["worst_margin"] >= -1e-9
                                              for r in rows if r["seeds"] > 0),
                 "degenerate margin == 0": degenerate.margin == 0.0}
@@ -320,39 +295,37 @@ def run_verify_t2(cfg: RunConfig):
 def run_verify_t3(cfg: RunConfig):
     q = cfg.quadrature
     rows = []
-    for m in (2.0, 5.0, 10.0):
+    for m in (2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
         rep = verify_T3_affine(AffineBallMap(n=3, c=m * m, a=m), q)
         rows.append({"family": "m", "n": 3, "param": m, "lhs_X": rep.lhs,
-                     "rhs": rep.rhs, "margin": rep.margin,
-                     "ratio": rep.lhs / rep.rhs})
-    deviations = []
+                     "Y": rep.params["Y"], "rhs": rep.rhs, "margin": rep.margin,
+                     "ratio": rep.lhs / rep.rhs, "phi": phi_of_m(m)})
+    m_rows = rows[:]
+    deviations = []  # one list per n, over the a scan
     for n in range(2, 9):
-        rep = verify_T3_affine(AffineBallMap(n=n, c=1.0, a=0.01), q)
-        ratio = rep.lhs / rep.params["Y"]
-        rows.append({"family": "a", "n": n, "param": 0.01, "lhs_X": rep.lhs,
-                     "rhs": rep.rhs, "margin": rep.margin,
-                     "ratio": ratio / (n - 1)})
-        deviations.append(abs(ratio - (n - 1)) / (n - 1))
+        deviations.append([])
+        for a in (0.2, 0.1, 0.05, 0.01):
+            rep = verify_T3_affine(AffineBallMap(n=n, c=1.0, a=a), q)
+            ratio = rep.lhs / rep.params["Y"]
+            rows.append({"family": "a", "n": n, "param": a, "lhs_X": rep.lhs,
+                         "Y": rep.params["Y"], "rhs": rep.rhs, "margin": rep.margin,
+                         "ratio": ratio / (n - 1), "phi": math.nan})
+            deviations[-1].append(abs(ratio - (n - 1)) / (n - 1))
+    gaps = [abs(r["phi"] - 1.0 / 3.0) for r in m_rows if r["param"] >= 10]
     criteria = {"margin >= -1e-9": all(r["margin"] >= -1e-9 for r in rows),
-                "a-family X/Y within 5% of n - 1": all(d < 0.05 for d in deviations)}
-    detail = f"min margin = {np.min([r['margin'] for r in rows]):.3e}"
-    return rows, criteria, detail
-
-
-def run_fuzz(cfg: RunConfig):
-    seeds = _default(cfg.seeds, 200)
-    k = _default(cfg.k, 0.5)
-    summary = fuzz_search(seeds, k, cfg.degree, cfg.quadrature, r=cfg.r)
-    rows = [{"seeds": summary.seeds, "k": k,
-             "worst_margin": summary.worst_margin,
-             "best_ratio": summary.best_ratio,
-             "witness": summary.witness}]
-    criteria = {"worst margin >= -1e-9": summary.seeds == 0 or summary.worst_margin >= -1e-9}
-    if summary.seeds == 0:
-        detail = "empty corpus, vacuous PASS"
-    else:
-        detail = (f"worst margin {summary.worst_margin:.3e}, "
-                  f"best ratio {summary.best_ratio:.6f} over {seeds} seeds")
+                "a-family X/Y within 5% of n - 1": all(d < 0.05 for devs in deviations
+                                                       for d in devs),
+                "deviations decrease": all(b < a for devs in deviations
+                                           for a, b in zip(devs, devs[1:])),
+                "|X - 1/3| <= 1e-8 at m = 2, 5, 10":
+                all(abs(r["lhs_X"] - 1.0 / 3.0) <= 1e-8 for r in m_rows if r["param"] <= 10),
+                "|phi - 2Y| <= 1e-7": all(abs(r["phi"] - r["rhs"]) <= 1e-7 for r in m_rows),
+                "phi gap decreases over m = 10..100": all(b < a for a, b in zip(gaps, gaps[1:])),
+                "|phi(100) - 1/3| < 1e-3": gaps[-1] < 1e-3}
+    detail = (f"min margin = {np.min([r['margin'] for r in rows]):.3e}, "
+              f"max |X - 1/3| = {np.max([abs(r['lhs_X'] - 1.0 / 3.0) for r in m_rows]):.2e}, "
+              f"|phi(100) - 1/3| = {gaps[-1]:.2e}, "
+              f"max X/Y deviation from n - 1 = {np.max(deviations):.2%}")
     return rows, criteria, detail
 
 
@@ -402,19 +375,38 @@ def run_green_audit(cfg: RunConfig):
 
 
 RUNNERS = {
-    "reproduce-sharpness-3d": run_reproduce_sharpness_3d,
-    "reproduce-ratio-limit": run_reproduce_ratio_limit,
     "reproduce-strip": run_reproduce_strip,
     "verify-t1": run_verify_t1,
     "verify-t2": run_verify_t2,
     "verify-t3": run_verify_t3,
-    "fuzz": run_fuzz,
     "laplacian-audit": run_laplacian_audit,
     "green-audit": run_green_audit,
     "calderon-estimate": run_calderon_estimate,
 }
 
+#: the RunConfig fields each scenario reads besides out and format; a key
+#: given for any other field is refused
+READS = {
+    "reproduce-strip": ("n", "quadrature"),
+    "verify-t1": ("seeds", "k", "r", "degree", "c1c2", "quadrature"),
+    "verify-t2": ("seeds", "k", "r", "degree", "quadrature"),
+    "verify-t3": ("quadrature",),
+    "laplacian-audit": ("seeds", "k", "degree"),
+    "green-audit": ("degree", "quadrature"),
+    "calderon-estimate": ("seeds", "degree", "quadrature"),
+}
+
 SCENARIOS = tuple(RUNNERS)
+
+
+def _keys(scenario: str) -> list[str]:
+    """The keys ``scenario`` reads, in KEYS order: format, out and config,
+    and its READS, with quadrature standing for QuadratureSpec's fields."""
+    reads = {"format", "out", "config", *READS[scenario]}
+    if "quadrature" in reads:
+        reads.update(f.name for f in fields(QuadratureSpec))
+    return [key for key in KEYS if key in reads]
+
 
 #: header of a table with no rows; any other table's comes from its first row
 EMPTY_TABLE_COLUMNS = {"verify-t1": T1_COLUMNS, "laplacian-audit": AUDIT_COLUMNS}

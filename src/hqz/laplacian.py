@@ -84,10 +84,10 @@ def laplacian_abs_f(m: PlanarHarmonicMap, z: complex) -> float:
     """lap |f| at z from the closed form; needs |f(z)| above TAU_F."""
     z = complex(z)
     f, gp, hp = m(z), m.g_prime(z), m.h_prime(z)
-    af = abs(f)
+    af = np.abs(f)
     if af <= TAU_F:
         raise HypothesisViolation(f"|f(z)| = {af:.3e} <= {TAU_F:.1e}")
-    return float(_lap_abs_f(f, np.abs(f), gp, hp))  # np.abs rounds unlike abs
+    return float(_lap_abs_f(f, af, gp, hp))
 
 
 def laplacian_ulogu(m: PlanarHarmonicMap, z: complex) -> float:

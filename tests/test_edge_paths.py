@@ -28,21 +28,21 @@ def test_one_error_type_per_way_a_run_fails():
 
 def test_config_scenario_mismatch(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("scenario = verify-t2\nseeds = 1\n")
-    with pytest.raises(ConfigError):
-        parse_args(["fuzz", "--config", str(path)])
+    path.write_text("scenario = verify-t1\nseeds = 1\n")
+    with pytest.raises(ConfigError, match="^config file scenario differs"):
+        parse_args(["verify-t2", "--config", str(path)])
 
 
 def test_config_scenario_match_accepted(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("scenario = fuzz\nseeds = 1\n")
-    cfg = parse_args(["fuzz", "--config", str(path)])
+    path.write_text("scenario = verify-t2\nseeds = 1\n")
+    cfg = parse_args(["verify-t2", "--config", str(path)])
     assert cfg.seeds == 1
 
 
 def test_jsonl_serializes_nonfinite_fields(tmp_path, capsys):
     out = tmp_path / "vacuous.jsonl"
-    code = main(["fuzz", "--seeds=0", "--format=jsonl", "--out", str(out)])
+    code = main(["verify-t2", "--seeds=0", "--format=jsonl", "--out", str(out)])
     assert code == 0
     record = json.loads(out.read_text().splitlines()[0])
     assert record["worst_margin"] == "inf"

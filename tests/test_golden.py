@@ -5,11 +5,13 @@ output: the table the run writes, what it prints and its exit code, with
 one short digest per line so that a failure names the first line that
 moved.  Each case runs through ``cli.main`` in an empty directory, with
 relative output names, since the printed line names the table's path.
-The cases are the ten scenarios at their defaults, the scenario lines of
-the CI workflow and its FAIL line.
+The cases are the scenarios at their defaults, the runs that reach a
+path the defaults do not (each with its reason), the JSONL writer and the
+FAIL line of the CI workflow.
 
 The manifest holds bits, so it is compared only on the platform and
-numpy version it was made on; elsewhere the test skips and says why.
+numpy version it was made on; elsewhere the test checks only the exit
+code, then skips and says why.
 
 Regenerate it, after a change that moves an output on purpose, with
 
@@ -33,21 +35,32 @@ from hqz.cli import SCENARIOS, main
 
 MANIFEST = Path(__file__).with_name("golden.json")
 
+# verify-t3 at its defaults runs C_n's even and odd recurrences, through
+# the sphere means, at every n = 2 ... 8
 CASES = [[s] for s in SCENARIOS] + [
-    ["fuzz", "--degree=40", "--seeds=20"],
-    ["fuzz", "--degree=63", "--seeds=20"],
-    ["fuzz", "--degree=1", "--seeds=50", "--k=0.9"],
-    ["fuzz", "--k=0", "--seeds=65"],
-    ["fuzz", "--circle_nodes=16", "--seeds=50"],
+    # omega of degree 40 leaves g' degree 23 below the cap
+    ["verify-t2", "--k=0.5", "--degree=40", "--seeds=20"],
+    # omega of degree 63 leaves g' degree 0, so 1 + omega is cut to its constant
+    ["verify-t2", "--k=0.5", "--degree=63", "--seeds=20"],
+    # the shortest omega, at the largest k the corpus draws
+    ["verify-t2", "--degree=1", "--seeds=50", "--k=0.9"],
+    # omega = 0 (P = F'), in one chunk of 64 seeds and one of 1
+    ["verify-t2", "--k=0", "--seeds=65"],
+    # from 16 nodes the rows of one verification stack settle at
+    # different levels, M_1 and the entropy of one row too
+    ["verify-t2", "--k=0.5", "--circle_nodes=16", "--seeds=50"],
     ["verify-t2", "--degree=2", "--seeds=20", "--r=0.9"],
+    # from 64 nodes the square-function norms settle at different levels, in three stacks
     ["calderon-estimate", "--circle_nodes=64", "--seeds=150"],
     ["verify-t1", "--circle_nodes=64", "--seeds=150"],
+    # the K^2 bound from dilatation_sup's stacked Newton polish, on
+    # N = 128 nodes at degree 2 and at k = 0.9
     ["laplacian-audit", "--degree=2", "--seeds=20"],
     ["laplacian-audit", "--k=0.9", "--seeds=10"],
+    # h = 0: the one-series audit, and a zero h' row in the stacked grid
     ["laplacian-audit", "--k=0", "--seeds=10"],
-    ["reproduce-ratio-limit", "--n=2"],
-    ["reproduce-ratio-limit", "--n=8"],
-    ["fuzz", "--seeds=0", "--format=jsonl", "--out", "empty.jsonl"],
+    # the JSONL writer, on the vacuous row of an empty corpus
+    ["verify-t2", "--seeds=0", "--format=jsonl", "--out", "empty.jsonl"],
     ["verify-t1", "--seeds=2", "--c1c2=1e-6"],  # the FAIL line, exit 1
 ]
 
@@ -82,16 +95,18 @@ def load_manifest() -> dict:
 def test_output_matches_the_manifest(argv, tmp_path, monkeypatch):
     manifest = load_manifest()
     made, here = manifest["made_on"], made_on()
-    for key in ("platform", "numpy"):
-        if made[key] != here[key]:
-            pytest.skip(f"exact mode needs {key} {made[key]} (this is {here[key]}); "
-                        "no tolerance mode exists yet")
     case = " ".join(argv)
     want = manifest["cases"][case]
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HQZ_SEED", raising=False)
     lines = output_lines(argv)
     got = digests(lines)
+    for key in ("platform", "numpy"):
+        if made[key] != here[key]:
+            # elsewhere the case still runs, and must exit as it does here
+            assert got["lines"][-1] == want["lines"][-1], f"hqz {case}: {lines[-1]!r}"
+            pytest.skip(f"exact mode needs {key} {made[key]} (this is {here[key]}); "
+                        "the exit code matched, and no tolerance mode exists yet")
     if got["sha256"] != want["sha256"]:
         i = next((i for i, (a, b) in enumerate(zip(got["lines"], want["lines"])) if a != b),
                  min(len(got["lines"]), len(want["lines"])))

@@ -55,6 +55,16 @@ class TestClosedForms:
         with pytest.raises(HypothesisViolation, match=r"\|f\(z\)\|"):
             laplacian_abs_f(analytic(0.0, 1.0), 0.0)
 
+    def test_abs_guard_reads_the_modulus_it_divides_by(self):
+        # abs and np.abs of these f(0) round to opposite sides of TAU_F; the
+        # guard and 1/|f| must read one of them, as the grid's check does
+        inside = complex(-6.520162635843662e-09, -7.582049802141123e-09)
+        outside = complex(9.17935253630303e-09, -3.967302233794036e-09)
+        assert np.abs(inside) > laplacian.TAU_F >= np.abs(outside)
+        assert laplacian_abs_f(analytic(inside, 1.0), 0.0) == 1.0 / np.abs(inside)
+        with pytest.raises(HypothesisViolation, match=r"\|f\(z\)\| = 1\.000e-08"):
+            laplacian_abs_f(analytic(outside, 1.0), 0.0)
+
     def test_ulogu_two_plus_z(self):
         assert laplacian_ulogu(analytic(2.0, 1.0), 0.0) == pytest.approx(0.5, rel=1e-14)
         assert laplacian_ulogu(analytic(2.0, 1.0), 0.5) == pytest.approx(0.4, rel=1e-14)
