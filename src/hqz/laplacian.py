@@ -269,14 +269,26 @@ def _shift_order(coeffs: np.ndarray, radius: float, step: float) -> int:
     sum_j b_j d^j add up to at most step^(J+1) B_(J+1)(radius + step), as
     C(k, j) <= C(k, J+1) C(k-J-1, j-J-1).  J is the first order where that
     bound is below eps step B_1, the rounding of the first-order term.
-    The B_j are one matrix-vector product of nonnegative terms, which
+    The B_j are a matrix-vector product of nonnegative terms, which
     evaluates no series of the map, so ``horner`` stays the one evaluator.
-    Needs at least two coefficients per row.
+    Only the rows up to B_(J+1) decide J, so the product is formed on the
+    first 8 rows, and on twice as many until the test passes inside them
+    or the rows are all of them (B_n = 0 past the last).  Needs at least
+    two coefficients per row.
     """
-    binom, index = _shift_weights(coeffs.shape[-1])
-    bound = (binom * np.abs(coeffs).sum(axis=0)[index]) @ (radius + step) ** np.arange(len(binom))
-    tail = step ** np.arange(2, bound.size + 1) * np.append(bound[2:], 0.0)
-    return 1 + int(np.argmax(tail <= np.finfo(float).eps * step * bound[1]))
+    n = coeffs.shape[-1]
+    binom, index = _shift_weights(n)
+    a, powers = np.abs(coeffs).sum(axis=0), (radius + step) ** np.arange(n)
+    rows = min(8, n)
+    while True:
+        bound = (binom[:rows] * a[index[:rows]]) @ powers
+        if rows == n:
+            bound = np.append(bound, 0.0)
+        passed = step ** np.arange(2, bound.size) * bound[2:] <= np.finfo(float).eps * step * bound[1]
+        order = int(np.argmax(passed))
+        if passed[order] or rows == n:
+            return 1 + order
+        rows = min(2 * rows, n)
 
 
 def _relative_deviation(closed: np.ndarray, fd: np.ndarray) -> np.ndarray:

@@ -10,17 +10,24 @@ user, so map construction carries no quadrature error at all.
 
 There are two ways to evaluate, both in complex128: ``horner`` takes
 rows of coefficients (``stacked`` pads series to one length) to arbitrary
-points, one Horner step per power on the whole block of rows and points
-in two buffers made once, and ``circle_values`` takes rows of
-coefficients, on radii, to g + conj(h) at uniform angles on circles by
-one inverse FFT per circle.  ``ComplexSeries.__call__`` is ``horner``, on
-one point as on an array, with the bits that point gets inside an array
-(``horner`` says why its product is out of place).  Every circle
-functional goes through ``circle_values``.
+points, one Horner step per power on the whole block of rows and points,
+flattened to one axis, in two buffers made once, and ``circle_values``
+takes rows of coefficients, on radii, to g + conj(h) at uniform angles on
+circles by one inverse FFT per circle.  ``ComplexSeries.__call__`` is
+``horner``, on one point as on an array, with the bits that point gets
+inside an array.  The block is flat so that a Horner step's two numpy
+calls take operands of its shape: a broadcast operand about doubles a
+call's cost, most of a step on the program's small blocks.  One row adds
+its coefficients as 0-d scalars and needs no columns; more rows add
+columns materialized on the block up to ``HORNER_COLUMNS_BUDGET``, past
+which their memory and time outweigh the broadcast's cost.  A flat
+one-element block also stays out of numpy's scalar loop, which rounds
+differently.  Every circle functional goes through ``circle_values``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +37,12 @@ from .errors import DomainError
 
 #: truncation degree of the maps ``make_qr_map`` builds
 DEGREE_CAP = 64
+
+#: elements (powers x rows x points) up to which ``horner`` materializes its
+#: coefficient columns on the flat block, 1 MiB: the audit's (2, J + 1) x 15
+#: points, the crossings' (2, 65) x brackets and the dilatation polish fit
+#: it; a bigger block adds (rows, 1) columns instead
+HORNER_COLUMNS_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)  # == over an array field would raise
@@ -98,24 +111,42 @@ def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     complex128; the result has shape coeffs.shape[:-1] + z.shape (a scalar
     for one series at a 0-d z).
 
-    The whole block, shape rows + z.shape, runs through two buffers made
-    once: each step writes acc * z into the second and adds the
-    coefficient column back into acc, so no step allocates.  numpy
-    multiplies complex arrays in a vector loop, but one element in place,
-    or one element held in a (1, 1) block, in a scalar loop that rounds
-    differently (numpy 2.4).  So the product stays out of place and the
-    block keeps the shapes of rows and z: one point then gets the bits it
-    gets inside an array.
+    The block of rows and points runs flattened to one axis through two
+    buffers made once: each step writes acc * z into the second and adds
+    the coefficient column back into acc, so no step allocates.  A numpy
+    call costs about twice as much when an operand is broadcast, which is
+    most of a step on a block of a few hundred values, so each operand has
+    the block's shape or is 0-d: z is broadcast to the block once, one row
+    adds each coefficient as a 0-d scalar, and more rows add each column
+    materialized on the block while all of them fit
+    ``HORNER_COLUMNS_BUDGET``.  A larger block adds (rows, 1) columns to a
+    (rows, points) block instead: there the broadcast costs little per
+    value, and the peak stays two results.  numpy multiplies complex
+    arrays in a vector loop, but one element in place, or one element in
+    a block of two or more axes against a broadcast operand, in a scalar
+    loop that rounds differently (numpy 2.4).  So the product stays out of
+    place and a one-element block is (1,): one point gets the bits it gets
+    inside an array.
     """
     z = np.asarray(z, dtype=complex)
     *rows, n = coeffs.shape
-    acc = np.zeros((*rows, *z.shape), dtype=complex)
+    n_rows, n_points = math.prod(rows), z.size
+    columns = coeffs.reshape(n_rows, n).T[::-1]  # (powers, rows), top power first
+    block = (n_rows * n_points,)
+    if n_rows == 1:
+        columns, zs = columns[:, 0], z.reshape(-1)
+    elif n * n_rows * n_points <= HORNER_COLUMNS_BUDGET:
+        zs = np.broadcast_to(z.reshape(-1), (n_rows, n_points)).reshape(-1)
+        columns = np.broadcast_to(columns[..., None], (n, n_rows, n_points)).reshape(n, -1)
+    else:
+        block = (n_rows, n_points)
+        columns, zs = np.ascontiguousarray(columns)[..., None], z.reshape(-1)
+    acc = np.zeros(block, dtype=complex)
     prod = np.empty_like(acc)
-    columns = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0)[::-1])  # top power first
-    for c in columns.reshape((n, *rows) + (1,) * z.ndim):
-        np.multiply(acc, z, prod)
+    for c in columns:
+        np.multiply(acc, zs, prod)
         np.add(prod, c, acc)
-    return acc[()]
+    return acc.reshape((*rows, *z.shape))[()]
 
 
 def circle_values(g: np.ndarray, h: np.ndarray | None, r, n: int,

@@ -33,6 +33,10 @@ def analytic(*coeffs) -> PlanarHarmonicMap:
 GRID_MAPS = [random_qr_map(seed, k, degree) for degree in (1, 2, 16, 40)
              for k in (0.0, 0.3, 0.9) for seed in range(4)] + [analytic(2.0)]
 
+#: the order grid: corpus maps at k = 0 ... 0.9 and degrees 1 ... 63, 15 seeds each
+ORDER_GRID_MAPS = [random_qr_map(seed, k, degree) for k in (0.0, 0.1, 0.3, 0.5, 0.9)
+                   for degree in (1, 2, 16, 40, 63) for seed in range(15)]
+
 
 def outcome(fn, *args):
     """fn(*args), or the type and message of the HqzError it raises."""
@@ -242,10 +246,12 @@ class TestTaylorShift:
         assert 1 <= order < 16
         assert dropped.max() <= np.finfo(float).eps * step * b1
 
-    @pytest.mark.parametrize("m", GRID_MAPS)
+    @pytest.mark.parametrize("m", GRID_MAPS + ORDER_GRID_MAPS)
     def test_order_matches_the_horner_bound(self, m):
         # B_j(radius + step) by one horner pass of the binomial-weighted
-        # |a_k|, against the matrix-vector product: the same order J
+        # |a_k|, against the matrix-vector product on its leading rows: the
+        # same order J.  The audit's step 2e-4 stops inside the first 8 rows;
+        # the wider steps need 16, 32 or 64
         def horner_order(coeffs, radius, step):
             binom, index = laplacian._shift_weights(coeffs.shape[-1])
             bound = horner(binom * np.abs(coeffs).sum(axis=0)[index], radius + step).real
@@ -254,9 +260,10 @@ class TestTaylorShift:
 
         # the audit's rows: g, and h unless it is zero, and a zero column
         coeffs = np.pad(stacked([m.g] if m.h.is_zero() else [m.g, m.h]), ((0, 0), (0, 1)))
-        step = 2e-4
-        for radius in (0.25, 0.55, 0.8, 0.99):
-            assert laplacian._shift_order(coeffs, radius, step) == horner_order(coeffs, radius, step)
+        for step in (2e-4, 0.02, 0.3):
+            for radius in (0.25, 0.55, 0.8, 0.99):
+                assert (laplacian._shift_order(coeffs, radius, step)
+                        == horner_order(coeffs, radius, step))
 
     def test_full_shift_changes_only_rounding(self, monkeypatch):
         m = random_qr_map(29, 0.3, 16)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hqz import ComplexSeries, DomainError, make_qr_map, random_series
 from hqz.planar import _integral, _reciprocal
-from hqz.series import circle_values, horner, stacked
+from hqz.series import HORNER_COLUMNS_BUDGET, circle_values, horner, stacked
 
 finite_complex = st.builds(
     complex,
@@ -289,12 +289,14 @@ def test_horner_runs_in_complex128():
     assert (got == 1.0).all()  # 1 + 2^-60 rounds to 1 in a double
 
 
-@pytest.mark.parametrize("rows", [(), (3,), (2, 6)])
-@pytest.mark.parametrize("points", [(), (1,), (2,), (3,), (15,), (4, 3)])
+@pytest.mark.parametrize("rows", [(), (1,), (3,), (2, 6)])
+@pytest.mark.parametrize("points", [(), (1,), (2,), (3,), (15,), (4, 3), (1, 1), (20, 20)])
 def test_horner_block_is_each_row_and_point_alone(rows, points):
-    # numpy multiplies one complex element in place through another loop
-    # than an array, so an in-place product would move the bits of a
-    # one-point call away from the same point inside an array
+    # numpy multiplies one complex element in place, or in a block of two
+    # or more axes against a broadcast operand, through another loop than
+    # an array, so either would move the bits of a one-point call away from
+    # the same point inside an array.  (20, 20) points at 3 or 12 rows make
+    # a block above the columns budget; its points alone are below it
     rng = np.random.default_rng(len(rows) * 10 + len(points))
     coeffs = rng.standard_normal((*rows, 66, 2)) @ np.array([1.0, 1j])
     z = np.asarray(0.9 * rng.uniform(0, 1, points) * np.exp(2j * np.pi * rng.uniform(0, 1, points)))
@@ -304,6 +306,8 @@ def test_horner_block_is_each_row_and_point_alone(rows, points):
         assert horner(coeffs[r], z).tobytes() == np.asarray(block[r]).tobytes()
         for p in np.ndindex(points):
             assert horner(coeffs[r], z[p]) == block[r + p]
+            one = horner(coeffs[r][None], np.reshape(z[p], (1, 1)))  # a (1, 1, 1) block
+            assert one.shape == (1, 1, 1) and one[0, 0, 0] == block[r + p]
     for p in np.ndindex(points):
         assert horner(coeffs, z[p]).tobytes() == np.asarray(block[(...,) + p]).tobytes()
 
@@ -322,6 +326,25 @@ def test_horner_peak_memory_is_two_results():
         tracemalloc.stop()
     assert out.shape == (3, 8193)
     assert peak <= 2.5 * out.nbytes
+
+
+def test_horner_small_block_peak_memory_is_its_operands_and_two_results():
+    # the audit's block: 66 coefficient columns and z, each materialized on
+    # the (2, 6) x 15 block, and the two buffers; one block more covers the
+    # array headers.  A copy of the coefficients beside the columns (4.4
+    # blocks here) would exceed it
+    coeffs = np.random.default_rng(3).standard_normal((2, 6, 66, 2)) @ np.array([1.0, 1j])
+    z = 0.8 * np.exp(2j * np.pi * np.arange(15) / 15)
+    assert coeffs.size * z.size <= HORNER_COLUMNS_BUDGET
+    horner(coeffs, z)
+    tracemalloc.start()
+    try:
+        out = horner(coeffs, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2, 6, 15)
+    assert peak <= (66 + 1 + 2 + 1) * out.nbytes
 
 
 def test_stacked_pads_rows_to_one_length():
