@@ -57,13 +57,7 @@ KEYS = {
 @dataclass
 class RunConfig:
     scenario: str
-    quadrature: QuadratureSpec = QuadratureSpec()
-    seeds: int | None = None     # None means "scenario default"
-    n: int | None = None
-    k: float | None = None
-    r: float = 1.0
-    degree: int = 16
-    c1c2: float | None = None
+    args: dict  # the runner's keyword arguments: SCENARIO_TABLE's defaults, or the keys given
     out: str = ""
     format: str = "csv"
 
@@ -101,7 +95,8 @@ def _read_config_file(path: str) -> dict:
 def parse_args(argv: list[str]) -> RunConfig:
     if not argv:
         raise ConfigError(
-            "usage: hqz <scenario> [--key=value ...] [--out PATH] [--format csv|jsonl]\n"
+            "usage: hqz <scenario> [--key=value ...] [--config PATH] [--out PATH] "
+            "[--format csv|jsonl]\n"
             "scenarios: " + " ".join(SCENARIOS))
     scenario = argv[0]
     if scenario not in SCENARIOS:
@@ -132,7 +127,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         merged.update(_read_config_file(raw["config"]))
         if merged.pop("scenario", scenario) != scenario:
             raise ConfigError("config file scenario differs from command line")
-    given = [*merged, *raw]  # HQZ_SEED is the environment, not a key given
+    # each key once, in the order first given; HQZ_SEED is the environment, not a key given
+    given = list(dict.fromkeys([*merged, *raw]))
     env_seed = os.environ.get("HQZ_SEED")
     if env_seed is not None:
         merged["seeds"] = _parse_value("seeds", env_seed)
@@ -141,17 +137,24 @@ def parse_args(argv: list[str]) -> RunConfig:
     for key, (_, valid, want) in KEYS.items():
         if valid is not None and key in merged and not valid(merged[key]):
             raise ConfigError(f"{key} must be {want}, got {merged[key]!r}")
-    try:  # keys not given keep the defaults of QuadratureSpec and RunConfig
-        quad = QuadratureSpec(**{f.name: merged.pop(f.name)
-                                 for f in fields(QuadratureSpec) if f.name in merged})
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    keys = _keys(scenario)
+    quad = {f.name: merged.pop(f.name) for f in fields(QuadratureSpec) if f.name in merged}
+    if quad:  # the keys not given keep QuadratureSpec's defaults
+        try:
+            merged["quadrature"] = QuadratureSpec(**quad)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+    _, defaults, _ = SCENARIO_TABLE[scenario]
+    reads = {"format", "out", "config", *defaults}
+    if "quadrature" in reads:
+        reads.update(f.name for f in fields(QuadratureSpec))
+    keys = [key for key in KEYS if key in reads]
     unread = [key for key in given if key not in keys]
     if unread:
         raise ConfigError(f"{scenario} does not read {', '.join(unread)}; "
                           f"it reads {', '.join(keys)}")
-    return RunConfig(scenario=scenario, quadrature=quad, **merged)
+    args = {key: merged.get(key, default) for key, default in defaults.items()}
+    return RunConfig(scenario, args, **{key: merged[key] for key in ("out", "format")
+                                        if key in merged})
 
 
 def _fmt(v) -> str:
@@ -185,9 +188,10 @@ def write_rows(header: list[str], rows: list[dict], path: str, fmt: str) -> None
 
 
 # ---------------------------------------------------------------------------
-# scenario implementations: each returns (rows, criteria, detail), criteria
-# naming each condition that must hold, written so that a NaN fails it; the
-# details take np.min and np.max, which keep a NaN where min and max drop it
+# scenario implementations: each takes the keys its SCENARIO_TABLE entry
+# names and returns (rows, criteria, detail), criteria naming each
+# condition that must hold, written so that a NaN fails it; the details
+# take np.min and np.max, which keep a NaN where min and max drop it
 # ---------------------------------------------------------------------------
 
 #: columns of the tables that --seeds=0 leaves without rows
@@ -196,26 +200,20 @@ AUDIT_COLUMNS = ("seed", "k", "points", "skipped", "max_rel_abs_f", "max_rel_ulo
                  "max_ratio", "K2_bound")
 
 
-def _default(value, fallback):
-    return fallback if value is None else value
-
-
-def run_reproduce_strip(cfg: RunConfig):
-    n_max = _default(cfg.n, 64)
-    q = cfg.quadrature
+def run_reproduce_strip(n, quadrature):
     rows = []
     values = []
-    for n in range(1, n_max + 1):
-        rep = verify_T2_strip(n, q)
+    for j in range(1, n + 1):
+        rep = verify_T2_strip(j, quadrature)
         values.append(rep.lhs)
-        rows.append({"n": n, "h1_norm": rep.lhs, "gap": rep.margin,
+        rows.append({"n": j, "h1_norm": rep.lhs, "gap": rep.margin,
                      "gap_envelope": rep.params["gap_envelope"]})
     criteria = {"every norm < 1": all(v < 1.0 for v in values),
                 "norms increase": all(b > a for a, b in zip(values, values[1:])),
-                "gap(32) < 2/33": n_max < 32 or (1.0 - values[31]) < 2.0 / 33.0,
+                "gap(32) < 2/33": n < 32 or (1.0 - values[31]) < 2.0 / 33.0,
                 "|norm(1) - 2/pi| < 1e-9": abs(values[0] - 2.0 / math.pi) < 1e-9}
     detail = (f"norms in [{values[0]:.6f}, {values[-1]:.6f}], all < 1, "
-              f"gap(32) = {1.0 - values[31]:.6f}" if n_max >= 32 else
+              f"gap(32) = {1.0 - values[31]:.6f}" if n >= 32 else
               f"norms in [{values[0]:.6f}, {values[-1]:.6f}]")
     return rows, criteria, detail
 
@@ -229,13 +227,12 @@ def _h_corpus(seeds: int, degree: int) -> list[tuple[str, ComplexSeries]]:
     return corpus
 
 
-def run_calderon_estimate(cfg: RunConfig):
-    seeds = _default(cfg.seeds, 100)
-    q = cfg.quadrature
-    corpus = _h_corpus(seeds, cfg.degree)
+def run_calderon_estimate(seeds, degree, quadrature):
+    corpus = _h_corpus(seeds, degree)
+    norms = calderon_norms([H for _, H in corpus], quadrature)
     rows = [{"member": label, "norm_H": nh, "norm_GH": ng,
              "ratio_H_over_GH": nh / ng, "ratio_GH_over_H": ng / nh}
-            for (label, _), (nh, ng) in zip(corpus, calderon_norms([H for _, H in corpus], q))]
+            for (label, _), (nh, ng) in zip(corpus, norms)]
     # np.max keeps a NaN ratio, so the finite criteria below see it
     c1_lb, c2_lb = (float(np.max([r[key] for r in rows]))
                     for key in ("ratio_H_over_GH", "ratio_GH_over_H"))
@@ -248,17 +245,14 @@ def run_calderon_estimate(cfg: RunConfig):
     return rows, criteria, detail
 
 
-def run_verify_t1(cfg: RunConfig):
-    seeds = _default(cfg.seeds, 100)
-    k = _default(cfg.k, 0.3)
-    q = cfg.quadrature
-    corpus = [H for _, H in _h_corpus(seeds, cfg.degree)]
-    c1_lb, c2_lb = calderon_ratio_estimate(corpus, q)
-    c1c2 = _default(cfg.c1c2, c1_lb * c2_lb)
+def run_verify_t1(seeds, k, r, degree, c1c2, quadrature):
+    corpus = [H for _, H in _h_corpus(seeds, degree)]
+    c1_lb, c2_lb = calderon_ratio_estimate(corpus, quadrature)
+    c1c2 = c1_lb * c2_lb if c1c2 is None else c1c2
     rows = []
     for seed in range(min(seeds, 20)):
-        m = random_qr_map(seed, k, cfg.degree)
-        rep = verify_T1(m, cfg.r, c1c2, q)
+        m = random_qr_map(seed, k, degree)
+        rep = verify_T1(m, r, c1c2, quadrature)
         rows.append(dict(zip(T1_COLUMNS, (seed, k, rep.lhs, rep.rhs, rep.margin,
                                           rep.quad_error,
                                           rep.params["empirical_constant"]))))
@@ -269,19 +263,17 @@ def run_verify_t1(cfg: RunConfig):
     return rows, criteria, detail
 
 
-def run_verify_t2(cfg: RunConfig):
-    seeds = _default(cfg.seeds, 200)
-    q = cfg.quadrature
+def run_verify_t2(seeds, k, r, degree, quadrature):
     rows = []
-    for k in (0.0, 0.1, 0.3, 0.5) if cfg.k is None else (cfg.k,):
-        summary = fuzz_search(seeds, k, cfg.degree, q, r=cfg.r)
+    for k in k if isinstance(k, tuple) else (k,):
+        summary = fuzz_search(seeds, k, degree, quadrature, r=r)
         rows.append({"k": k, "seeds": summary.seeds,
                      "worst_margin": summary.worst_margin,
                      "best_ratio": summary.best_ratio, "witness": summary.witness})
     worst = float(np.min([r["worst_margin"] for r in rows]))
     constant = PlanarHarmonicMap(g=ComplexSeries.constant(1.0),
                                  h=ComplexSeries.zero())
-    degenerate = verify_T2(constant, 1.0, q, K=1.0)
+    degenerate = verify_T2(constant, 1.0, quadrature, K=1.0)
     rows.append({"k": 0.0, "seeds": 0, "worst_margin": degenerate.margin,
                  "best_ratio": degenerate.lhs / degenerate.rhs,
                  "witness": map_to_json(constant)})
@@ -292,11 +284,10 @@ def run_verify_t2(cfg: RunConfig):
     return rows, criteria, detail
 
 
-def run_verify_t3(cfg: RunConfig):
-    q = cfg.quadrature
+def run_verify_t3(quadrature):
     rows = []
     for m in (2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
-        rep = verify_T3_affine(AffineBallMap(n=3, c=m * m, a=m), q)
+        rep = verify_T3_affine(AffineBallMap(n=3, c=m * m, a=m), quadrature)
         rows.append({"family": "m", "n": 3, "param": m, "lhs_X": rep.lhs,
                      "Y": rep.params["Y"], "rhs": rep.rhs, "margin": rep.margin,
                      "ratio": rep.lhs / rep.rhs, "phi": phi_of_m(m)})
@@ -305,7 +296,7 @@ def run_verify_t3(cfg: RunConfig):
     for n in range(2, 9):
         deviations.append([])
         for a in (0.2, 0.1, 0.05, 0.01):
-            rep = verify_T3_affine(AffineBallMap(n=n, c=1.0, a=a), q)
+            rep = verify_T3_affine(AffineBallMap(n=n, c=1.0, a=a), quadrature)
             ratio = rep.lhs / rep.params["Y"]
             rows.append({"family": "a", "n": n, "param": a, "lhs_X": rep.lhs,
                          "Y": rep.params["Y"], "rhs": rep.rhs, "margin": rep.margin,
@@ -329,16 +320,14 @@ def run_verify_t3(cfg: RunConfig):
     return rows, criteria, detail
 
 
-def run_laplacian_audit(cfg: RunConfig):
-    seeds = _default(cfg.seeds, 40)
-    k = _default(cfg.k, 0.3)
+def run_laplacian_audit(seeds, k, degree):
     rows = []
     radii = (0.25, 0.55, 0.8)
     angles = [2.0 * math.pi * j / 5 for j in range(5)]
     points = [r * complex(math.cos(t), math.sin(t)) for r in radii for t in angles]
     pts = np.asarray(points, dtype=complex)
     for seed in range(seeds):
-        m = random_qr_map(seed, k, cfg.degree)
+        m = random_qr_map(seed, k, degree)
         audit = audit_laplacians(m, pts)
         rep = dilatation_sup(m)
         ratio = laplacian_ratio_sup(m)
@@ -355,18 +344,17 @@ def run_laplacian_audit(cfg: RunConfig):
     return rows, criteria, detail
 
 
-def run_green_audit(cfg: RunConfig):
-    q = cfg.quadrature
+def run_green_audit(degree, quadrature):
     rows = []
     m1 = PlanarHarmonicMap(g=ComplexSeries((2.0, 1.0)), h=ComplexSeries.zero())
-    res1 = disk_green_identity(m1, 0.9, q)
+    res1 = disk_green_identity(m1, 0.9, quadrature)
     rows.append({"case": "disk_2_plus_z", "residual": res1, "threshold": 1e-6})
-    m2 = random_qr_map(7, 0.3, cfg.degree)
-    res2 = disk_green_identity(m2, 0.9, q)
+    m2 = random_qr_map(7, 0.3, degree)
+    res2 = disk_green_identity(m2, 0.9, quadrature)
     rows.append({"case": "disk_fuzz_k03", "residual": res2, "threshold": 1e-6})
-    res3 = ball_green_calibration(q)
+    res3 = ball_green_calibration(quadrature)
     rows.append({"case": "ball_calibration_x2", "residual": res3, "threshold": 1e-10})
-    res4 = ball_green_identity_n3(AffineBallMap(n=3, c=4.0, a=2.0), q)
+    res4 = ball_green_identity_n3(AffineBallMap(n=3, c=4.0, a=2.0), quadrature)
     rows.append({"case": "ball_m2_family", "residual": res4, "threshold": 1e-4})
     criteria = {f"|residual| < threshold at {r['case']}": abs(r["residual"]) < r["threshold"]
                 for r in rows}
@@ -374,50 +362,38 @@ def run_green_audit(cfg: RunConfig):
     return rows, criteria, detail
 
 
-RUNNERS = {
-    "reproduce-strip": run_reproduce_strip,
-    "verify-t1": run_verify_t1,
-    "verify-t2": run_verify_t2,
-    "verify-t3": run_verify_t3,
-    "laplacian-audit": run_laplacian_audit,
-    "green-audit": run_green_audit,
-    "calderon-estimate": run_calderon_estimate,
+#: the defaults that several scenarios share
+R, DEGREE, QUADRATURE = {"r": 1.0}, {"degree": 16}, {"quadrature": QuadratureSpec()}
+
+#: each scenario: its runner, the keys it reads besides format, out and
+#: config with their defaults, in the runner's parameter order, and the
+#: header of its table when it has no rows (any other table's comes from
+#: its first row); "quadrature" stands for QuadratureSpec's keys, c1c2
+#: None for the constant the corpus estimates, and verify-t2's tuple of k
+#: for one row per k.  A key given that the scenario does not read is refused
+SCENARIO_TABLE = {
+    "reproduce-strip": (run_reproduce_strip, dict(n=64, **QUADRATURE), None),
+    "verify-t1": (run_verify_t1, dict(seeds=100, k=0.3, **R, **DEGREE, c1c2=None,
+                                      **QUADRATURE), T1_COLUMNS),
+    "verify-t2": (run_verify_t2, dict(seeds=200, k=(0.0, 0.1, 0.3, 0.5), **R, **DEGREE,
+                                      **QUADRATURE), None),
+    "verify-t3": (run_verify_t3, QUADRATURE, None),
+    "laplacian-audit": (run_laplacian_audit, dict(seeds=40, k=0.3, **DEGREE), AUDIT_COLUMNS),
+    "green-audit": (run_green_audit, dict(DEGREE, **QUADRATURE), None),
+    "calderon-estimate": (run_calderon_estimate, dict(seeds=100, **DEGREE, **QUADRATURE),
+                          None),
 }
 
-#: the RunConfig fields each scenario reads besides out and format; a key
-#: given for any other field is refused
-READS = {
-    "reproduce-strip": ("n", "quadrature"),
-    "verify-t1": ("seeds", "k", "r", "degree", "c1c2", "quadrature"),
-    "verify-t2": ("seeds", "k", "r", "degree", "quadrature"),
-    "verify-t3": ("quadrature",),
-    "laplacian-audit": ("seeds", "k", "degree"),
-    "green-audit": ("degree", "quadrature"),
-    "calderon-estimate": ("seeds", "degree", "quadrature"),
-}
-
-SCENARIOS = tuple(RUNNERS)
-
-
-def _keys(scenario: str) -> list[str]:
-    """The keys ``scenario`` reads, in KEYS order: format, out and config,
-    and its READS, with quadrature standing for QuadratureSpec's fields."""
-    reads = {"format", "out", "config", *READS[scenario]}
-    if "quadrature" in reads:
-        reads.update(f.name for f in fields(QuadratureSpec))
-    return [key for key in KEYS if key in reads]
-
-
-#: header of a table with no rows; any other table's comes from its first row
-EMPTY_TABLE_COLUMNS = {"verify-t1": T1_COLUMNS, "laplacian-audit": AUDIT_COLUMNS}
+SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a scenario, write its table, print one PASS/FAIL line; it
     passes iff every criterion holds, and a FAIL line names those that fail."""
-    rows, criteria, detail = RUNNERS[cfg.scenario](cfg)
+    runner, _, empty_columns = SCENARIO_TABLE[cfg.scenario]
+    rows, criteria, detail = runner(**cfg.args)
     path = cfg.out or f"{cfg.scenario}.{cfg.format}"
-    header = list(rows[0]) if rows else list(EMPTY_TABLE_COLUMNS[cfg.scenario])
+    header = list(rows[0]) if rows else list(empty_columns)
     write_rows(header, rows, path, cfg.format)
     failing = "".join(f"{name} fails; " for name, holds in criteria.items() if not holds)
     print(f"[{'FAIL' if failing else 'PASS'}] {cfg.scenario}: {failing}{detail} -> {path}")

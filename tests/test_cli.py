@@ -1,5 +1,8 @@
+import ast
 import csv
 import dataclasses
+import inspect
+import itertools
 import json
 import math
 import re
@@ -12,9 +15,15 @@ import hqz.cli
 import hqz.theorems
 from hqz import (AffineBallMap, X_of, Y_of, dilatation_sup, fuzz_search, map_from_json,
                  phi_of_m, random_qr_map, ratio_limit_scan)
-from hqz.cli import KEYS, SCENARIOS, RunConfig, main, parse_args
+from hqz.cli import KEYS, SCENARIO_TABLE, SCENARIOS, RunConfig, main, parse_args
 from hqz.errors import ConfigError, DomainError
 from hqz.quadrature import QuadratureSpec
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: the runner arguments of verify-t2 when no key is given
+T2_DEFAULTS = {"seeds": 200, "k": (0.0, 0.1, 0.3, 0.5), "r": 1.0, "degree": 16,
+               "quadrature": QuadratureSpec()}
 
 
 def run_cli(args, tmp_path, name):
@@ -42,15 +51,15 @@ class TestParsing:
 
     def test_equals_and_space_forms(self):
         cfg = parse_args(["verify-t2", "--seeds=7", "--format", "jsonl"])
-        assert cfg.seeds == 7
+        assert cfg.args["seeds"] == 7
         assert cfg.format == "jsonl"
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nseeds = 9\nk = 0.25\n")
         cfg = parse_args(["verify-t2", "--config", str(path)])
-        assert cfg.seeds == 9
-        assert cfg.k == 0.25
+        assert cfg.args["seeds"] == 9
+        assert cfg.args["k"] == 0.25
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -63,7 +72,7 @@ class TestParsing:
         path = tmp_path / "run.cfg"
         path.write_text("seeds = 9\nconfig = no-such-file.cfg\n")
         cfg = parse_args(["verify-t2", "--config", str(path)])
-        assert cfg == RunConfig(scenario="verify-t2", seeds=9)
+        assert cfg == RunConfig(scenario="verify-t2", args={**T2_DEFAULTS, "seeds": 9})
 
     def test_out_is_a_run_config_field(self):
         assert parse_args(["verify-t2", "--out", "x"]).out == "x"
@@ -82,31 +91,32 @@ class TestParsing:
         path = tmp_path / "run.cfg"
         path.write_text("seeds = 9\n")
         cfg = parse_args(["verify-t2", "--config", str(path), "--seeds=3"])
-        assert cfg.seeds == 3
+        assert cfg.args["seeds"] == 3
 
     def test_unset_keys_mean_scenario_default(self):
         cfg = parse_args(["verify-t2"])
-        assert (cfg.seeds, cfg.n, cfg.k, cfg.c1c2) == (None, None, None, None)
-        # the other defaults live only in the dataclasses
-        assert cfg.quadrature == QuadratureSpec()
-        assert cfg == RunConfig(scenario="verify-t2")
+        assert cfg.args == T2_DEFAULTS
+        # out and format keep RunConfig's defaults
+        assert cfg == RunConfig(scenario="verify-t2", args=T2_DEFAULTS)
 
     def test_usage_lists_the_scenarios_in_order(self):
         with pytest.raises(ConfigError) as exc:
             parse_args([])
-        assert str(exc.value).splitlines()[-1] == (
+        assert str(exc.value).splitlines() == [
+            "usage: hqz <scenario> [--key=value ...] [--config PATH] [--out PATH] "
+            "[--format csv|jsonl]",
             "scenarios: reproduce-strip verify-t1 verify-t2 verify-t3 laplacian-audit "
-            "green-audit calderon-estimate")
+            "green-audit calderon-estimate"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"
         path.write_text("seeds = 9\n")
         monkeypatch.setenv("HQZ_SEED", "4")
         cfg = parse_args(["verify-t2", "--config", str(path)])
-        assert cfg.seeds == 4
+        assert cfg.args["seeds"] == 4
         # explicit flag still wins over the environment
         cfg = parse_args(["verify-t2", "--config", str(path), "--seeds=2"])
-        assert cfg.seeds == 2
+        assert cfg.args["seeds"] == 2
 
 
 class TestExitCodes:
@@ -132,6 +142,29 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 f"config error: {key} must be {want}, got {kind(raw)!r}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--k"], "flag --k needs a value"),
+        (["seeds=3"], "unexpected argument 'seeds=3'")], ids=["no-value", "bare-token"])
+    def test_a_malformed_flag_exits_2(self, args, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # --k must be the last token, so the table has no --out
+        assert main(["verify-t2", *args]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        with pytest.raises(OSError) as exc:
+            open(path, encoding="utf-8")
+        assert main(["verify-t2", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {path}: {exc.value}\n")
+
+    def test_a_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seeds = 9\nseeds 3\n")
+        assert main(["verify-t2", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}:2: expected key=value\n"
 
     def test_degree_cap_is_named(self, tmp_path, capsys):
         # omega takes degree d, so g' needs d <= 63 to fit below the cap 64
@@ -180,23 +213,66 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=r"^verify-t3 does not read seeds; it reads "):
             parse_args(["verify-t3", "--config", str(path)])
 
+    @pytest.mark.parametrize("text, flags, unread", [
+        ("seeds = 9\n", ["--seeds=3"], "seeds"),
+        ("k = 0.5\n", ["--k=0.1", "--seeds=3", "--k=0.2"], "k, seeds")],
+        ids=["seeds", "k-thrice"])
+    def test_an_unread_key_is_named_once(self, text, flags, unread, tmp_path):
+        # in the order first given: the file's keys, then the flags'
+        path = tmp_path / "a.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            parse_args(["verify-t3", "--config", str(path), *flags])
+        assert str(exc.value) == (
+            f"verify-t3 does not read {unread}; it reads format, out, config, circle_nodes, "
+            "radial_nodes, refinement_limit, abs_tol")
+
     def test_env_seed_is_no_key_given(self, monkeypatch):
         monkeypatch.setenv("HQZ_SEED", "4")
         assert parse_args(["verify-t3"]).scenario == "verify-t3"
 
-    @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_a_scenario_reads_the_fields_its_table_names(self, scenario, capsys):
-        read = set()
+    def test_env_seed_runs_a_scenario_without_seeds(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HQZ_SEED", "4")
+        code, out = run_cli(["verify-t3"], tmp_path, "t3.csv")
+        assert code == 0
+        assert capsys.readouterr().out.startswith("[PASS] verify-t3: ")
+        assert out.exists()
 
-        class Recorder:
-            def __getattr__(self, name):
-                read.add(name)
-                return getattr(RunConfig(scenario=scenario, seeds=1), name)
-        hqz.cli.RUNNERS[scenario](Recorder())
-        assert read == set(hqz.cli.READS[scenario])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_a_table_entry_is_its_runners_parameters(self, scenario):
+        # run calls runner(**args), so every key is a required parameter, in
+        # the table's order, and the runner's body reads each one
+        runner, defaults, _ = SCENARIO_TABLE[scenario]
+        params = inspect.signature(runner).parameters
+        assert list(params) == list(defaults)
+        assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+                   for p in params.values())
+        body = ast.parse(inspect.getsource(runner)).body[0].body
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert set(params) <= read
+
+    def test_readme_keys_and_defaults_table_is_the_scenario_table(self):
+        def cell(defaults, key):
+            if key not in defaults:
+                return "-"
+            value = defaults[key]
+            if value is None:
+                return "estimated"
+            if value == QuadratureSpec():
+                return "`QuadratureSpec()`"
+            return ", ".join(map(str, value if isinstance(value, tuple) else (value,)))
+        keys = ("seeds", "n", "k", "r", "degree", "c1c2", "quadrature")
+        table = ["| scenario | " + " | ".join(keys) + " |",
+                 "| --- " * (len(keys) + 1) + "|"]
+        table += [f"| `{s}` | " + " | ".join(cell(d, k) for k in keys) + " |"
+                  for s, (_, d, _) in SCENARIO_TABLE.items()]
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        assert "\n".join(table) + "\n" in text
+        assert {key for _, d, _ in SCENARIO_TABLE.values() for key in d} == set(keys)
 
     def test_every_readme_example_parses(self):
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        text = (REPO / "README.md").read_text(encoding="utf-8")
         examples = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
                     for line in block.splitlines() if "hqz " in line]
         examples += re.findall(r"`(hqz [a-z][^`]*)`", text)
@@ -204,6 +280,42 @@ class TestExitCodes:
         for example in examples:
             words = shlex.split(example)
             parse_args(words[words.index("hqz") + 1:])
+
+    def test_every_ci_command_parses(self, tmp_path, monkeypatch):
+        # each hqz line of the workflow, in a directory holding the run.cfg
+        # it writes and with the environment the line sets; a line that CI
+        # expects to exit 2 must raise ConfigError
+        lines = [line.strip() for line in (REPO / ".github" / "workflows" / "tests.yml")
+                 .read_text(encoding="utf-8").splitlines()]
+        config = next(re.fullmatch(r"printf '(.*)' > run\.cfg", line) for line in lines
+                      if line.endswith("> run.cfg"))[1]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(config.replace("\\n", "\n"))
+        parsed, refused = [], []
+        for line, after in zip(lines, [*lines[1:], ""]):
+            words = list(shlex.shlex(line, posix=True, punctuation_chars=True))
+            if "hqz" not in words:
+                continue
+            start = words.index("hqz")
+            argv = list(itertools.takewhile(lambda w: w[0] not in ";&|<>", words[start + 1:]))
+            env = dict(w.split("=", 1) for w in words[:start] if w[0].isupper())
+            with monkeypatch.context() as m:
+                for name, value in env.items():
+                    m.setenv(name, value)
+                for scenario in SCENARIOS if "$s" in argv else ("$s",):  # the loop over them
+                    args = [scenario if w == "$s" else w for w in argv]
+                    if after == 'test "$code" -eq 2':
+                        with pytest.raises(ConfigError):
+                            parse_args(args)
+                        refused.append(" ".join(args))
+                    else:
+                        parsed.append(parse_args(args))
+        assert refused == ["verify-t1 --c1c2=inf", "verify-t2 --seeds=1 --abs_tol=inf"]
+        assert [cfg.scenario for cfg in parsed[:len(SCENARIOS)]] == list(SCENARIOS)
+        # the config-file line: the file's k, and HQZ_SEED over its seeds
+        assert [(cfg.args["seeds"], cfg.args["k"]) for cfg in parsed
+                if cfg.out == "cfg.csv"] == [(3, 0.25)]
+        assert len(parsed) == len(SCENARIOS) + 4
 
 
 class TestScenarioRuns:

@@ -37,7 +37,7 @@ def test_config_scenario_match_accepted(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("scenario = verify-t2\nseeds = 1\n")
     cfg = parse_args(["verify-t2", "--config", str(path)])
-    assert cfg.seeds == 1
+    assert cfg.args["seeds"] == 1
 
 
 def test_jsonl_serializes_nonfinite_fields(tmp_path, capsys):
