@@ -26,7 +26,7 @@ from .planar import (DilatationReport, PlanarHarmonicMap, dilatation_sup,
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, random_series
 from .theorems import (FuzzSummary, TheoremReport, fuzz_search, verify_T1,
-                       verify_T2, verify_T2_strip, verify_T3_affine)
+                       verify_T2, verify_T3_affine)
 
 __all__ = [
     "AffineBallMap", "C_n", "ComplexSeries", "ConfigError", "DEGREE_CAP",
@@ -42,6 +42,5 @@ __all__ = [
     "make_qr_map", "map_from_json", "map_to_json", "phi_of_m",
     "phi_scan_argmax", "poisson_extend_circle", "poisson_kernel",
     "random_qr_map", "random_qr_maps", "random_series", "ratio_limit_scan", "strip_example",
-    "verify_T1", "verify_T2", "verify_T2_strip",
-    "verify_T3_affine",
+    "verify_T1", "verify_T2", "verify_T3_affine",
 ]

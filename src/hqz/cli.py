@@ -8,9 +8,10 @@ families' limits), the strip corollary, and the audits of the proof's
 lemmas and constants.  Every scenario runs with zero configuration,
 writes one table, prints a single PASS/FAIL line that names each
 acceptance criterion that fails, and exits 0 iff PASS.  A plain-text
-key=value config file can seed the options and command-line flags
-override it; the environment variable HQZ_SEED overrides the seed count
-from either.
+key=value config file can seed the options, the environment variable
+HQZ_SEED overrides its seed count where the scenario reads seeds, and
+command-line flags override both.  A flag's value follows its "=" or is
+the next argument, which cannot start with "--".
 Unknown scenarios, unknown keys and keys the scenario does not read are
 rejected (exit 2); unwritable output paths exit 3.  Floats are formatted
 with 17 significant digits so rerunning a configuration reproduces the
@@ -30,13 +31,13 @@ import numpy as np
 
 from .ball import AffineBallMap, ball_green_calibration, ball_green_identity_n3, phi_of_m
 from .errors import ConfigError, DomainError, HqzError
-from .functionals import calderon_norms, calderon_ratio_estimate
+from .functionals import calderon_norms, calderon_ratio_estimate, hardy_norm_estimate
 from .laplacian import audit_laplacians, disk_green_identity, laplacian_ratio_sup
-from .planar import PlanarHarmonicMap, dilatation_sup, map_to_json, random_qr_map
+from .planar import (PlanarHarmonicMap, dilatation_sup, map_to_json, random_qr_map,
+                     strip_example)
 from .quadrature import QuadratureSpec
 from .series import DEGREE_CAP, ComplexSeries, random_series
-from .theorems import (fuzz_search, verify_T1, verify_T2, verify_T2_strip,
-                       verify_T3_affine)
+from .theorems import fuzz_search, verify_T1, verify_T2, verify_T3_affine
 
 #: every key: (type, condition or None, wording of the condition), checked
 #: in this order; the quadrature keys are QuadratureSpec's fields, which it checks
@@ -73,23 +74,19 @@ def _parse_value(key: str, raw: str, where: str = ""):
 
 
 def _read_config_file(path: str) -> dict:
-    out: dict = {}
+    given: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
+                key, eq, raw = (s.strip() for s in line.split("#", 1)[0].partition("="))
+                if key and not eq:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, raw = (s.strip() for s in line.split("=", 1))
-                if key == "scenario":
-                    out["scenario"] = raw
-                    continue
-                out[key] = _parse_value(key, raw, f"{path}:{lineno}: ")
+                if eq:
+                    given[key] = raw if key == "scenario" else _parse_value(
+                        key, raw, f"{path}:{lineno}: ")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return out
+    return given
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -98,63 +95,48 @@ def parse_args(argv: list[str]) -> RunConfig:
             "usage: hqz <scenario> [--key=value ...] [--config PATH] [--out PATH] "
             "[--format csv|jsonl]\n"
             "scenarios: " + " ".join(SCENARIOS))
-    scenario = argv[0]
+    scenario, tokens, flags = argv[0], iter(argv[1:]), {}
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from: "
                           + ", ".join(SCENARIOS))
-    # collect --key=value and --key value tokens
-    raw: dict = {}
-    i = 1
-    while i < len(argv):
-        tok = argv[i]
+    for tok in tokens:
         if not tok.startswith("--"):
             raise ConfigError(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            key, val = body.split("=", 1)
-        else:
-            key = body
-            i += 1
-            if i >= len(argv):
+        key, eq, val = tok[2:].partition("=")
+        if not eq:  # the value is the next token, which cannot start with --
+            val = next(tokens, None)
+            if val is None or val.startswith("--"):
                 raise ConfigError(f"flag --{key} needs a value")
-            val = argv[i]
         key = key.replace("-", "_")
-        raw[key] = _parse_value(key, val)
-        i += 1
-
-    merged: dict = {}
-    if "config" in raw:
-        merged.update(_read_config_file(raw["config"]))
-        if merged.pop("scenario", scenario) != scenario:
-            raise ConfigError("config file scenario differs from command line")
-    # each key once, in the order first given; HQZ_SEED is the environment, not a key given
-    given = list(dict.fromkeys([*merged, *raw]))
-    env_seed = os.environ.get("HQZ_SEED")
-    if env_seed is not None:
-        merged["seeds"] = _parse_value("seeds", env_seed)
-    merged.update(raw)
-    merged.pop("config", None)  # read above; a config line inside the file is ignored
-    for key, (_, valid, want) in KEYS.items():
-        if valid is not None and key in merged and not valid(merged[key]):
-            raise ConfigError(f"{key} must be {want}, got {merged[key]!r}")
-    quad = {f.name: merged.pop(f.name) for f in fields(QuadratureSpec) if f.name in merged}
-    if quad:  # the keys not given keep QuadratureSpec's defaults
-        try:
-            merged["quadrature"] = QuadratureSpec(**quad)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        flags[key] = _parse_value(key, val)
+    given = _read_config_file(flags["config"]) if "config" in flags else {}
+    if given.pop("scenario", scenario) != scenario:
+        raise ConfigError("config file scenario differs from command line")
+    given.pop("config", None)  # a config line inside the file is ignored
     _, defaults, _ = SCENARIO_TABLE[scenario]
     reads = {"format", "out", "config", *defaults}
     if "quadrature" in reads:
         reads.update(f.name for f in fields(QuadratureSpec))
-    keys = [key for key in KEYS if key in reads]
-    unread = [key for key in given if key not in keys]
+    if "seeds" in reads and "HQZ_SEED" in os.environ:  # over the file's seeds, under --seeds
+        given["seeds"] = _parse_value("seeds", os.environ["HQZ_SEED"])
+    given.update(flags)
+    for key, (_, valid, want) in KEYS.items():
+        if valid is not None and key in given and not valid(given[key]):
+            raise ConfigError(f"{key} must be {want}, got {given[key]!r}")
+    quad = {f.name: given[f.name] for f in fields(QuadratureSpec) if f.name in given}
+    try:  # the quadrature keys not given keep QuadratureSpec's defaults
+        quadrature = QuadratureSpec(**quad)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    unread = [key for key in given if key not in reads]
     if unread:
         raise ConfigError(f"{scenario} does not read {', '.join(unread)}; "
-                          f"it reads {', '.join(keys)}")
-    args = {key: merged.get(key, default) for key, default in defaults.items()}
-    return RunConfig(scenario, args, **{key: merged[key] for key in ("out", "format")
-                                        if key in merged})
+                          f"it reads {', '.join(key for key in KEYS if key in reads)}")
+    if quad:  # else the entry's default
+        given["quadrature"] = quadrature
+    args = {key: given.get(key, default) for key, default in defaults.items()}
+    return RunConfig(scenario, args, **{key: given[key] for key in ("out", "format")
+                                        if key in given})
 
 
 def _fmt(v) -> str:
@@ -201,13 +183,9 @@ AUDIT_COLUMNS = ("seed", "k", "points", "skipped", "max_rel_abs_f", "max_rel_ulo
 
 
 def run_reproduce_strip(n, quadrature):
-    rows = []
-    values = []
-    for j in range(1, n + 1):
-        rep = verify_T2_strip(j, quadrature)
-        values.append(rep.lhs)
-        rows.append({"n": j, "h1_norm": rep.lhs, "gap": rep.margin,
-                     "gap_envelope": rep.params["gap_envelope"]})
+    values = [hardy_norm_estimate(strip_example(j), quadrature)[0] for j in range(1, n + 1)]
+    rows = [{"n": j, "h1_norm": norm, "gap": 1.0 - norm, "gap_envelope": 2.0 / (j + 1.0)}
+            for j, norm in enumerate(values, 1)]
     criteria = {"every norm < 1": all(v < 1.0 for v in values),
                 "norms increase": all(b > a for a, b in zip(values, values[1:])),
                 "gap(32) < 2/33": n < 32 or (1.0 - values[31]) < 2.0 / 33.0,
@@ -246,9 +224,10 @@ def run_calderon_estimate(seeds, degree, quadrature):
 
 
 def run_verify_t1(seeds, k, r, degree, c1c2, quadrature):
-    corpus = [H for _, H in _h_corpus(seeds, degree)]
-    c1_lb, c2_lb = calderon_ratio_estimate(corpus, quadrature)
-    c1c2 = c1_lb * c2_lb if c1c2 is None else c1c2
+    if c1c2 is None:  # the constant the corpus estimates
+        c1_lb, c2_lb = calderon_ratio_estimate([H for _, H in _h_corpus(seeds, degree)],
+                                               quadrature)
+        c1c2 = c1_lb * c2_lb
     rows = []
     for seed in range(min(seeds, 20)):
         m = random_qr_map(seed, k, degree)

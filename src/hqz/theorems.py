@@ -1,5 +1,5 @@
-"""Explicit verifiers for the three Zygmund-type inequalities and the
-strip bound, plus a randomized tightness search.
+"""Explicit verifiers for the three Zygmund-type inequalities, plus a
+randomized tightness search.
 
 Each verifier evaluates both sides of one inequality instance with the
 quadrature machinery and returns a TheoremReport whose margin
@@ -25,9 +25,8 @@ from typing import Mapping, Sequence
 
 from .ball import AffineBallMap, X_of, Y_of
 from .errors import HypothesisViolation
-from .functionals import circle_mean_p, hardy_norm_estimate, zygmund_plus_report
-from .planar import (PlanarHarmonicMap, dilatation_upper, map_to_json,
-                     random_qr_maps, strip_example)
+from .functionals import circle_mean_p, zygmund_plus_report
+from .planar import PlanarHarmonicMap, dilatation_upper, map_to_json, random_qr_maps
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, chunk_stacks
 
 #: tolerance for the v(0) = 0 hypothesis; constructions satisfy it exactly
@@ -120,20 +119,6 @@ def verify_T2(m: PlanarHarmonicMap, r: float, q: QuadratureSpec,
     estimates.  This is the one-map stack of ``fuzz_search``.
     """
     return _verify_T2_stack([m], r, q, K, dilatation_grid)[0]
-
-
-def verify_T2_strip(n: int, q: QuadratureSpec) -> TheoremReport:
-    """Strip bound: the map n/(n+1) + z/(n+1) has h^1 norm strictly below 1,
-    with gap shrinking like 1/(n+1) (that envelope is reported as a param)."""
-    m = strip_example(n)
-    norm, err, _ = hardy_norm_estimate(m, q)
-    return TheoremReport(
-        params={"gap_envelope": 2.0 / (n + 1.0)},
-        lhs=norm,
-        rhs=1.0,
-        margin=1.0 - norm,
-        quad_error=err,
-    )
 
 
 def verify_T1(m: PlanarHarmonicMap, r: float, c1c2: float, q: QuadratureSpec) -> TheoremReport:

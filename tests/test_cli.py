@@ -145,12 +145,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, message", [
         (["--k"], "flag --k needs a value"),
-        (["seeds=3"], "unexpected argument 'seeds=3'")], ids=["no-value", "bare-token"])
+        (["seeds=3"], "unexpected argument 'seeds=3'"),
+        (["--k", "--out", "x.csv"], "flag --k needs a value"),
+        (["--config", "--out", "x.csv"], "flag --config needs a value")],
+        ids=["no-value", "bare-token", "flag-as-value", "flag-as-config-path"])
     def test_a_malformed_flag_exits_2(self, args, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # --k must be the last token, so the table has no --out
         assert main(["verify-t2", *args]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_value_after_equals_may_start_with_dashes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify-t2", "--seeds=0", "--out=--x.csv"]) == 0
+        assert capsys.readouterr().out.endswith(" -> --x.csv\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["--x.csv"]
 
     def test_an_unreadable_config_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing.cfg"
@@ -238,6 +247,23 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("[PASS] verify-t3: ")
         assert out.exists()
 
+    @pytest.mark.parametrize("env_seed", ["-1", "abc"])
+    def test_a_bad_env_seed_is_not_read_without_seeds(self, env_seed, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("HQZ_SEED", env_seed)
+        code, out = run_cli(["verify-t3"], tmp_path, "t3.csv")
+        assert code == 0
+        assert capsys.readouterr().out.startswith("[PASS] verify-t3: ")
+        assert out.exists()
+
+    def test_a_bad_env_seed_is_refused_where_seeds_are_read(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setenv("HQZ_SEED", "-1")
+        code, out = run_cli(["verify-t2"], tmp_path, "t2.csv")
+        assert code == 2
+        assert capsys.readouterr().err == "config error: seeds must be nonnegative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_a_table_entry_is_its_runners_parameters(self, scenario):
         # run calls runner(**args), so every key is a required parameter, in
@@ -310,12 +336,13 @@ class TestExitCodes:
                         refused.append(" ".join(args))
                     else:
                         parsed.append(parse_args(args))
-        assert refused == ["verify-t1 --c1c2=inf", "verify-t2 --seeds=1 --abs_tol=inf"]
+        assert refused == ["verify-t1 --c1c2=inf", "verify-t2 --seeds=1 --abs_tol=inf",
+                           "verify-t2 --k --out x.csv"]
         assert [cfg.scenario for cfg in parsed[:len(SCENARIOS)]] == list(SCENARIOS)
         # the config-file line: the file's k, and HQZ_SEED over its seeds
         assert [(cfg.args["seeds"], cfg.args["k"]) for cfg in parsed
                 if cfg.out == "cfg.csv"] == [(3, 0.25)]
-        assert len(parsed) == len(SCENARIOS) + 4
+        assert len(parsed) == len(SCENARIOS) + 5
 
 
 class TestScenarioRuns:
@@ -454,9 +481,9 @@ def spoiled(field, value):
 #: criterion that must then fail, flags that keep the run short); each
 #: scenario's first case is named after it
 SPOILED = {
-    "reproduce-strip": ("reproduce-strip", hqz.cli, "verify_T2_strip",
-                        lambda rep, n, q: dataclasses.replace(rep, lhs=rep.lhs + 1e-8)
-                        if n == 1 else rep,
+    # strip_example(1) maps 0 to 1/2
+    "reproduce-strip": ("reproduce-strip", hqz.cli, "hardy_norm_estimate",
+                        lambda rep, m, q: (rep[0] + 1e-8, *rep[1:]) if m(0j) == 0.5 else rep,
                         "|norm(1) - 2/pi| < 1e-9", ["--n=4"]),
     "verify-t1": ("verify-t1", hqz.cli, "verify_T1", spoiled("margin", math.nan),
                   "margin >= -quad_error", ["--seeds=1"]),

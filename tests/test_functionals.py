@@ -7,7 +7,7 @@ from hqz import (ComplexSeries, DomainError, HqzError, HypothesisViolation,
                  PlanarHarmonicMap,
                  QuadratureSpec, calderon_norms, calderon_ratio_estimate,
                  calderon_square, circle_mean_p, hardy_norm_estimate,
-                 poisson_extend_circle, random_qr_map, random_series)
+                 poisson_extend_circle, random_qr_map, random_series, strip_example)
 from hqz import functionals
 from hqz.functionals import zygmund_plus_report
 from hqz.quadrature import STACK_CHUNK, gauss_legendre, refined_circle_mean
@@ -88,6 +88,38 @@ class TestHardyNorm:
             m = random_qr_map(seed, 0.3)
             norm = hardy_norm_estimate(m, q)[0]
             assert norm >= abs(m(0j)) - 1e-10
+
+
+class TestStripNorm:
+    """The strip bound: n/(n+1) + z/(n+1) has h^1 norm below 1, with gap
+    below 2/(n+1)."""
+
+    def test_n1_value(self, q):
+        norm = hardy_norm_estimate(strip_example(1), q)[0]
+        assert norm == pytest.approx(2.0 / math.pi, abs=1e-9)
+        assert 1.0 - norm > 0.0
+
+    def test_n32_gap(self, q):
+        norm = hardy_norm_estimate(strip_example(32), q)[0]
+        assert 0.0 < 1.0 - norm < 2.0 / 33.0
+
+    def test_strictly_increasing_in_n(self, q):
+        values = [hardy_norm_estimate(strip_example(n), q)[0] for n in range(1, 17)]
+        assert all(b > a for a, b in zip(values[:-1], values[1:]))
+        assert all(v < 1.0 for v in values)
+
+    def test_unit_circle_mean_taken_once(self, q, monkeypatch):
+        radii, real = [], functionals.circle_mean_p
+
+        def spy(m, r, spec):
+            radii.append(r)
+            return real(m, r, spec)
+
+        monkeypatch.setattr(functionals, "circle_mean_p", spy)
+        norm, err, _ = hardy_norm_estimate(strip_example(5), q)
+        assert radii.count(1.0) == 1
+        [value], [est_error], _ = real([strip_example(5)], 1.0, q)
+        assert (norm, err) == (value, est_error)
 
 
 class TestZygmundPlus:

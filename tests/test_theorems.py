@@ -4,11 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hqz import QuadratureSpec, circle_mean_p, functionals, theorems
+from hqz import QuadratureSpec, circle_mean_p, theorems
 from hqz import (AffineBallMap, ComplexSeries, FuzzSummary, HqzError,
                  HypothesisViolation, PlanarHarmonicMap, fuzz_search,
-                 map_from_json, map_to_json, phi_of_m, random_qr_map, strip_example,
-                 verify_T1, verify_T2, verify_T2_strip, verify_T3_affine)
+                 map_from_json, map_to_json, phi_of_m, random_qr_map,
+                 verify_T1, verify_T2, verify_T3_affine)
 from hqz.quadrature import refined_circle_mean
 from hqz.series import circle_values
 from hqz.theorems import CORPUS_DILATATION_GRID
@@ -55,36 +55,6 @@ class TestVerifyT2:
         with pytest.raises(HypothesisViolation, match=r"^u must be positive on the circle: "
                            r"min u = -2\.500e-01 <= 0 on the circle of radius 1\.0$"):
             verify_T2(analytic(1.0, 1.25), 1.0, q, K=1.0)
-
-
-class TestVerifyT2Strip:
-    def test_n1_value(self, q):
-        rep = verify_T2_strip(1, q)
-        assert rep.lhs == pytest.approx(2.0 / math.pi, abs=1e-9)
-        assert rep.margin > 0.0
-
-    def test_n32_gap(self, q):
-        rep = verify_T2_strip(32, q)
-        assert 0.0 < rep.margin < 2.0 / 33.0
-
-    def test_strictly_increasing_in_n(self, q):
-        values = [verify_T2_strip(n, q).lhs for n in range(1, 17)]
-        assert all(b > a for a, b in zip(values[:-1], values[1:]))
-        assert all(v < 1.0 for v in values)
-
-    def test_unit_circle_mean_taken_once(self, q, monkeypatch):
-        radii, real = [], functionals.circle_mean_p
-
-        def spy(m, r, spec):
-            radii.append(r)
-            return real(m, r, spec)
-
-        monkeypatch.setattr(functionals, "circle_mean_p", spy)
-        monkeypatch.setattr(theorems, "circle_mean_p", spy)
-        rep = verify_T2_strip(5, q)
-        assert radii.count(1.0) == 1
-        [value], [est_error], _ = real([strip_example(5)], 1.0, q)
-        assert (rep.lhs, rep.quad_error) == (value, est_error)
 
 
 class TestVerifyT1:
